@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Sequence
 
-from .constraints import DOOR_WIDTH, WeightConfig, eval_room_penalty, rooms_share_wall
+from .constraints import WeightConfig, eval_room_penalty
 from .database import Database, RoomTemplate
 from .errors import ArrangementFailed, DisconnectedFloor
-from .geometry import Dimensions
+from .geometry import Dimensions, bfs, shared_segment
 from .layout import SAParams
 from .level import AdjacencyEdge, Door, LevelSkeleton, RoomInstance, Stair
 
@@ -173,7 +173,7 @@ def gen_candidate_room(
                 tau=0,
                 arch_type=template.arch_type,
             )
-            if not rooms_share_wall(current, candidate, DOOR_WIDTH):
+            if shared_segment(current.footprint(), candidate.footprint()) is None:
                 continue
             penalty = _room_penalty(candidate, template, state)
             scored.append((penalty, template.name, candidate))
@@ -320,24 +320,6 @@ def _seed_next_floor(
     return best[2] if best else None
 
 
-def _shared_segment(a: RoomInstance, b: RoomInstance):
-    """(axis, boundary, lo, hi) of the wall segment two rooms share."""
-    ax0, ay0, ax1, ay1 = a.footprint()
-    bx0, by0, bx1, by1 = b.footprint()
-    eps = 1e-9
-    if abs(ax1 - bx0) < eps or abs(bx1 - ax0) < eps:
-        boundary = ax1 if abs(ax1 - bx0) < eps else ax0
-        lo, hi = max(ay0, by0), min(ay1, by1)
-        if hi - lo >= DOOR_WIDTH - eps:
-            return ("x", boundary, lo, hi)
-    if abs(ay1 - by0) < eps or abs(by1 - ay0) < eps:
-        boundary = ay1 if abs(ay1 - by0) < eps else ay0
-        lo, hi = max(ax0, bx0), min(ax1, bx1)
-        if hi - lo >= DOOR_WIDTH - eps:
-            return ("y", boundary, lo, hi)
-    return None
-
-
 def place_doors(skeleton: LevelSkeleton, rng: Random) -> LevelSkeleton:
     """Connect wall-sharing rooms: open pairs get a free edge, any other
     pair gets one door at the midpoint of the shared wall segment."""
@@ -348,7 +330,7 @@ def place_doors(skeleton: LevelSkeleton, rng: Random) -> LevelSkeleton:
         for i in range(len(rooms)):
             for j in range(i + 1, len(rooms)):
                 a, b = rooms[i], rooms[j]
-                seg = _shared_segment(a, b)
+                seg = shared_segment(a.footprint(), b.footprint())
                 if seg is None:
                     continue
                 if a.arch_type == "open" and b.arch_type == "open":
@@ -377,14 +359,7 @@ def _check_floor_connected(
         if e.room_a in ids and e.room_b in ids:
             neighbors[e.room_a].add(e.room_b)
             neighbors[e.room_b].add(e.room_a)
-    seen = set()
-    frontier = [min(ids)]
-    while frontier:
-        rid = frontier.pop()
-        if rid in seen:
-            continue
-        seen.add(rid)
-        frontier.extend(neighbors[rid] - seen)
+    seen = set(bfs(min(ids), neighbors.__getitem__))
     if seen != ids:
         raise DisconnectedFloor(
             f"floor {floor}: rooms {sorted(ids - seen)} cannot be connected"

@@ -16,16 +16,13 @@ from .geometry import (
     Pose,
     angle_diff,
     center_distance,
-    penetration_depth,
     point_outside_box_distance,
     segment_intersects_box,
+    shared_segment,
 )
 
 # Shared epsilon for every inverse-distance term.
 DISTANCE_EPS = 0.1
-
-# Shared door width; a wall contact shorter than this cannot host a door.
-DOOR_WIDTH = 1.0
 
 FACILITY_KINDS = frozenset(
     {
@@ -295,12 +292,6 @@ def eval_facility_penalty(
     return w * theta * theta
 
 
-def eval_overlap_penalty(a: Pose, b: Pose, w_overlap: float) -> float:
-    """Quadratic penalty on the footprint penetration depth of two boxes."""
-    depth = penetration_depth(a.footprint(), b.footprint())
-    return w_overlap * depth * depth
-
-
 def total_constraint_penalty(
     facility,
     room: RoomGeometry,
@@ -322,22 +313,6 @@ def total_constraint_penalty(
 def room_center(room) -> tuple[float, float]:
     ox, oy = room.origin
     return ox + room.dims.width / 2.0, oy + room.dims.length / 2.0
-
-
-def rooms_share_wall(a, b, min_segment: float = DOOR_WIDTH) -> bool:
-    """True when two same-floor rooms touch along a usable wall segment."""
-    if a.floor != b.floor:
-        return False
-    ax0, ay0 = a.origin
-    ax1, ay1 = ax0 + a.dims.width, ay0 + a.dims.length
-    bx0, by0 = b.origin
-    bx1, by1 = bx0 + b.dims.width, by0 + b.dims.length
-    eps = 1e-9
-    if abs(ax1 - bx0) < eps or abs(bx1 - ax0) < eps:
-        return min(ay1, by1) - max(ay0, by0) >= min_segment - eps
-    if abs(ay1 - by0) < eps or abs(by1 - ay0) < eps:
-        return min(ax1, bx1) - max(ax0, bx0) >= min_segment - eps
-    return False
 
 
 def _room_plane_distance(a, b) -> float:
@@ -379,7 +354,8 @@ def eval_room_penalty(
         return 0.0
 
     if kind == "AdjacentTo":
-        if any(rooms_share_wall(subject, t) for t in targets):
+        fs = subject.footprint()
+        if any(shared_segment(fs, t.footprint()) is not None for t in targets):
             return 0.0
         return w * min(_room_plane_distance(subject, t) for t in targets)
 

@@ -179,6 +179,16 @@ def import_level_json(data: bytes | str) -> Level:
             )
         for e in doc["adjacency"]:
             skeleton.adjacency.append(AdjacencyEdge(e["room_a"], e["room_b"], e["kind"]))
+        for door in skeleton.doors:
+            axis, boundary, lo, hi = skeleton.shared_wall(door.room_a, door.room_b)
+            across, along = (door.x, door.y) if axis == "x" else (door.y, door.x)
+            if abs(across - boundary) > 1e-9 or not lo <= along <= hi:
+                raise SchemaError(
+                    f"door between rooms {door.room_a} and {door.room_b} "
+                    "is not on their shared wall"
+                )
+        for e in skeleton.adjacency:
+            skeleton.shared_wall(e.room_a, e.room_b)
         level = Level(config=config, skeleton=skeleton)
         for f in doc["facilities"]:
             level.facilities.append(
@@ -328,16 +338,9 @@ def wall_openings(level: Level, room: RoomInstance) -> dict[str, list[_Opening]]
     for edge in level.adjacency:
         if edge.kind != "open" or room.id not in (edge.room_a, edge.room_b):
             continue
-        other = level.room_by_id(
-            edge.room_b if edge.room_a == room.id else edge.room_a
-        )
-        ox0, oy0, ox1, oy1 = other.footprint()
-        if abs(x0 - ox1) < eps or abs(x1 - ox0) < eps:
-            side = "-x" if abs(x0 - ox1) < eps else "+x"
-            lo, hi = max(y0, oy0), min(y1, oy1)
-        else:
-            side = "-y" if abs(y0 - oy1) < eps else "+y"
-            lo, hi = max(x0, ox0), min(x1, ox1)
+        axis, boundary, lo, hi = level.skeleton.shared_wall(edge.room_a, edge.room_b)
+        low_wall = x0 if axis == "x" else y0
+        side = ("-" if abs(boundary - low_wall) < eps else "+") + axis
         out[side].append(_Opening(lo, hi, full_height=True))
 
     for side in out:

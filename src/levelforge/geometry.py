@@ -1,4 +1,5 @@
-"""Axis-aligned box geometry shared by every placement subsystem.
+"""Axis-aligned box geometry, the shared-wall segment of two rooms, pose
+sampling and breadth-first hop counts, shared by every subsystem.
 
 All footprints are axis-aligned rectangles on the floor plane; yaw only
 matters in 90-degree steps (it swaps width/length) and in the angular
@@ -8,10 +9,16 @@ penalty terms.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
+from random import Random
+from typing import Callable, Hashable, Iterable
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
+
+# Shared door width; a wall contact shorter than this cannot host a door.
+DOOR_WIDTH = 1.0
 
 
 @dataclass(frozen=True)
@@ -151,3 +158,57 @@ def segment_intersects_box(
         if tmin >= tmax - 1e-12:
             return False
     return True
+
+
+def shared_segment(
+    fa: tuple[float, float, float, float], fb: tuple[float, float, float, float]
+) -> tuple[str, float, float, float] | None:
+    """(axis, boundary, lo, hi) of the wall two touching footprints share.
+
+    The wall lies at `boundary` on `axis` ("x" or "y"); [lo, hi] is its run
+    along the other axis. None unless the contact is at least a door wide.
+    """
+    eps = 1e-9
+    for axis, k in (("x", 0), ("y", 1)):
+        a0, a1, b0, b1 = fa[k], fa[k + 2], fb[k], fb[k + 2]
+        if abs(a1 - b0) < eps or abs(b1 - a0) < eps:
+            boundary = a1 if abs(a1 - b0) < eps else a0
+            o = 1 - k
+            lo, hi = max(fa[o], fb[o]), min(fa[o + 2], fb[o + 2])
+            if hi - lo >= DOOR_WIDTH - eps:
+                return (axis, boundary, lo, hi)
+    return None
+
+
+def bfs(start: Hashable, neighbors: Callable[[Hashable], Iterable[Hashable]]) -> dict:
+    """Hop count from `start` to every node reachable via `neighbors`,
+    in visiting order."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        hops = dist[node] + 1
+        for nxt in neighbors(node):
+            if nxt not in dist:
+                dist[nxt] = hops
+                queue.append(nxt)
+    return dist
+
+
+def random_pose(dims: Dimensions, geom, rng: Random) -> Pose | None:
+    """Uniform pose of a box inside a `geom.width` x `geom.length` room.
+
+    The yaw is a random 90-degree step, turned a quarter when the box does
+    not fit that way; None when it fits neither way.
+    """
+    yaw = rng.randrange(4) * HALF_PI
+    pose = Pose(0.0, 0.0, dims.height / 2.0, yaw, dims)
+    hx, hy = pose.half_extents()
+    if 2 * hx > geom.width or 2 * hy > geom.length:
+        pose = pose.rotated(yaw + HALF_PI)
+        hx, hy = pose.half_extents()
+        if 2 * hx > geom.width or 2 * hy > geom.length:
+            return None
+    pose.x = hx + rng.random() * (geom.width - 2 * hx)
+    pose.y = hy + rng.random() * (geom.length - 2 * hy)
+    return pose

@@ -1,4 +1,5 @@
-"""Single-room facility layout by simulated annealing.
+"""Single-room facility layout by simulated annealing, and the Metropolis
+kernel (`anneal`) that mechanic assignment shares.
 
 The room objective combines three weighted terms: the summed placement
 penalties (overlap, bounds and constraint violations), a pairwise
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .geometry import (
     Pose,
     out_of_bounds_depth,
     penetration_depth,
+    random_pose,
 )
 from .level import FacilityInstance, RoomInstance
 
@@ -59,6 +61,56 @@ class SAParams:
         return cls(**dict(data))
 
 
+State = TypeVar("State")
+Energy = TypeVar("Energy")
+
+
+def anneal(
+    init: Callable[[Random], State],
+    propose: Callable[[State, Random], State] | None,
+    energy: Callable[[State], Energy],
+    sa: SAParams,
+    rng: Random,
+    trace: list | None = None,
+) -> tuple[State, Energy]:
+    """Metropolis search under geometric cooling; returns the best state
+    seen and its energy.
+
+    Each of `sa.restarts` runs starts from `init(rng)` and tries
+    `sa.iterations` moves. `propose(state, rng)` returns a new state and
+    leaves its argument untouched; None means nothing can move, so only the
+    initial states are scored. `energy(state)` returns a breakdown whose
+    `.total` is minimised; the best changes only on a strictly lower total.
+    With `trace`, each iteration appends (iteration, temperature, current
+    total, best total).
+    """
+    best_state: State | None = None
+    best: Energy | None = None
+    for _ in range(max(1, sa.restarts)):
+        state = init(rng)
+        cur = energy(state)
+        if best is None or cur.total < best.total:
+            best_state, best = state, cur
+        if propose is None:
+            continue
+        temperature = sa.initial_temperature
+        for it in range(sa.iterations):
+            cand_state = propose(state, rng)
+            cand = energy(cand_state)
+            delta = cand.total - cur.total
+            if delta <= 0 or (
+                temperature > 0
+                and rng.random() < math.exp(-delta / temperature)
+            ):
+                state, cur = cand_state, cand
+            if cur.total < best.total:
+                best_state, best = state, cur
+            if trace is not None:
+                trace.append((it, temperature, cur.total, best.total))
+            temperature *= sa.cooling_rate
+    return best_state, best
+
+
 @dataclass(frozen=True)
 class ObjectiveBreakdown:
     placement: float
@@ -72,15 +124,6 @@ class RoomLayout:
     room_id: int
     placements: dict[str, Pose]
     breakdown: ObjectiveBreakdown
-
-
-def trace_to_csv(trace: Sequence[tuple]) -> str:
-    """Render an annealing trace (iteration, temperature, objective, best)
-    as CSV for offline debugging."""
-    lines = ["iteration,temperature,objective,best"]
-    for iteration, temperature, current, best in trace:
-        lines.append(f"{iteration},{temperature!r},{current!r},{best!r}")
-    return "\n".join(lines) + "\n"
 
 
 def interior_grid_points(geom: RoomGeometry) -> np.ndarray:
@@ -211,19 +254,6 @@ def _clamp_center(x: float, y: float, hx: float, hy: float, geom: RoomGeometry):
     return cx, cy
 
 
-def _random_pose(dims: Dimensions, geom: RoomGeometry, rng: Random) -> Pose:
-    yaw = rng.randrange(4) * HALF_PI
-    pose = Pose(0.0, 0.0, dims.height / 2.0, yaw, dims)
-    hx, hy = pose.half_extents()
-    if 2 * hx > geom.width or 2 * hy > geom.length:
-        # this yaw cannot fit; the perpendicular one can (checked by _fits)
-        pose = pose.rotated(yaw + HALF_PI)
-        hx, hy = pose.half_extents()
-    pose.x = hx + rng.random() * (geom.width - 2 * hx)
-    pose.y = hy + rng.random() * (geom.length - 2 * hy)
-    return pose
-
-
 def perturb(
     room,
     facilities: Sequence[FacilityInstance],
@@ -294,35 +324,20 @@ def optimize_room_layout(
             )
 
     ev = _RoomEval(geom, facilities, weights, obstacles)
-    movable = [i for i, f in enumerate(facilities) if not f.fixed]
 
-    best_poses: list[Pose] | None = None
-    best = None
-    for _ in range(max(1, sa.restarts)):
-        poses = [
-            f.pose if f.fixed else _random_pose(f.pose.dims, geom, rng)
+    def init(rng: Random) -> list[Pose]:
+        # _fits above guarantees random_pose finds a yaw that fits
+        return [
+            f.pose if f.fixed else random_pose(f.pose.dims, geom, rng)
             for f in facilities
         ]
-        cur = ev.breakdown(poses)
-        if best is None or cur.total < best.total:
-            best, best_poses = cur, list(poses)
-        if not movable:
-            continue
-        temperature = sa.initial_temperature
-        for it in range(sa.iterations):
-            cand_poses = perturb(geom, facilities, poses, rng, sa)
-            cand = ev.breakdown(cand_poses)
-            delta = cand.total - cur.total
-            if delta <= 0 or (
-                temperature > 0
-                and rng.random() < math.exp(-delta / temperature)
-            ):
-                poses, cur = cand_poses, cand
-            if cur.total < best.total:
-                best, best_poses = cur, list(poses)
-            if trace is not None:
-                trace.append((it, temperature, cur.total, best.total))
-            temperature *= sa.cooling_rate
 
+    def propose(poses: list[Pose], rng: Random) -> list[Pose]:
+        return perturb(geom, facilities, poses, rng, sa)
+
+    movable = any(not f.fixed for f in facilities)
+    best_poses, best = anneal(
+        init, propose if movable else None, ev.breakdown, sa, rng, trace
+    )
     placements = {f.id: p for f, p in zip(facilities, best_poses)}
     return RoomLayout(room_id=room_id, placements=placements, breakdown=best)

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .constraints import ConstraintSpec, RoomGeometry
-from .geometry import Dimensions, Pose
+from .errors import SchemaError
+from .geometry import Dimensions, Pose, shared_segment
 
 if TYPE_CHECKING:  # pragma: no cover
     from .arrangement import LevelConfig
@@ -121,6 +122,15 @@ class LevelSkeleton:
 
     def rooms_on_floor(self, floor: int) -> list[RoomInstance]:
         return [r for r in self.rooms if r.floor == floor]
+
+    def shared_wall(self, room_a: int, room_b: int) -> tuple[str, float, float, float]:
+        """The `shared_segment` a door or open edge between two rooms opens;
+        SchemaError when they are on different floors or share no wall."""
+        a, b = self.room_by_id(room_a), self.room_by_id(room_b)
+        seg = shared_segment(a.footprint(), b.footprint()) if a.floor == b.floor else None
+        if seg is None:
+            raise SchemaError(f"rooms {room_a} and {room_b} share no wall")
+        return seg
 
 
 @dataclass

@@ -21,8 +21,8 @@ from .constraints import (
 )
 from .database import Database
 from .errors import NoFreeSpace, NoRooms, UnboundMechanic, UnresolvedReferenceError
-from .geometry import HALF_PI, Dimensions, Pose, penetration_depth
-from .layout import SAParams
+from .geometry import HALF_PI, Dimensions, Pose, penetration_depth, random_pose
+from .layout import SAParams, anneal
 from .level import Level, MechanicPlacement, RoomInstance, TopoRule
 from .seeding import derive_rng
 
@@ -93,7 +93,7 @@ def make_cstd_evaluator(
         rng = derive_rng(seed, "cstd", inst.id, room_id)
         best = math.inf
         for _ in range(samples):
-            pose = _sample_pose(inst.dims, geom, rng)
+            pose = random_pose(inst.dims, geom, rng)
             if pose is None:
                 break
             cost = sum(
@@ -108,20 +108,6 @@ def make_cstd_evaluator(
         return best
 
     return evaluate
-
-
-def _sample_pose(dims: Dimensions, geom, rng: Random) -> Pose | None:
-    yaw = rng.randrange(4) * HALF_PI
-    pose = Pose(0.0, 0.0, dims.height / 2.0, yaw, dims)
-    hx, hy = pose.half_extents()
-    if 2 * hx > geom.width or 2 * hy > geom.length:
-        pose = pose.rotated(yaw + HALF_PI)
-        hx, hy = pose.half_extents()
-        if 2 * hx > geom.width or 2 * hy > geom.length:
-            return None
-    pose.x = hx + rng.random() * (geom.width - 2 * hx)
-    pose.y = hy + rng.random() * (geom.length - 2 * hy)
-    return pose
 
 
 def fitness(
@@ -208,36 +194,21 @@ def assign_mechanics(
 
     free = [inst for inst in mechanics if len(candidates[inst.id]) > 1]
 
-    best_assign: dict[str, int] | None = None
-    best: FitnessBreakdown | None = None
-    for _ in range(max(1, sa.restarts)):
-        assign = {
+    def init(rng: Random) -> dict[str, int]:
+        return {
             inst.id: candidates[inst.id][rng.randrange(len(candidates[inst.id]))]
             for inst in mechanics
         }
-        cur = fitness(assign, level, mechanics, weights, cstd)
-        if best is None or cur.total < best.total:
-            best, best_assign = cur, dict(assign)
-        if not free:
-            continue
-        temperature = sa.initial_temperature
-        for _ in range(sa.iterations):
-            inst = free[rng.randrange(len(free))]
-            cands = candidates[inst.id]
-            old_room = assign[inst.id]
-            assign[inst.id] = cands[rng.randrange(len(cands))]
-            cand = fitness(assign, level, mechanics, weights, cstd)
-            delta = cand.total - cur.total
-            if delta <= 0 or (
-                temperature > 0 and rng.random() < math.exp(-delta / temperature)
-            ):
-                cur = cand
-            else:
-                assign[inst.id] = old_room
-            if cur.total < best.total:
-                best, best_assign = cur, dict(assign)
-            temperature *= sa.cooling_rate
 
+    def propose(assign: dict[str, int], rng: Random) -> dict[str, int]:
+        inst = free[rng.randrange(len(free))]
+        cands = candidates[inst.id]
+        return {**assign, inst.id: cands[rng.randrange(len(cands))]}
+
+    def energy(assign: dict[str, int]) -> FitnessBreakdown:
+        return fitness(assign, level, mechanics, weights, cstd)
+
+    best_assign, best = anneal(init, propose if free else None, energy, sa, rng)
     return MechanicAssignment(best_assign, best)
 
 

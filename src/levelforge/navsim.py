@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import UnreachableKey, UnreachableRoom
-from .geometry import Pose, penetration_depth
+from .geometry import Pose, bfs, penetration_depth
 from .level import FacilityInstance, Level, MechanicPlacement, RoomInstance
 
 FREE = 0
@@ -35,6 +35,7 @@ STAIR = 4
 _WALKABLE = (FREE, DOOR, STAIR)
 
 Cell = tuple[int, int, int]  # (floor, x, y)
+DoorwayKey = tuple[int, int]  # (lower room id, higher room id)
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,8 @@ class NavGrid:
     room_of: list[np.ndarray]
     occupants: dict[Cell, list[str]] = field(default_factory=dict)
     stair_cells: list[set[tuple[int, int]]] = field(default_factory=list)
+    # room id -> doorway source cells on that room's side, keyed by room pair
+    doorways: dict[int, dict[DoorwayKey, list[Cell]]] = field(default_factory=dict)
 
     @property
     def total_cells(self) -> int:
@@ -152,43 +155,40 @@ def _clear_facility(grid: NavGrid, level: Level, fac: FacilityInstance) -> None:
 
 def _door_cells(level: Level, door) -> tuple[Cell, Cell]:
     """The two cells (one per room side) a door opens up."""
-    a = level.room_by_id(door.room_a)
-    b = level.room_by_id(door.room_b)
-    ax0, ay0, ax1, ay1 = a.footprint()
-    bx0, by0, bx1, by1 = b.footprint()
-    eps = 1e-9
-    if abs(ax1 - bx0) < eps or abs(bx1 - ax0) < eps:
-        bx = int(round(door.x))
-        lo, hi = max(ay0, by0), min(ay1, by1)
-        span = _cell_span(lo, hi, 10**9)
-        j = min(max(int(math.floor(door.y)), span.start), span.stop - 1)
-        return (a.floor, bx - 1, j), (a.floor, bx, j)
-    by = int(round(door.y))
-    lo, hi = max(ax0, bx0), min(ax1, bx1)
+    f = level.room_by_id(door.room_a).floor
+    axis, _, lo, hi = level.skeleton.shared_wall(door.room_a, door.room_b)
     span = _cell_span(lo, hi, 10**9)
+    if axis == "x":
+        bx = int(round(door.x))
+        j = min(max(int(math.floor(door.y)), span.start), span.stop - 1)
+        return (f, bx - 1, j), (f, bx, j)
+    by = int(round(door.y))
     i = min(max(int(math.floor(door.x)), span.start), span.stop - 1)
-    return (a.floor, i, by - 1), (a.floor, i, by)
+    return (f, i, by - 1), (f, i, by)
 
 
 def _open_edge_cells(level: Level, edge) -> list[tuple[Cell, Cell]]:
     """Cell pairs along the full shared segment of an open-open adjacency."""
-    a = level.room_by_id(edge.room_a)
-    b = level.room_by_id(edge.room_b)
-    ax0, ay0, ax1, ay1 = a.footprint()
-    bx0, by0, bx1, by1 = b.footprint()
-    eps = 1e-9
-    pairs = []
-    if abs(ax1 - bx0) < eps or abs(bx1 - ax0) < eps:
-        bx = int(round(ax1 if abs(ax1 - bx0) < eps else ax0))
-        lo, hi = max(ay0, by0), min(ay1, by1)
-        for j in range(math.ceil(lo - eps), math.floor(hi + eps)):
-            pairs.append(((a.floor, bx - 1, j), (a.floor, bx, j)))
-    elif abs(ay1 - by0) < eps or abs(by1 - ay0) < eps:
-        by = int(round(ay1 if abs(ay1 - by0) < eps else ay0))
-        lo, hi = max(ax0, bx0), min(ax1, bx1)
-        for i in range(math.ceil(lo - eps), math.floor(hi + eps)):
-            pairs.append(((a.floor, i, by - 1), (a.floor, i, by)))
-    return pairs
+    f = level.room_by_id(edge.room_a).floor
+    axis, boundary, lo, hi = level.skeleton.shared_wall(edge.room_a, edge.room_b)
+    b = int(round(boundary))
+    run = range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9))
+    if axis == "x":
+        return [((f, b - 1, j), (f, b, j)) for j in run]
+    return [((f, i, b - 1), (f, i, b)) for i in run]
+
+
+def _add_doorway(grid: NavGrid, link, pairs: list[tuple[Cell, Cell]]) -> None:
+    """Punch a door or open edge through the wall and record, for each of
+    its two rooms, the cell of every pair on that room's side."""
+    key = (min(link.room_a, link.room_b), max(link.room_a, link.room_b))
+    for ca, cb in pairs:
+        grid.base[ca[0]][ca[1], ca[2]] = DOOR
+        grid.base[cb[0]][cb[1], cb[2]] = DOOR
+    for rid in (link.room_a, link.room_b):
+        grid.doorways.setdefault(rid, {})[key] = [
+            ca if grid.room_of[ca[0]][ca[1], ca[2]] == rid else cb for ca, cb in pairs
+        ]
 
 
 def build_nav_grid(level: Level) -> NavGrid:
@@ -219,14 +219,10 @@ def build_nav_grid(level: Level) -> NavGrid:
             base[xs.start + 1 : xs.stop - 1, ys.start + 1 : ys.stop - 1] = FREE
 
     for door in level.doors:
-        for f, x, y in _door_cells(level, door):
-            grid.base[f][x, y] = DOOR
+        _add_doorway(grid, door, [_door_cells(level, door)])
     for edge in level.adjacency:
-        if edge.kind != "open":
-            continue
-        for ca, cb in _open_edge_cells(level, edge):
-            grid.base[ca[0]][ca[1], ca[2]] = DOOR
-            grid.base[cb[0]][cb[1], cb[2]] = DOOR
+        if edge.kind == "open":
+            _add_doorway(grid, edge, _open_edge_cells(level, edge))
 
     for stair in level.stairs:
         lower = level.room_by_id(stair.room_id)
@@ -248,50 +244,11 @@ def build_nav_grid(level: Level) -> NavGrid:
 
 # -- flood fill and phase-1 repair --------------------------------------------
 
-DoorwayKey = tuple[int, int]
-
-
 @dataclass
 class FloodResult:
     sources: dict[DoorwayKey, tuple[Cell, ...]]
     regions: dict[DoorwayKey, frozenset[Cell]]
     blocked: list[DoorwayKey]
-
-
-def _room_doorways(level: Level, room: RoomInstance) -> dict[DoorwayKey, list[Cell]]:
-    """Doorway source cells on this room's side, keyed by the room pair."""
-    out: dict[DoorwayKey, list[Cell]] = {}
-    rid = room.id
-    cache = getattr(level, "_doorway_cache", None)
-    if cache is None:
-        cache = {}
-        level._doorway_cache = cache
-    if rid in cache:
-        return cache[rid]
-    for door in level.doors:
-        if rid not in (door.room_a, door.room_b):
-            continue
-        key = (min(door.room_a, door.room_b), max(door.room_a, door.room_b))
-        ca, cb = _door_cells(level, door)
-        out[key] = [ca if _cell_in_room(level, ca, room) else cb]
-    for edge in level.adjacency:
-        if edge.kind != "open" or rid not in (edge.room_a, edge.room_b):
-            continue
-        key = (min(edge.room_a, edge.room_b), max(edge.room_a, edge.room_b))
-        cells = []
-        for ca, cb in _open_edge_cells(level, edge):
-            cells.append(ca if _cell_in_room(level, ca, room) else cb)
-        out[key] = cells
-    cache[rid] = out
-    return out
-
-
-def _cell_in_room(level: Level, cell: Cell, room: RoomInstance) -> bool:
-    f, x, y = cell
-    if f != room.floor:
-        return False
-    x0, y0, x1, y1 = room.footprint()
-    return x0 <= x + 0.5 < x1 and y0 <= y + 0.5 < y1
 
 
 def flood_fill_room(level: Level, grid: NavGrid, room: RoomInstance) -> FloodResult:
@@ -300,7 +257,7 @@ def flood_fill_room(level: Level, grid: NavGrid, room: RoomInstance) -> FloodRes
     A doorway counts as blocked when its own cells are all covered or when
     its region fails to reach some other doorway of the room.
     """
-    doorways = _room_doorways(level, room)
+    doorways = grid.doorways.get(room.id, {})
     rid = room.id
     room_arr = grid.room_of[room.floor]
     state = grid.state[room.floor]
@@ -586,18 +543,6 @@ def traversal_time(
     return t
 
 
-def _reachable_from(grid: NavGrid, start: Cell) -> dict[Cell, int]:
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        cell = queue.popleft()
-        for nxt in _neighbors(grid, cell):
-            if nxt not in dist:
-                dist[nxt] = dist[cell] + 1
-                queue.append(nxt)
-    return dist
-
-
 def target_cell(
     grid: NavGrid,
     room: RoomInstance,
@@ -710,7 +655,7 @@ def _repair_action(
             if grid.room_of[c[0]][c[1], c[2]] == target_room.id
         ]
     else:
-        reach = _reachable_from(grid, pos)
+        reach = bfs(pos, lambda c: _neighbors(grid, c))
         tx, ty = target_room.center()
         tf = target_room.floor
         end = min(
@@ -869,7 +814,7 @@ def simulate_objectives(
 
     # keys are collected from the nearest open spot the agent can reach;
     # furniture may pocket interior cells of an otherwise connected room
-    reach = _reachable_from(grid, start)
+    reach = bfs(start, lambda c: _neighbors(grid, c))
     ordered = sorted(keys, key=lambda k: (level.room_by_id(k.room_id).tau, k.id))
     targets: list[tuple[str, Cell | None]] = []
     for key in ordered:

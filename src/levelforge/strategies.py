@@ -2,18 +2,18 @@
 
 Each strategy picks key rooms on one floor's connection graph: a
 reciprocal-distance balance score, Monte Carlo dispersion against a
-gaussian key-density field, and closeness centrality over all-pairs
-shortest paths.
+gaussian key-density field, and closeness centrality over breadth-first
+hop counts.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
+from .geometry import bfs
 from .level import Level, RoomInstance
 
 
@@ -48,18 +48,6 @@ def build_floor_graph(level: Level, floor: int) -> FloorGraph:
     )
 
 
-def bfs_hops(g: FloorGraph, source: int) -> dict[int, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for nxt in g.neighbors[node]:
-            if nxt not in dist:
-                dist[nxt] = dist[node] + 1
-                queue.append(nxt)
-    return dist
-
-
 def bfs_balanced_room(g: FloorGraph, w_start: float = 0.5, w_end: float = 0.5) -> int:
     """The deepest room among those balanced between the start and end.
 
@@ -74,8 +62,8 @@ def bfs_balanced_room(g: FloorGraph, w_start: float = 0.5, w_end: float = 0.5) -
     """
     if g.start == g.end:
         return g.start
-    d_start = bfs_hops(g, g.start)
-    d_end = bfs_hops(g, g.end)
+    d_start = bfs(g.start, g.neighbors.__getitem__)
+    d_end = bfs(g.end, g.neighbors.__getitem__)
     candidates: list[tuple[float, float, int, int]] = []
     for node in g.nodes:
         ds = d_start.get(node)
@@ -157,50 +145,23 @@ def mc_dispersion_rooms(
     return selected
 
 
-def floyd_warshall_hops(g: FloorGraph) -> dict[int, dict[int, float]]:
-    nodes = g.nodes
-    dist = {a: {b: math.inf for b in nodes} for a in nodes}
-    for a in nodes:
-        dist[a][a] = 0.0
-        for b in g.neighbors[a]:
-            dist[a][b] = 1.0
-    for k in nodes:
-        dk = dist[k]
-        for i in nodes:
-            dik = dist[i][k]
-            if math.isinf(dik):
-                continue
-            di = dist[i]
-            for j in nodes:
-                alt = dik + dk[j]
-                if alt < di[j]:
-                    di[j] = alt
-    return dist
-
-
 def closeness_centrality(g: FloorGraph) -> dict[int, float]:
+    """(n - 1) / summed hop distance per room; 0 when some room is unreachable."""
     n = len(g.nodes)
     if n == 1:
         return {g.nodes[0]: 1.0}
-    dist = floyd_warshall_hops(g)
     out = {}
     for node in g.nodes:
-        total = sum(dist[node][other] for other in g.nodes if other != node)
-        out[node] = (n - 1) / total if total > 0 and math.isfinite(total) else 0.0
+        hops = bfs(node, g.neighbors.__getitem__)
+        total = sum(hops.values())
+        out[node] = (n - 1) / total if len(hops) == n else 0.0
     return out
 
 
 def centrality_room(g: FloorGraph) -> int:
-    """Room with the highest closeness centrality scaled by the start-end
-    path length; ties break on the lowest topological order."""
-    closeness = closeness_centrality(g)
+    """Room with the highest closeness centrality; ties break on the lowest
+    topological order."""
     if len(g.nodes) == 1:
         return g.nodes[0]
-    path_len = floyd_warshall_hops(g)[g.start][g.end]
-    denom = max(1.0, path_len if math.isfinite(path_len) else 1.0)
-    best: tuple[float, int, int] | None = None
-    for node in g.nodes:
-        key = (-closeness[node] / denom, g.tau(node), node)
-        if best is None or key < best:
-            best = key
-    return best[2]
+    closeness = closeness_centrality(g)
+    return min(g.nodes, key=lambda node: (-closeness[node], g.tau(node), node))

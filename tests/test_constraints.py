@@ -8,12 +8,11 @@ from levelforge.constraints import (
     ConstraintSpec,
     RoomGeometry,
     eval_facility_penalty,
-    eval_overlap_penalty,
     eval_room_penalty,
     total_constraint_penalty,
 )
 from levelforge.errors import UnknownKind
-from levelforge.geometry import Dimensions, Pose
+from levelforge.geometry import Dimensions, Pose, penetration_depth
 
 from conftest import make_facility, make_room
 
@@ -151,14 +150,18 @@ def test_room_tier_kind_rejected_by_facility_eval():
 
 # -- overlap -------------------------------------------------------------------
 
+def overlap_depth(a, b):
+    return penetration_depth(a.footprint(), b.footprint())
+
+
 def test_overlap_of_identical_unit_boxes():
     a, b = pose(5, 5), pose(5, 5)
-    assert_close(eval_overlap_penalty(a, b, 30.0), 30.0)
+    assert_close(overlap_depth(a, b), 1.0)
 
 
 def test_overlap_zero_when_sharing_a_face_or_disjoint():
-    assert eval_overlap_penalty(pose(5, 5), pose(6, 5), 30.0) == 0.0
-    assert eval_overlap_penalty(pose(5, 5), pose(9, 5), 30.0) == 0.0
+    assert overlap_depth(pose(5, 5), pose(6, 5)) == 0.0
+    assert overlap_depth(pose(5, 5), pose(9, 5)) == 0.0
 
 
 @given(
@@ -173,8 +176,8 @@ def test_overlap_zero_when_sharing_a_face_or_disjoint():
 def test_overlap_is_symmetric_and_non_negative(ax, ay, bx, by, w, l):
     a = pose(ax, ay, w=w, l=l)
     b = pose(bx, by, w=l, l=w)
-    left = eval_overlap_penalty(a, b, 30.0)
-    right = eval_overlap_penalty(b, a, 30.0)
+    left = overlap_depth(a, b)
+    right = overlap_depth(b, a)
     assert left == right
     assert left >= 0.0
 

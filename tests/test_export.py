@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from levelforge.arrangement import LevelConfig
+from levelforge import cli
+from levelforge.arrangement import LevelConfig, arrange_rooms
+from levelforge.errors import SchemaError
 from levelforge.export import (
     DOOR_OPENING_HEIGHT,
     DOOR_OPENING_WIDTH,
@@ -10,11 +12,14 @@ from levelforge.export import (
     export_vmf,
     import_level_json,
     level_hash,
+    wall_openings,
 )
 from levelforge.harness import generate_level
 from levelforge.layout import SAParams
-from levelforge.level import MechanicPlacement
-from levelforge.geometry import Dimensions, Pose
+from levelforge.level import Level, MechanicPlacement
+from levelforge.geometry import Dimensions, Pose, shared_segment
+from levelforge.navsim import DOOR, build_nav_grid
+from levelforge.seeding import derive_rng
 from levelforge.vmf_reader import parse_vmf, read_vmf
 
 from conftest import make_facility, make_level, make_room
@@ -65,6 +70,101 @@ def test_hand_written_minimal_document_imports():
     level = import_level_json(json.dumps(doc))
     assert len(level.rooms) == 1
     assert level.rooms[0].template == "Cell"
+
+
+def _linked_rooms_doc(doors=(), adjacency=()):
+    """Rooms 1 and 2 share the wall x=6 on floor 0; room 3 touches neither;
+    room 4 lies on floor 1 where room 2 lies on floor 0."""
+    rooms = [(1, 0, (0.0, 0.0)), (2, 0, (6.0, 0.0)), (3, 0, (0.0, 12.0)), (4, 1, (6.0, 0.0))]
+    return json.dumps(
+        {
+            "schema_version": 1,
+            "config": LevelConfig(width=12, length=18, height=6, floors=2).to_dict(),
+            "rooms": [
+                {
+                    "id": rid,
+                    "template": "Cell",
+                    "floor": floor,
+                    "origin": list(origin),
+                    "dims": [6.0, 6.0, 3.0],
+                    "tau": rid,
+                    "arch_type": "open",
+                }
+                for rid, floor, origin in rooms
+            ],
+            "facilities": [],
+            "mechanics": [],
+            "doors": [{"room_a": a, "room_b": b, "position": [x, y]} for a, b, x, y in doors],
+            "stairs": [],
+            "adjacency": [{"room_a": a, "room_b": b, "kind": k} for a, b, k in adjacency],
+        }
+    )
+
+
+def test_door_and_open_edge_on_a_shared_wall_import():
+    level = import_level_json(
+        _linked_rooms_doc(doors=[(1, 2, 6.0, 3.0)], adjacency=[(1, 2, "door"), (1, 2, "open")])
+    )
+    assert len(level.doors) == 1 and len(level.adjacency) == 2
+
+
+@pytest.mark.parametrize(
+    "doors, adjacency",
+    [
+        ([(1, 3, 3.0, 9.0)], [(1, 3, "door")]),  # door between rooms that share no wall
+        ([], [(1, 3, "open")]),  # open edge between rooms that share no wall
+        ([(2, 4, 6.0, 3.0)], [(2, 4, "door")]),  # rooms on different floors
+        ([(1, 4, 6.0, 3.0)], []),  # touching in plan, but on different floors
+        ([(1, 2, 5.0, 3.0)], [(1, 2, "door")]),  # door off the shared wall
+        ([(1, 2, 6.0, 7.0)], [(1, 2, "door")]),  # door past the end of the shared wall
+    ],
+)
+def test_link_between_rooms_without_a_shared_wall_is_rejected(doors, adjacency):
+    with pytest.raises(SchemaError):
+        import_level_json(_linked_rooms_doc(doors, adjacency))
+
+
+def test_cli_rejects_stored_door_between_rooms_sharing_no_wall(minimal_db, tmp_path, capsys):
+    level, _ = generate_level(LevelConfig(20, 20, 9, 1), minimal_db, "DB-Baseline", 7)
+    assert shared_segment(level.room_by_id(1).footprint(), level.room_by_id(5).footprint()) is None
+    doc = json.loads(export_level_json(level))
+    doc["doors"][0]["room_a"], doc["doors"][0]["room_b"] = 1, 5
+    path = tmp_path / "level.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--level", str(path)]) == 1
+    assert cli.main(["export-vmf", "--level", str(path), "--out", str(tmp_path / "l.vmf")]) == 1
+    assert "share no wall" in capsys.readouterr().err
+
+
+def test_door_segment_nav_cells_and_vmf_openings_agree(hospital_db):
+    config = LevelConfig()
+    level = Level(config, arrange_rooms(config, hospital_db, derive_rng(42, "arrange")))
+    grid = build_nav_grid(level)
+    links = [(d.room_a, d.room_b, d) for d in level.doors]
+    links += [(e.room_a, e.room_b, None) for e in level.adjacency if e.kind == "open"]
+    assert any(door is None for *_, door in links) and level.doors
+    for room_a, room_b, door in links:
+        axis, boundary, lo, hi = level.skeleton.shared_wall(room_a, room_b)
+        if door is not None:
+            across, along = (door.x, door.y) if axis == "x" else (door.y, door.x)
+            assert across == boundary and along == (lo + hi) / 2.0
+        key = (min(room_a, room_b), max(room_a, room_b))
+        for rid in (room_a, room_b):
+            room = level.room_by_id(rid)
+            cells = grid.doorways[rid][key]
+            assert len(cells) == (1 if door is not None else round(hi - lo))
+            for f, x, y in cells:
+                assert grid.base[f][x, y] == DOOR and grid.room_of[f][x, y] == rid
+                cross, run = (x, y) if axis == "x" else (y, x)
+                assert abs(cross + 0.5 - boundary) == 0.5 and lo < run + 0.5 < hi
+            low_wall = room.footprint()[0 if axis == "x" else 1]
+            side = ("-" if boundary == low_wall else "+") + axis
+            openings = [(o.lo, o.hi, o.full_height) for o in wall_openings(level, room)[side]]
+            if door is None:
+                assert (lo, hi, True) in openings
+            else:
+                half = DOOR_OPENING_WIDTH / 2.0
+                assert (along - half, along + half, False) in openings
 
 
 def test_random_levels_round_trip_hash_equal(minimal_db):

@@ -15,11 +15,11 @@ from levelforge.errors import InfeasibleRoom, NoAdaptableFacilities
 from levelforge.geometry import Dimensions, Pose, penetration_depth
 from levelforge.layout import (
     SAParams,
+    anneal,
     interior_grid_points,
     objective,
     optimize_room_layout,
     perturb,
-    trace_to_csv,
 )
 
 from conftest import make_facility, make_room
@@ -221,9 +221,9 @@ def test_sa_zero_iterations_returns_initial_layout():
     rng_a, rng_b = Random(9), Random(9)
     layout = optimize_room_layout(room, [fac], sa=SAParams(iterations=0), rng=rng_a)
     # reproduce the sampled initial pose with an identical rng
-    from levelforge.layout import _random_pose
+    from levelforge.geometry import random_pose
 
-    expected = _random_pose(fac.pose.dims, GEOM, rng_b)
+    expected = random_pose(fac.pose.dims, GEOM, rng_b)
     got = layout.placements["a"]
     assert (got.x, got.y, got.yaw) == (expected.x, expected.y, expected.yaw)
 
@@ -263,18 +263,29 @@ def test_sa_best_seen_objective_is_monotone():
         assert b <= r + 1e-12
 
 
-def test_trace_csv_round_trips_values():
+def test_trace_rows_follow_the_cooling_schedule():
     facs = [make_facility("a", 1, 5.0, 5.0)]
     room = make_room(1, (0.0, 0.0), 10, 10)
+    sa = SAParams(iterations=20)
     trace: list = []
-    optimize_room_layout(room, facs, sa=SAParams(iterations=20), rng=Random(3), trace=trace)
-    text = trace_to_csv(trace)
-    lines = text.strip().splitlines()
-    assert lines[0] == "iteration,temperature,objective,best"
-    assert len(lines) == len(trace) + 1
-    first = lines[1].split(",")
-    assert int(first[0]) == trace[0][0]
-    assert float(first[1]) == trace[0][1]
+    optimize_room_layout(room, facs, sa=sa, rng=Random(3), trace=trace)
+    assert [row[0] for row in trace] == list(range(20))
+    temperature = sa.initial_temperature
+    for row in trace:
+        assert row[1] == temperature
+        temperature *= sa.cooling_rate
+
+
+def test_anneal_without_moves_keeps_first_of_equal_initial_states():
+    class Energy:
+        def __init__(self, total):
+            self.total = total
+
+    starts = iter([(3, "a"), (1, "b"), (1, "c"), (2, "d")])
+    state, energy = anneal(
+        lambda rng: next(starts), None, lambda s: Energy(s[0]), SAParams(restarts=4), Random(0)
+    )
+    assert state == (1, "b") and energy.total == 1
 
 
 def test_sa_two_facility_far_instance_hits_oracle_band():

@@ -101,6 +101,15 @@ def two_door_room():
     return make_level(rooms, doors, adjacency, width=20, length=20)
 
 
+def test_doorway_table_records_each_rooms_side():
+    grid = build_nav_grid(two_door_room())
+    assert grid.doorways == {
+        1: {(1, 2): [(0, 9, 5)], (1, 3): [(0, 5, 9)]},
+        2: {(1, 2): [(0, 10, 5)]},
+        3: {(1, 3): [(0, 5, 10)]},
+    }
+
+
 def test_empty_room_with_two_doors_has_no_blockage():
     level = two_door_room()
     grid = build_nav_grid(level)

@@ -5,14 +5,13 @@ from random import Random
 
 import pytest
 
+from levelforge.geometry import bfs
 from levelforge.level import AdjacencyEdge
 from levelforge.strategies import (
     bfs_balanced_room,
-    bfs_hops,
     build_floor_graph,
     centrality_room,
     closeness_centrality,
-    floyd_warshall_hops,
     mc_dispersion_rooms,
 )
 
@@ -55,9 +54,7 @@ def test_balanced_set_ranked_by_lowest_score():
     )
     # start=1, end=7: balanced rooms (|ds-de|=0) at several depths; the
     # deepest one (lowest reciprocal score) must win
-    from levelforge.strategies import bfs_hops
-
-    ds, de = bfs_hops(g, g.start), bfs_hops(g, g.end)
+    ds, de = bfs(g.start, g.neighbors.__getitem__), bfs(g.end, g.neighbors.__getitem__)
     chosen = bfs_balanced_room(g)
     assert ds[chosen] == de[chosen]
     balanced = [n for n in g.nodes if n not in (g.start, g.end) and ds[n] == de[n]]
@@ -167,16 +164,17 @@ def test_bfs_equals_dijkstra_on_random_graphs():
     for _ in range(50):
         g = _random_graph(rng, rng.randrange(2, 10))
         for source in g.nodes:
-            bfs = bfs_hops(g, source)
+            hops = bfs(source, g.neighbors.__getitem__)
             dij = _dijkstra(g, source)
-            assert bfs == dij
+            assert hops == dij
 
 
-def test_floyd_warshall_symmetry_and_triangle_inequality():
+def test_bfs_all_pairs_symmetry_and_triangle_inequality():
     rng = Random(9)
     for _ in range(30):
         g = _random_graph(rng, rng.randrange(2, 9))
-        dist = floyd_warshall_hops(g)
+        hops = {a: bfs(a, g.neighbors.__getitem__) for a in g.nodes}
+        dist = {a: {b: hops[a].get(b, math.inf) for b in g.nodes} for a in g.nodes}
         for a in g.nodes:
             for b in g.nodes:
                 assert dist[a][b] == dist[b][a]
