@@ -1,4 +1,4 @@
-"""Multi-floor room skeleton assembly.
+"""Multi-floor room arrangement.
 
 Rooms grow by greedy depth-first expansion: each popped room tries to
 attach the lowest-penalty fitting template in all four cardinal
@@ -9,6 +9,7 @@ highest-order room and the next floor is seeded directly above it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from random import Random
 from typing import Sequence
@@ -18,7 +19,7 @@ from .database import Database, RoomTemplate
 from .errors import ArrangementFailed, DisconnectedFloor
 from .geometry import Dimensions, bfs, shared_segment
 from .layout import SAParams
-from .level import AdjacencyEdge, Door, LevelSkeleton, RoomInstance, Stair
+from .level import AdjacencyEdge, Door, Level, RoomInstance, Stair
 
 DIRECTIONS = ("left", "right", "front", "back")
 
@@ -40,6 +41,14 @@ class LevelConfig:
     seed: int = 0
     weights: WeightConfig = field(default_factory=WeightConfig)
     sa: SAParams = field(default_factory=SAParams)
+
+    @property
+    def floor_height(self) -> float:
+        return self.height / self.floors
+
+    def grid_shape(self) -> tuple[int, int, int]:
+        """Nav-grid cells along x and y (one per unit of level size), and floors."""
+        return math.ceil(self.width - 1e-9), math.ceil(self.length - 1e-9), self.floors
 
     def to_dict(self) -> dict:
         return {
@@ -77,15 +86,13 @@ class LevelConfig:
 
 @dataclass
 class ArrangeState:
-    """Working state threaded through candidate generation."""
+    """Working state threaded through candidate generation: the level being
+    grown and the template budget left."""
 
-    width: float
-    length: float
+    level: Level
     templates: list[RoomTemplate]
     usage: dict[str, int]
     caps: dict[str, int]
-    placed: list[RoomInstance]
-    weights: WeightConfig
 
     def available_templates(self) -> list[RoomTemplate]:
         return [t for t in self.templates if self.usage[t.name] < self.caps[t.name]]
@@ -134,9 +141,10 @@ def _candidate_origins(
 
 def _room_penalty(candidate: RoomInstance, template: RoomTemplate, state: ArrangeState) -> float:
     total = 0.0
-    dims = (state.width, state.length, 0.0)
+    config = state.level.config
+    dims = (config.width, config.length, 0.0)
     for spec in template.room_constraints:
-        total += eval_room_penalty(spec, candidate, state.placed, dims, state.weights)
+        total += eval_room_penalty(spec, candidate, state.level.rooms, dims, config.weights)
     return total
 
 
@@ -156,13 +164,14 @@ def gen_candidate_room(
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
+    config = state.level.config
     scored: list[tuple[float, str, RoomInstance]] = []
     for template in state.available_templates():
         for ox, oy in _candidate_origins(
-            current, direction, template.dims, state.width, state.length
+            current, direction, template.dims, config.width, config.length
         ):
             x1, y1 = ox + template.dims.width, oy + template.dims.length
-            if _overlaps_any(current.floor, ox, oy, x1, y1, state.placed):
+            if _overlaps_any(current.floor, ox, oy, x1, y1, state.level.rooms):
                 continue
             candidate = RoomInstance(
                 id=0,
@@ -208,8 +217,9 @@ def _stair_dims(db: Database) -> Dimensions:
     return stair.dims if stair is not None else DEFAULT_STAIR_DIMS
 
 
-def arrange_rooms(config: LevelConfig, db: Database, rng: Random) -> LevelSkeleton:
-    """Grow the full multi-floor room skeleton, stairs and doors."""
+def arrange_rooms(config: LevelConfig, db: Database, rng: Random) -> Level:
+    """Grow the full multi-floor room structure, stairs and doors; the
+    returned level has no facilities yet."""
     templates, caps = _resolve_templates(config, db)
     if not templates:
         raise ArrangementFailed("no room templates selected")
@@ -222,20 +232,12 @@ def arrange_rooms(config: LevelConfig, db: Database, rng: Random) -> LevelSkelet
             f"initial template {initial_name!r} does not fit the level bounds"
         )
 
+    level = Level(config=config)
     state = ArrangeState(
-        width=config.width,
-        length=config.length,
+        level=level,
         templates=templates,
         usage={t.name: 0 for t in templates},
         caps=caps,
-        placed=[],
-        weights=config.weights,
-    )
-    skeleton = LevelSkeleton(
-        width=config.width,
-        length=config.length,
-        height=config.height,
-        floors=config.floors,
     )
     stair_dims = _stair_dims(db)
 
@@ -247,8 +249,7 @@ def arrange_rooms(config: LevelConfig, db: Database, rng: Random) -> LevelSkelet
         room.tau = tau
         tau += 1
         state.usage[template_name] += 1
-        state.placed.append(room)
-        skeleton.rooms.append(room)
+        level.rooms.append(room)
         return room
 
     seed_room = commit(
@@ -274,7 +275,7 @@ def arrange_rooms(config: LevelConfig, db: Database, rng: Random) -> LevelSkelet
                     commit(candidate.template, candidate)
                     stack.append(candidate)
 
-        floor_rooms = skeleton.rooms_on_floor(floor)
+        floor_rooms = level.rooms_on_floor(floor)
         if not floor_rooms:
             break
         if floor >= config.floors - 1:
@@ -284,24 +285,25 @@ def arrange_rooms(config: LevelConfig, db: Database, rng: Random) -> LevelSkelet
         seed = _seed_next_floor(sx, sy, floor + 1, state)
         if seed is None:
             break  # instance caps exhausted; upper floors stay empty
-        skeleton.stairs.append(Stair(room_id=last.id, x=sx, y=sy, dims=stair_dims))
+        level.stairs.append(Stair(room_id=last.id, x=sx, y=sy, dims=stair_dims))
         stack = [commit(seed.template, seed)]
 
-    if not skeleton.rooms_on_floor(0):
+    if not level.rooms_on_floor(0):
         raise ArrangementFailed("no rooms placed on floor 0")
 
-    return place_doors(skeleton, rng)
+    return place_doors(level)
 
 
 def _seed_next_floor(
     sx: float, sy: float, floor: int, state: ArrangeState
 ) -> RoomInstance | None:
     """Lowest-penalty template whose footprint can contain the stair point."""
+    config = state.level.config
     best: tuple[float, str, RoomInstance] | None = None
     for template in state.available_templates():
         tw, tl = template.dims.width, template.dims.length
-        ox = min(max(round(sx - tw / 2.0), 0.0), state.width - tw)
-        oy = min(max(round(sy - tl / 2.0), 0.0), state.length - tl)
+        ox = min(max(round(sx - tw / 2.0), 0.0), config.width - tw)
+        oy = min(max(round(sy - tl / 2.0), 0.0), config.length - tl)
         if not (ox <= sx <= ox + tw and oy <= sy <= oy + tl):
             continue
         candidate = RoomInstance(
@@ -320,13 +322,13 @@ def _seed_next_floor(
     return best[2] if best else None
 
 
-def place_doors(skeleton: LevelSkeleton, rng: Random) -> LevelSkeleton:
+def place_doors(level: Level) -> Level:
     """Connect wall-sharing rooms: open pairs get a free edge, any other
     pair gets one door at the midpoint of the shared wall segment."""
-    skeleton.doors = []
-    skeleton.adjacency = []
-    for floor in range(skeleton.floors):
-        rooms = skeleton.rooms_on_floor(floor)
+    level.doors = []
+    level.adjacency = []
+    for floor in range(level.config.floors):
+        rooms = level.rooms_on_floor(floor)
         for i in range(len(rooms)):
             for j in range(i + 1, len(rooms)):
                 a, b = rooms[i], rooms[j]
@@ -334,7 +336,7 @@ def place_doors(skeleton: LevelSkeleton, rng: Random) -> LevelSkeleton:
                 if seg is None:
                     continue
                 if a.arch_type == "open" and b.arch_type == "open":
-                    skeleton.adjacency.append(AdjacencyEdge(a.id, b.id, "open"))
+                    level.adjacency.append(AdjacencyEdge(a.id, b.id, "open"))
                     continue
                 axis, boundary, lo, hi = seg
                 mid = (lo + hi) / 2.0
@@ -342,10 +344,10 @@ def place_doors(skeleton: LevelSkeleton, rng: Random) -> LevelSkeleton:
                     door = Door(a.id, b.id, boundary, mid)
                 else:
                     door = Door(a.id, b.id, mid, boundary)
-                skeleton.doors.append(door)
-                skeleton.adjacency.append(AdjacencyEdge(a.id, b.id, "door"))
-        _check_floor_connected(rooms, skeleton.adjacency, floor)
-    return skeleton
+                level.doors.append(door)
+                level.adjacency.append(AdjacencyEdge(a.id, b.id, "door"))
+        _check_floor_connected(rooms, level.adjacency, floor)
+    return level
 
 
 def _check_floor_connected(

@@ -22,7 +22,13 @@ from .harness import (
     generate_level,
     run_experiment,
 )
-from .navsim import AgentParams, build_nav_grid, rerun_validation, simulate_objectives
+from .navsim import (
+    STATUSES,
+    AgentParams,
+    build_nav_grid,
+    rerun_validation,
+    simulate_objectives,
+)
 
 log = logging.getLogger("levelforge")
 
@@ -91,7 +97,7 @@ def cmd_experiment(args) -> int:
         output_dir=Path(args.out),
     )
     records, stats = run_experiment(exp, db)
-    counts = {s: sum(1 for r in records if r.status == s) for s in ("valid", "unrepairable", "abnormal", "failed")}
+    counts = {s: sum(1 for r in records if r.status == s) for s in STATUSES}
     print(f"{len(records)} levels: {counts}")
     print(f"wrote {exp.output_dir}/records.csv, stats.md, stats.csv")
     return 0

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .arrangement import LevelConfig
+from .arrangement import LevelConfig, _overlaps_any
 from .database import _constraint_to_json, _parse_constraint
 from .errors import ParseError, SchemaError
 from .geometry import Dimensions, Pose
@@ -27,7 +27,6 @@ from .level import (
     Door,
     FacilityInstance,
     Level,
-    LevelSkeleton,
     MechanicPlacement,
     RoomInstance,
     Stair,
@@ -140,6 +139,29 @@ def level_hash(level: Level) -> str:
     return hashlib.sha256(export_level_json(level)).hexdigest()
 
 
+def _check_rooms(level: Level) -> None:
+    """SchemaError unless the rooms can exist: at least one, unique ids,
+    each on a floor of the level and inside its bounds, and no two on one
+    floor overlapping with positive area."""
+    config = level.config
+    eps = 1e-9
+    if not level.rooms:
+        raise SchemaError("level has no rooms")
+    for i, room in enumerate(level.rooms):
+        earlier = level.rooms[:i]
+        if any(r.id == room.id for r in earlier):
+            raise SchemaError(f"duplicate room id {room.id}")
+        if type(room.floor) is not int or not 0 <= room.floor < config.floors:
+            raise SchemaError(
+                f"room {room.id} floor {room.floor!r} is not in [0, {config.floors})"
+            )
+        x0, y0, x1, y1 = room.footprint()
+        if x0 < -eps or y0 < -eps or x1 > config.width + eps or y1 > config.length + eps:
+            raise SchemaError(f"room {room.id} leaves the level bounds")
+        if _overlaps_any(room.floor, x0, y0, x1, y1, earlier):
+            raise SchemaError(f"room {room.id} overlaps another room on its floor")
+
+
 def import_level_json(data: bytes | str) -> Level:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -150,15 +172,9 @@ def import_level_json(data: bytes | str) -> Level:
     if not isinstance(doc, dict):
         raise SchemaError("level document must be an object")
     try:
-        config = LevelConfig.from_dict(doc["config"])
-        skeleton = LevelSkeleton(
-            width=config.width,
-            length=config.length,
-            height=config.height,
-            floors=config.floors,
-        )
+        level = Level(config=LevelConfig.from_dict(doc["config"]))
         for r in doc["rooms"]:
-            skeleton.rooms.append(
+            level.rooms.append(
                 RoomInstance(
                     id=r["id"],
                     template=r["template"],
@@ -169,27 +185,27 @@ def import_level_json(data: bytes | str) -> Level:
                     arch_type=r["arch_type"],
                 )
             )
+        _check_rooms(level)
         for d in doc["doors"]:
-            skeleton.doors.append(
+            level.doors.append(
                 Door(d["room_a"], d["room_b"], d["position"][0], d["position"][1])
             )
         for s in doc["stairs"]:
-            skeleton.stairs.append(
+            level.stairs.append(
                 Stair(s["room"], s["position"][0], s["position"][1], Dimensions(*s["dims"]))
             )
         for e in doc["adjacency"]:
-            skeleton.adjacency.append(AdjacencyEdge(e["room_a"], e["room_b"], e["kind"]))
-        for door in skeleton.doors:
-            axis, boundary, lo, hi = skeleton.shared_wall(door.room_a, door.room_b)
+            level.adjacency.append(AdjacencyEdge(e["room_a"], e["room_b"], e["kind"]))
+        for door in level.doors:
+            axis, boundary, lo, hi = level.shared_wall(door.room_a, door.room_b)
             across, along = (door.x, door.y) if axis == "x" else (door.y, door.x)
             if abs(across - boundary) > 1e-9 or not lo <= along <= hi:
                 raise SchemaError(
                     f"door between rooms {door.room_a} and {door.room_b} "
                     "is not on their shared wall"
                 )
-        for e in skeleton.adjacency:
-            skeleton.shared_wall(e.room_a, e.room_b)
-        level = Level(config=config, skeleton=skeleton)
+        for e in level.adjacency:
+            level.shared_wall(e.room_a, e.room_b)
         for f in doc["facilities"]:
             level.facilities.append(
                 FacilityInstance(
@@ -338,7 +354,7 @@ def wall_openings(level: Level, room: RoomInstance) -> dict[str, list[_Opening]]
     for edge in level.adjacency:
         if edge.kind != "open" or room.id not in (edge.room_a, edge.room_b):
             continue
-        axis, boundary, lo, hi = level.skeleton.shared_wall(edge.room_a, edge.room_b)
+        axis, boundary, lo, hi = level.shared_wall(edge.room_a, edge.room_b)
         low_wall = x0 if axis == "x" else y0
         side = ("-" if abs(boundary - low_wall) < eps else "+") + axis
         out[side].append(_Opening(lo, hi, full_height=True))
@@ -378,7 +394,7 @@ def wall_segments(
 def _emit_room(w: _VmfWriter, level: Level, room: RoomInstance, scale: float) -> int:
     """Emit the room's brushes; returns how many solids were written."""
     x0, y0, x1, y1 = room.footprint()
-    fh = level.floor_height
+    fh = level.config.floor_height
     z0 = room.floor * fh
     z1 = z0 + room.dims.height
     count = 0
@@ -455,7 +471,7 @@ def export_vmf(
         _emit_room(w, level, room, scale)
     w.close()
 
-    fh = level.floor_height
+    fh = level.config.floor_height
     tags = facility_tags or {}
 
     def emit_entity(name: str, classname: str, gx: float, gy: float, gz: float, yaw: float):

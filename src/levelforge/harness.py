@@ -15,8 +15,9 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Iterator
 
 from .arrangement import LevelConfig, arrange_rooms
 from .database import Database, load_database, save_database
@@ -26,13 +27,16 @@ from .geometry import Pose
 from .layout import optimize_room_layout
 from .level import FacilityInstance, Level, MechanicPlacement, TopoRule
 from .mechanics import (
+    PACING_KEYS,
     MechanicInstance,
     assign_mechanics,
     db_group_mechanics,
     make_cstd_evaluator,
+    mechanic_def,
     place_mechanic_in_room,
 )
 from .navsim import (
+    STATUSES,
     AgentParams,
     MetricsRecord,
     agent_repair,
@@ -56,7 +60,6 @@ GROUPS = (
     "DB-Speedrun",
 )
 
-EXPLORATION_KEYS_PER_FLOOR = 3
 MC_SAMPLES = 200
 MC_SIGMA = 3.0
 
@@ -120,107 +123,85 @@ def _strategy_of(group: str) -> tuple[str, str]:
     return family, strategy.lower()
 
 
-def _pinned_instance(db: Database, def_name: str, inst_id: str, room_id: int) -> MechanicInstance:
-    mdef = db.mechanic(def_name)
-    return MechanicInstance(
-        id=inst_id,
-        def_name=mdef.name,
-        dims=mdef.dims,
-        standard_constraints=mdef.standard_constraints,
-        candidate_rooms=(room_id,),
-    )
-
-
 def _generic_instances(config: LevelConfig, db: Database) -> list[MechanicInstance]:
     """Instances for config-selected mechanics; definition topo rules bind
     to the first instance of the referenced definition."""
     out: list[MechanicInstance] = []
     for name, count in config.selected_mechanics:
-        mdef = db.mechanic(name)
-        if mdef is None:
-            raise GenerationFailed(f"selected mechanic {name!r} not in database")
-        for k in range(count):
-            rules = tuple(
-                TopoRule(
-                    kind=tc.kind,
-                    other=f"{tc.other}#0",
-                    threshold=tc.threshold,
-                    strength=tc.strength,
-                )
-                for tc in mdef.topo_constraints
+        mdef = mechanic_def(db, name)
+        rules = tuple(
+            TopoRule(
+                kind=tc.kind,
+                other=f"{tc.other}#0",
+                threshold=tc.threshold,
+                strength=tc.strength,
             )
-            out.append(
-                MechanicInstance(
-                    id=f"{mdef.name}#{k}",
-                    def_name=mdef.name,
-                    dims=mdef.dims,
-                    standard_constraints=mdef.standard_constraints,
-                    topo=rules,
-                )
-            )
+            for tc in mdef.topo_constraints
+        )
+        out.extend(
+            MechanicInstance.of(mdef, f"{mdef.name}#{k}", topo=rules) for k in range(count)
+        )
     return out
+
+
+def _algorithmic_instances(
+    level: Level, db: Database, strategy: str, seed: int
+) -> tuple[list[MechanicInstance], dict[str, int]]:
+    """A family: a graph algorithm picks each floor's key rooms and pins one
+    key instance to each."""
+    if strategy not in PACING_KEYS:
+        raise GenerationFailed(f"unknown strategy {strategy!r}")
+    def_name, keys = PACING_KEYS[strategy]
+    mdef = mechanic_def(db, def_name)
+    instances: list[MechanicInstance] = []
+    assignment: dict[str, int] = {}
+    for floor in sorted({r.floor for r in level.rooms}):
+        g = build_floor_graph(level, floor)
+        if strategy == "baseline":
+            chosen = [bfs_balanced_room(g)]
+        elif strategy == "speedrun":
+            chosen = [centrality_room(g)]
+        else:
+            chosen = mc_dispersion_rooms(
+                g,
+                existing_keys=(),
+                n=keys,
+                sigma=MC_SIGMA,
+                samples=MC_SAMPLES,
+                rng=derive_rng(seed, "strategy", floor),
+            )
+        for k, room_id in enumerate(chosen):
+            inst = MechanicInstance.of(
+                mdef, f"{def_name}@f{floor}#{k}", candidate_rooms=(room_id,)
+            )
+            instances.append(inst)
+            assignment[inst.id] = room_id
+    return instances, assignment
 
 
 def _mechanic_instances(
     level: Level, db: Database, group: str | None, seed: int
 ) -> tuple[list[MechanicInstance], dict[str, int]]:
-    """Build instances and their room assignment for the given group."""
-    config = level.config
-    weights = config.weights
-
+    """Build instances and their room assignment for the given group: the A
+    family pins keys by graph algorithm; the custom and DB paths anneal the
+    assignment under the instances' constraints."""
     if group is None:
-        instances = _generic_instances(config, db)
-        if not instances:
-            return [], {}
-        cstd = make_cstd_evaluator(level, weights, seed)
-        assignment = assign_mechanics(
-            level, instances, weights, config.sa, derive_rng(seed, "assign"), cstd
-        )
-        return instances, assignment.rooms
-
-    family, strategy = _strategy_of(group)
-    floors = sorted({r.floor for r in level.rooms})
-
-    if family == "A":
-        instances: list[MechanicInstance] = []
-        assignment: dict[str, int] = {}
-        for floor in floors:
-            g = build_floor_graph(level, floor)
-            if strategy == "baseline":
-                chosen = [bfs_balanced_room(g)]
-                def_name = "FloorKey"
-            elif strategy == "speedrun":
-                chosen = [centrality_room(g)]
-                def_name = "FloorKey"
-            elif strategy == "exploration":
-                chosen = mc_dispersion_rooms(
-                    g,
-                    existing_keys=(),
-                    n=EXPLORATION_KEYS_PER_FLOOR,
-                    sigma=MC_SIGMA,
-                    samples=MC_SAMPLES,
-                    rng=derive_rng(seed, "strategy", floor),
-                )
-                def_name = "KeyFragment"
-            else:
-                raise GenerationFailed(f"unknown strategy {strategy!r}")
-            for k, room_id in enumerate(chosen):
-                inst = _pinned_instance(
-                    db, def_name, f"{def_name}@f{floor}#{k}", room_id
-                )
-                instances.append(inst)
-                assignment[inst.id] = room_id
-        return instances, assignment
-
-    # DB family: constraints drive the assignment
-    instances = []
-    for floor in floors:
-        instances.extend(db_group_mechanics(strategy, level, floor, db, weights))
+        instances = _generic_instances(level.config, db)
+    else:
+        family, strategy = _strategy_of(group)
+        if family == "A":
+            return _algorithmic_instances(level, db, strategy, seed)
+        instances = []
+        for floor in sorted({r.floor for r in level.rooms}):
+            instances.extend(
+                db_group_mechanics(strategy, level, floor, db, level.config.weights)
+            )
     if not instances:
         return [], {}
-    cstd = make_cstd_evaluator(level, weights, seed)
+    config = level.config
+    cstd = make_cstd_evaluator(level, config.weights, seed)
     assignment = assign_mechanics(
-        level, instances, weights, config.sa, derive_rng(seed, "assign"), cstd
+        level, instances, config.weights, config.sa, derive_rng(seed, "assign"), cstd
     )
     return instances, assignment.rooms
 
@@ -247,19 +228,15 @@ def _place_mechanics(
         except NoFreeSpace:
             # fully tiled room: drop the key at the room center and let the
             # repair phase clear a path to it
-            placement = MechanicPlacement(
-                id=inst.id,
-                def_name=inst.def_name,
-                room_id=room.id,
-                pose=Pose(
+            placement = inst.placed(
+                room.id,
+                Pose(
                     room.dims.width / 2.0,
                     room.dims.length / 2.0,
                     inst.dims.height / 2.0,
                     0.0,
                     inst.dims,
                 ),
-                standard_constraints=inst.standard_constraints,
-                topo=inst.topo,
             )
         placed.append(placement)
     level.mechanics = placed
@@ -279,12 +256,11 @@ def generate_level(
     group_label = group or "custom"
     level_id = level_id or f"{group_label}-{seed:x}"
     try:
-        skeleton = arrange_rooms(config, db, derive_rng(seed, "arrange"))
+        level = arrange_rooms(config, db, derive_rng(seed, "arrange"))
     except ArrangementFailed as exc:
         raise GenerationFailed(str(exc)) from exc
 
-    level = Level(config=config, skeleton=skeleton)
-    for room in skeleton.rooms:
+    for room in level.rooms:
         facilities = _instantiate_room_facilities(level, db, room)
         if facilities:
             layout = optimize_room_layout(
@@ -342,40 +318,11 @@ def generate_level(
 
 # -- batch runner ---------------------------------------------------------------
 
-_METRIC_FIELDS = (
-    "repair_time",
-    "facilities_removed",
-    "rerun_time",
-    "simulation_time",
-    "avg_completion_time",
-    "grid_exploration",
-    "sim_grid_exploration",
-    "avg_grid_exploration",
-)
-
-_STATUSES = ("valid", "unrepairable", "abnormal", "failed")
-
-_CSV_FIELDS = (
-    "group",
-    "index",
-    "seed",
-    "level_id",
-    "status",
-    "repair_time",
-    "facilities_removed",
-    "adaptable_facilities",
-    "phase1_moves",
-    "phase2_moves",
-    "rerun_time",
-    "simulation_time",
-    "avg_completion_time",
-    "grid_exploration",
-    "sim_grid_exploration",
-    "avg_grid_exploration",
-    "coverage",
-    "sim_coverage",
-    "avg_coverage",
-    "level_hash",
+# records.csv columns: the record's fields, led by the row's place in the
+# experiment.
+_CSV_LEAD = ("group", "index", "seed", "level_id", "status")
+_CSV_FIELDS = _CSV_LEAD + tuple(
+    f.name for f in fields(MetricsRecord) if f.name not in _CSV_LEAD
 )
 
 
@@ -415,10 +362,10 @@ def compute_stats(
     tallies: dict[str, dict[str, int]] = {}
     for group in groups:
         rows = [r for r in records if r.group == group]
-        tallies[group] = {s: sum(1 for r in rows if r.status == s) for s in _STATUSES}
+        tallies[group] = {s: sum(1 for r in rows if r.status == s) for s in STATUSES}
         valid = [r for r in rows if r.status == "valid"]
         per_metric = {}
-        for name in _METRIC_FIELDS:
+        for name, _ in _TABLE_ROWS:
             values = [float(getattr(r, name)) for r in valid]
             mean, std = _mean_std(values)
             half = 1.96 * std / math.sqrt(len(values)) if values else 0.0
@@ -439,12 +386,8 @@ def _init_worker(db_bytes: bytes, config_dict: dict) -> None:
     _WORKER_STATE["config"] = LevelConfig.from_dict(config_dict)
 
 
-def _run_task(task: tuple[str, int, int]) -> tuple[str, int, int, dict]:
-    group, index, seed = task
-    record = _generate_record(
-        _WORKER_STATE["config"], _WORKER_STATE["db"], group, index, seed
-    )
-    return group, index, seed, record.__dict__
+def _run_task(task: tuple[str, int, int]) -> MetricsRecord:
+    return _generate_record(_WORKER_STATE["config"], _WORKER_STATE["db"], *task)
 
 
 def _generate_record(
@@ -468,6 +411,24 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
+def _generate_records(
+    exp: ExperimentConfig, db: Database, tasks: list[tuple[str, int, int]]
+) -> Iterator[MetricsRecord]:
+    """Records of `tasks` in task order, from worker processes when more
+    than one worker is available."""
+    workers = min(worker_count(), len(tasks)) if tasks else 1
+    if workers == 1:
+        for task in tasks:
+            yield _generate_record(exp.level, db, *task)
+        return
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_init_worker,
+        initargs=(save_database(db), exp.level.to_dict()),
+    ) as pool:
+        yield from pool.map(_run_task, tasks, chunksize=1)
+
+
 def run_experiment(
     exp: ExperimentConfig, db: Database
 ) -> tuple[list[MetricsRecord], AggregateStats]:
@@ -481,39 +442,11 @@ def run_experiment(
         for group in exp.groups
         for index in range(exp.levels_per_group)
     ]
-    workers = min(worker_count(), len(tasks)) if tasks else 1
-    results: dict[tuple[str, int], MetricsRecord] = {}
-
-    if workers > 1:
-        db_bytes = save_database(db)
-        config_dict = exp.level.to_dict()
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(db_bytes, config_dict)
-        ) as pool:
-            for group, index, seed, data in pool.map(_run_task, tasks, chunksize=1):
-                record = MetricsRecord(**data)
-                results[(group, index)] = record
-                log.info(
-                    "level %s-%04d seed=%d status=%s", group, index, seed, record.status
-                )
-    else:
-        for group, index, seed in tasks:
-            record = _generate_record(exp.level, db, group, index, seed)
-            results[(group, index)] = record
-            log.info(
-                "level %s-%04d seed=%d status=%s", group, index, seed, record.status
-            )
-
-    records = [
-        results[(group, index)]
-        for group in exp.groups
-        for index in range(exp.levels_per_group)
-    ]
-    total_cells = (
-        math.ceil(exp.level.width - 1e-9)
-        * math.ceil(exp.level.length - 1e-9)
-        * exp.level.floors
-    )
+    records = []
+    for record in _generate_records(exp, db, tasks):
+        log.info("level %s seed=%d status=%s", record.level_id, record.seed, record.status)
+        records.append(record)
+    total_cells = math.prod(exp.level.grid_shape())
     stats = compute_stats(records, exp.groups, total_cells)
 
     if exp.output_dir is not None:
@@ -528,20 +461,12 @@ def run_experiment(
 
 def records_csv(records: list[MetricsRecord], exp: ExperimentConfig) -> str:
     """Per-level rows in deterministic (group, index) order."""
-    seed_of = {
-        (g, i): level_seed(exp.base_seed, g, i)
-        for g in exp.groups
-        for i in range(exp.levels_per_group)
-    }
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_FIELDS)
     for pos, record in enumerate(records):
-        group = exp.groups[pos // exp.levels_per_group]
         index = pos % exp.levels_per_group
-        row = [group, index, seed_of[(group, index)]]
-        row += [getattr(record, f) for f in _CSV_FIELDS[3:]]
-        writer.writerow(row)
+        writer.writerow([index if f == "index" else getattr(record, f) for f in _CSV_FIELDS])
     return buf.getvalue()
 
 
@@ -583,12 +508,10 @@ def emit_table(stats: AggregateStats) -> tuple[str, str]:
                 ]
                 lines.append(f"| {_COVERAGE_ROWS[key]} | " + " | ".join(pct) + " |")
         tally_cells = [
-            "/".join(str(stats.tallies[g][s]) for s in _STATUSES) for g in stats.groups
+            "/".join(str(stats.tallies[g][s]) for s in STATUSES) for g in stats.groups
         ]
         lines.append(
-            "| Status (valid/unrepairable/abnormal/failed) | "
-            + " | ".join(tally_cells)
-            + " |"
+            f"| Status ({'/'.join(STATUSES)}) | " + " | ".join(tally_cells) + " |"
         )
     markdown = "\n".join(lines) + "\n"
 
@@ -602,7 +525,7 @@ def emit_table(stats: AggregateStats) -> tuple[str, str]:
             writer.writerow(
                 [group, key, repr(m.mean), repr(m.std), repr(m.ci_low), repr(m.ci_high), m.n]
             )
-        for status in _STATUSES:
+        for status in STATUSES:
             writer.writerow(
                 [group, f"count:{status}", "", "", "", "", stats.tallies[group][status]]
             )

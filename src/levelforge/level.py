@@ -98,21 +98,18 @@ class MechanicPlacement:
 
 
 @dataclass
-class LevelSkeleton:
-    """Room structure before facility layout: rooms, connections, stairs."""
+class Level:
+    """A placed level. Room arrangement fills the room structure (rooms,
+    connections, stairs); layout and mechanics add facilities and keys.
+    The level size lives only on `config`."""
 
-    width: float
-    length: float
-    height: float
-    floors: int
+    config: "LevelConfig"
     rooms: list[RoomInstance] = field(default_factory=list)
     doors: list[Door] = field(default_factory=list)
     adjacency: list[AdjacencyEdge] = field(default_factory=list)
     stairs: list[Stair] = field(default_factory=list)
-
-    @property
-    def floor_height(self) -> float:
-        return self.height / self.floors
+    facilities: list[FacilityInstance] = field(default_factory=list)
+    mechanics: list[MechanicPlacement] = field(default_factory=list)
 
     def room_by_id(self, room_id: int) -> RoomInstance:
         for r in self.rooms:
@@ -131,40 +128,6 @@ class LevelSkeleton:
         if seg is None:
             raise SchemaError(f"rooms {room_a} and {room_b} share no wall")
         return seg
-
-
-@dataclass
-class Level:
-    config: "LevelConfig"
-    skeleton: LevelSkeleton
-    facilities: list[FacilityInstance] = field(default_factory=list)
-    mechanics: list[MechanicPlacement] = field(default_factory=list)
-
-    @property
-    def rooms(self) -> list[RoomInstance]:
-        return self.skeleton.rooms
-
-    @property
-    def doors(self) -> list[Door]:
-        return self.skeleton.doors
-
-    @property
-    def adjacency(self) -> list[AdjacencyEdge]:
-        return self.skeleton.adjacency
-
-    @property
-    def stairs(self) -> list[Stair]:
-        return self.skeleton.stairs
-
-    @property
-    def floor_height(self) -> float:
-        return self.skeleton.floor_height
-
-    def room_by_id(self, room_id: int) -> RoomInstance:
-        return self.skeleton.room_by_id(room_id)
-
-    def rooms_on_floor(self, floor: int) -> list[RoomInstance]:
-        return self.skeleton.rooms_on_floor(floor)
 
     def facilities_in_room(self, room_id: int) -> list[FacilityInstance]:
         return [f for f in self.facilities if f.room_id == room_id]

@@ -19,7 +19,7 @@ from .constraints import (
     WeightConfig,
     eval_facility_penalty,
 )
-from .database import Database
+from .database import Database, MechanicDef
 from .errors import NoFreeSpace, NoRooms, UnboundMechanic, UnresolvedReferenceError
 from .geometry import HALF_PI, Dimensions, Pose, penetration_depth, random_pose
 from .layout import SAParams, anneal
@@ -33,6 +33,14 @@ PLACEMENT_YAWS = 4
 
 # Multiplier that turns a default topological-far rule into a "strong" one.
 STRONG_TOPO_FAR = 3.0
+
+# Pacing strategy -> (key definition, keys per floor), for both the
+# algorithmic (A-) and database-driven (DB-) group families.
+PACING_KEYS = {
+    "baseline": ("FloorKey", 1),
+    "exploration": ("KeyFragment", 3),
+    "speedrun": ("FloorKey", 1),
+}
 
 
 @dataclass
@@ -49,6 +57,33 @@ class MechanicInstance:
     standard_constraints: tuple[ConstraintSpec, ...] = ()
     topo: tuple[TopoRule, ...] = ()
     candidate_rooms: tuple[int, ...] | None = None
+
+    @classmethod
+    def of(
+        cls,
+        mdef: MechanicDef,
+        inst_id: str,
+        topo: tuple[TopoRule, ...] = (),
+        candidate_rooms: tuple[int, ...] | None = None,
+    ) -> "MechanicInstance":
+        return cls(
+            id=inst_id,
+            def_name=mdef.name,
+            dims=mdef.dims,
+            standard_constraints=mdef.standard_constraints,
+            topo=topo,
+            candidate_rooms=candidate_rooms,
+        )
+
+    def placed(self, room_id: int, pose: Pose) -> MechanicPlacement:
+        return MechanicPlacement(
+            id=self.id,
+            def_name=self.def_name,
+            room_id=room_id,
+            pose=pose,
+            standard_constraints=self.standard_constraints,
+            topo=self.topo,
+        )
 
 
 @dataclass(frozen=True)
@@ -261,14 +296,7 @@ def place_mechanic_in_room(
         raise NoFreeSpace(
             f"no overlap-free pose for mechanic {mechanic.id!r} in room {room.id}"
         )
-    return MechanicPlacement(
-        id=mechanic.id,
-        def_name=mechanic.def_name,
-        room_id=room.id,
-        pose=best[1],
-        standard_constraints=mechanic.standard_constraints,
-        topo=mechanic.topo,
-    )
+    return mechanic.placed(room.id, best[1])
 
 
 # -- experiment-group parameterizations ---------------------------------------
@@ -283,7 +311,7 @@ def _floor_exit_room(level: Level, floor: int) -> RoomInstance:
     return max(rooms, key=lambda r: r.tau)
 
 
-def _mechanic_def(db: Database, name: str):
+def mechanic_def(db: Database, name: str) -> MechanicDef:
     d = db.mechanic(name)
     if d is None:
         raise UnresolvedReferenceError(f"mechanic {name!r} not in database")
@@ -300,80 +328,45 @@ def db_group_mechanics(
     """Mechanic instances for one floor of a database-parameterized group.
 
     baseline: one FloorKey pulled topologically near the floor's tau
-    midpoint. exploration: three KeyFragments preceding the floor exit and
+    midpoint. exploration: KeyFragments preceding the floor exit and
     strongly spread apart in tau. speedrun: one FloorKey pulled near the
     floor's start room.
     """
     rooms = level.rooms_on_floor(floor)
     if not rooms:
         return []
+    if group not in PACING_KEYS:
+        raise ValueError(f"unknown pacing group {group!r}")
+    def_name, keys = PACING_KEYS[group]
+    mdef = mechanic_def(db, def_name)
     taus = [r.tau for r in rooms]
     floor_ids = tuple(r.id for r in sorted(rooms, key=lambda r: r.tau))
     t_min, t_max = min(taus), max(taus)
 
-    if group == "baseline":
-        key = _mechanic_def(db, "FloorKey")
-        anchor = (t_min + t_max) / 2.0
+    if group != "exploration":
+        anchor = (t_min + t_max) / 2.0 if group == "baseline" else float(t_min)
+        near = TopoRule("topo_near", anchor_tau=anchor, threshold=weights.topo_near_dmax)
         return [
-            MechanicInstance(
-                id=f"FloorKey@f{floor}",
-                def_name=key.name,
-                dims=key.dims,
-                standard_constraints=key.standard_constraints,
-                topo=(
-                    TopoRule(
-                        "topo_near", anchor_tau=anchor, threshold=weights.topo_near_dmax
-                    ),
-                ),
-                candidate_rooms=floor_ids,
+            MechanicInstance.of(
+                mdef, f"{def_name}@f{floor}", topo=(near,), candidate_rooms=floor_ids
             )
         ]
 
-    if group == "speedrun":
-        key = _mechanic_def(db, "FloorKey")
-        return [
-            MechanicInstance(
-                id=f"FloorKey@f{floor}",
-                def_name=key.name,
-                dims=key.dims,
-                standard_constraints=key.standard_constraints,
-                topo=(
-                    TopoRule(
-                        "topo_near",
-                        anchor_tau=float(t_min),
-                        threshold=weights.topo_near_dmax,
-                    ),
-                ),
-                candidate_rooms=floor_ids,
-            )
-        ]
-
-    if group == "exploration":
-        frag = _mechanic_def(db, "KeyFragment")
-        exit_tau = float(_floor_exit_room(level, floor).tau)
-        ids = [f"KeyFragment@f{floor}#{k}" for k in range(3)]
-        out = []
-        for k in range(3):
-            rules = [TopoRule("precedes", anchor_tau=exit_tau)]
-            for j in range(k + 1, 3):
-                rules.append(
-                    TopoRule(
-                        "topo_far",
-                        other=ids[j],
-                        threshold=weights.topo_far_dmin,
-                        strength=STRONG_TOPO_FAR,
-                    )
-                )
-            out.append(
-                MechanicInstance(
-                    id=ids[k],
-                    def_name=frag.name,
-                    dims=frag.dims,
-                    standard_constraints=frag.standard_constraints,
-                    topo=tuple(rules),
-                    candidate_rooms=floor_ids,
+    exit_tau = float(_floor_exit_room(level, floor).tau)
+    ids = [f"{def_name}@f{floor}#{k}" for k in range(keys)]
+    out = []
+    for k in range(keys):
+        rules = [TopoRule("precedes", anchor_tau=exit_tau)]
+        for j in range(k + 1, keys):
+            rules.append(
+                TopoRule(
+                    "topo_far",
+                    other=ids[j],
+                    threshold=weights.topo_far_dmin,
+                    strength=STRONG_TOPO_FAR,
                 )
             )
-        return out
-
-    raise ValueError(f"unknown pacing group {group!r}")
+        out.append(
+            MechanicInstance.of(mdef, ids[k], topo=tuple(rules), candidate_rooms=floor_ids)
+        )
+    return out

@@ -42,7 +42,6 @@ DoorwayKey = tuple[int, int]  # (lower room id, higher room id)
 class AgentParams:
     speed: float = 10.0          # units per second
     angular_speed: float = 100.0  # degrees per second
-    radius: float = 1.0          # collision radius; one cell of dilation
     room_timeout: float = 10.0   # seconds before a segment counts as stuck
     total_budget: float = 1000.0  # cumulative budget for repair and rerun
 
@@ -69,12 +68,18 @@ class SimResult:
     sim_grid_cells: int
 
 
+# Outcome of one level, in the order tallies are reported.
+STATUSES = ("valid", "unrepairable", "abnormal", "failed")
+
+
 @dataclass
 class MetricsRecord:
+    """Per-level row of an experiment; its fields are the record schema."""
+
     level_id: str
     group: str
     seed: int
-    status: str  # valid | unrepairable | abnormal | failed
+    status: str  # one of STATUSES
     repair_time: float = 0.0
     facilities_removed: int = 0
     adaptable_facilities: int = 0
@@ -122,15 +127,19 @@ def _cell_span(lo: float, hi: float, limit: int) -> range:
     return range(start, max(start, stop))
 
 
-def _facility_cells(grid: NavGrid, level: Level, fac: FacilityInstance) -> list[Cell]:
-    room = level.room_by_id(fac.room_id)
+def _pose_cells(grid: NavGrid, room: RoomInstance, pose: Pose) -> list[Cell]:
+    """Cells a room-local pose's footprint covers."""
     ox, oy = room.origin
-    x0, y0, x1, y1 = fac.pose.footprint()
-    cells = []
-    for ix in _cell_span(ox + x0, ox + x1, grid.width):
-        for iy in _cell_span(oy + y0, oy + y1, grid.length):
-            cells.append((room.floor, ix, iy))
-    return cells
+    x0, y0, x1, y1 = pose.footprint()
+    return [
+        (room.floor, ix, iy)
+        for ix in _cell_span(ox + x0, ox + x1, grid.width)
+        for iy in _cell_span(oy + y0, oy + y1, grid.length)
+    ]
+
+
+def _facility_cells(grid: NavGrid, level: Level, fac: FacilityInstance) -> list[Cell]:
+    return _pose_cells(grid, level.room_by_id(fac.room_id), fac.pose)
 
 
 def _mark_facility(grid: NavGrid, level: Level, fac: FacilityInstance) -> None:
@@ -153,10 +162,26 @@ def _clear_facility(grid: NavGrid, level: Level, fac: FacilityInstance) -> None:
                 grid.state[f][x, y] = grid.base[f][x, y]
 
 
+def _move_facility(grid: NavGrid, level: Level, fac: FacilityInstance, pose: Pose) -> None:
+    _clear_facility(grid, level, fac)
+    fac.pose = pose
+    _mark_facility(grid, level, fac)
+
+
+def _adaptable_occupants(
+    level: Level, grid: NavGrid, cells: Iterable[Cell]
+) -> list[FacilityInstance]:
+    """Adaptable facilities occupying any of `cells`, smallest footprint first."""
+    ids = {i for c in cells for i in grid.occupants.get(c, ())}
+    found = [fac for fac in level.facilities if fac.id in ids and not fac.fixed]
+    found.sort(key=lambda fac: (fac.pose.dims.footprint_area(), fac.id))
+    return found
+
+
 def _door_cells(level: Level, door) -> tuple[Cell, Cell]:
     """The two cells (one per room side) a door opens up."""
     f = level.room_by_id(door.room_a).floor
-    axis, _, lo, hi = level.skeleton.shared_wall(door.room_a, door.room_b)
+    axis, _, lo, hi = level.shared_wall(door.room_a, door.room_b)
     span = _cell_span(lo, hi, 10**9)
     if axis == "x":
         bx = int(round(door.x))
@@ -170,7 +195,7 @@ def _door_cells(level: Level, door) -> tuple[Cell, Cell]:
 def _open_edge_cells(level: Level, edge) -> list[tuple[Cell, Cell]]:
     """Cell pairs along the full shared segment of an open-open adjacency."""
     f = level.room_by_id(edge.room_a).floor
-    axis, boundary, lo, hi = level.skeleton.shared_wall(edge.room_a, edge.room_b)
+    axis, boundary, lo, hi = level.shared_wall(edge.room_a, edge.room_b)
     b = int(round(boundary))
     run = range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9))
     if axis == "x":
@@ -194,18 +219,16 @@ def _add_doorway(grid: NavGrid, link, pairs: list[tuple[Cell, Cell]]) -> None:
 def build_nav_grid(level: Level) -> NavGrid:
     """Rasterize the level: walls on room perimeters, doors and open edges
     punched through, facility footprints blocked, stairwells linking floors."""
-    sk = level.skeleton
-    width = math.ceil(sk.width - 1e-9)
-    length = math.ceil(sk.length - 1e-9)
+    width, length, floors = level.config.grid_shape()
     grid = NavGrid(
         width=width,
         length=length,
-        floors=sk.floors,
-        floor_height=sk.floor_height,
-        base=[np.full((width, length), WALL, dtype=np.uint8) for _ in range(sk.floors)],
+        floors=floors,
+        floor_height=level.config.floor_height,
+        base=[np.full((width, length), WALL, dtype=np.uint8) for _ in range(floors)],
         state=[],
-        room_of=[np.full((width, length), -1, dtype=np.int32) for _ in range(sk.floors)],
-        stair_cells=[set() for _ in range(max(0, sk.floors - 1))],
+        room_of=[np.full((width, length), -1, dtype=np.int32) for _ in range(floors)],
+        stair_cells=[set() for _ in range(max(0, floors - 1))],
     )
 
     for room in level.rooms:
@@ -232,7 +255,7 @@ def build_nav_grid(level: Level) -> NavGrid:
         for ix in xs:
             for iy in ys:
                 grid.base[lower.floor][ix, iy] = STAIR
-                if lower.floor + 1 < sk.floors:
+                if lower.floor + 1 < floors:
                     grid.base[lower.floor + 1][ix, iy] = STAIR
                     grid.stair_cells[lower.floor].add((ix, iy))
 
@@ -407,20 +430,13 @@ def _blocking_facilities(
                 and grid.state[f][nx, ny] == FACILITY
             ):
                 cells.add((f, nx, ny))
-    ids: set[str] = set()
-    for c in cells:
-        ids.update(grid.occupants.get(c, ()))
-    by_id = {fac.id: fac for fac in level.facilities}
-    found = [by_id[i] for i in sorted(ids) if i in by_id and not by_id[i].fixed]
-    found.sort(key=lambda fac: (fac.pose.dims.footprint_area(), fac.id))
-    return found
+    return _adaptable_occupants(level, grid, cells)
 
 
 def _unblock_doorway(
     level: Level, grid: NavGrid, room: RoomInstance, key: DoorwayKey, result: FloodResult
 ) -> bool:
     before = set(result.blocked)
-    ox, oy = room.origin
     for fac in _blocking_facilities(level, grid, room, key, result):
         original = fac.pose
         occupied = set(_facility_cells(grid, level, fac))
@@ -436,28 +452,18 @@ def _unblock_doorway(
         }
         attempts = 0
         for pose in _relocation_poses(fac, room):
-            x0, y0, x1, y1 = pose.footprint()
-            new_cells = {
-                (room.floor, ix, iy)
-                for ix in _cell_span(ox + x0, ox + x1, grid.width)
-                for iy in _cell_span(oy + y0, oy + y1, grid.length)
-            }
-            if critical & new_cells:
+            if not critical.isdisjoint(_pose_cells(grid, room, pose)):
                 continue  # still covering the blockage
             if not _pose_clear(pose, fac.id, level, room):
                 continue
             attempts += 1
             if attempts > 64:
                 break
-            _clear_facility(grid, level, fac)
-            fac.pose = pose
-            _mark_facility(grid, level, fac)
+            _move_facility(grid, level, fac, pose)
             after = set(flood_fill_room(level, grid, room).blocked)
             if key not in after and after <= before:
                 return True
-            _clear_facility(grid, level, fac)
-            fac.pose = original
-            _mark_facility(grid, level, fac)
+            _move_facility(grid, level, fac, original)
     return False
 
 
@@ -645,7 +651,6 @@ def _repair_action(
 ) -> bool:
     """Reposition (first time) or remove (second time) the adaptable
     facility blocking the frontier nearest the failed path's end."""
-    by_id = {fac.id: fac for fac in level.facilities}
 
     if pos is None:
         # start room fully covered: attack any adaptable facility inside it
@@ -690,14 +695,7 @@ def _repair_action(
         frontier.sort(key=lambda item: (item[0], item[1]))
 
     for _, cell in frontier:
-        movable = sorted(
-            (
-                by_id[i]
-                for i in grid.occupants.get(cell, ())
-                if i in by_id and not by_id[i].fixed
-            ),
-            key=lambda fac: (fac.pose.dims.footprint_area(), fac.id),
-        )
+        movable = _adaptable_occupants(level, grid, (cell,))
         if not movable:
             continue
         fac = movable[0]
@@ -706,11 +704,12 @@ def _repair_action(
             for pose in _relocation_poses(fac, room):
                 if not _pose_clear(pose, fac.id, level, room):
                     continue
-                if _covers_door_cell(grid, level, room, pose):
+                if any(
+                    grid.base[f][x, y] in (DOOR, STAIR)
+                    for f, x, y in _pose_cells(grid, room, pose)
+                ):
                     continue
-                _clear_facility(grid, level, fac)
-                fac.pose = pose
-                _mark_facility(grid, level, fac)
+                _move_facility(grid, level, fac, pose)
                 repositioned.add(fac.id)
                 report.phase2_moves += 1
                 return True
@@ -721,19 +720,11 @@ def _repair_action(
     return False
 
 
-def _covers_door_cell(grid: NavGrid, level: Level, room: RoomInstance, pose: Pose) -> bool:
-    ox, oy = room.origin
-    x0, y0, x1, y1 = pose.footprint()
-    for ix in _cell_span(ox + x0, ox + x1, grid.width):
-        for iy in _cell_span(oy + y0, oy + y1, grid.length):
-            if grid.base[room.floor][ix, iy] in (DOOR, STAIR):
-                return True
-    return False
-
-
 # -- rerun validation and objective simulation ------------------------------------
 
 def _dilate(grid: NavGrid, cell: Cell, out: set[Cell]) -> None:
+    """Add the 3x3 block around `cell`: the agent's collision radius is one
+    cell, so a step explores the cells it sweeps, not only the one it visits."""
     f, x, y = cell
     for dx in (-1, 0, 1):
         nx = x + dx

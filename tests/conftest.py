@@ -25,7 +25,6 @@ from levelforge.level import (
     Door,
     FacilityInstance,
     Level,
-    LevelSkeleton,
     RoomInstance,
 )
 
@@ -54,13 +53,14 @@ def make_room(room_id, origin, w, l, floor=0, tau=None, arch="enclosed", templat
 
 def make_level(rooms, doors=(), adjacency=(), stairs=(), width=50.0, length=50.0,
                height=30.0, floors=1, config=None):
-    skeleton = LevelSkeleton(width=width, length=length, height=height, floors=floors)
-    skeleton.rooms = list(rooms)
-    skeleton.doors = list(doors)
-    skeleton.adjacency = list(adjacency)
-    skeleton.stairs = list(stairs)
     cfg = config or LevelConfig(width=width, length=length, height=height, floors=floors)
-    return Level(config=cfg, skeleton=skeleton)
+    return Level(
+        config=cfg,
+        rooms=list(rooms),
+        doors=list(doors),
+        adjacency=list(adjacency),
+        stairs=list(stairs),
+    )
 
 
 def make_facility(fac_id, room_id, x, y, w=1.0, l=1.0, h=1.0, yaw=0.0, fixed=False,

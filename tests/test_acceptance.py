@@ -27,11 +27,11 @@ from levelforge.layout import SAParams, optimize_room_layout
 from levelforge.level import TopoRule
 from levelforge.mechanics import MechanicInstance, assign_mechanics, fitness
 from levelforge.seeding import derive_seed
-from levelforge.vmf_reader import read_vmf
 
 from conftest import make_level, make_room, record_criterion
 from oracles import make_layout_instance, oracle_layout_optimum
 from test_export import expected_brush_count, small_config
+from vmf_reader import read_vmf
 
 pytestmark = pytest.mark.acceptance
 

@@ -9,12 +9,11 @@ from levelforge.arrangement import (
     gen_candidate_room,
     place_doors,
 )
-from levelforge.constraints import WeightConfig
 from levelforge.database import load_database
 from levelforge.errors import ArrangementFailed
 from levelforge.seeding import derive_rng
 
-from conftest import make_room
+from conftest import make_level, make_room
 
 
 def single_template_db(w=10, l=10):
@@ -38,21 +37,21 @@ def single_template_db(w=10, l=10):
 def test_single_room_fills_whole_level():
     db = single_template_db()
     config = LevelConfig(width=10, length=10, height=3, floors=1)
-    skeleton = arrange_rooms(config, db, derive_rng(0))
-    assert len(skeleton.rooms) == 1
-    assert skeleton.rooms[0].tau == 1
-    assert skeleton.stairs == []
-    assert skeleton.doors == []
+    level = arrange_rooms(config, db, derive_rng(0))
+    assert len(level.rooms) == 1
+    assert level.rooms[0].tau == 1
+    assert level.stairs == []
+    assert level.doors == []
 
 
 def test_two_floor_level_places_stair_in_max_tau_room(minimal_db):
     config = LevelConfig(width=24, length=24, height=6, floors=2)
-    skeleton = arrange_rooms(config, minimal_db, derive_rng(3))
-    floor0 = skeleton.rooms_on_floor(0)
-    floor1 = skeleton.rooms_on_floor(1)
+    level = arrange_rooms(config, minimal_db, derive_rng(3))
+    floor0 = level.rooms_on_floor(0)
+    floor1 = level.rooms_on_floor(1)
     assert len(floor0) >= 2 and len(floor1) >= 1
-    assert len(skeleton.stairs) == 1
-    stair = skeleton.stairs[0]
+    assert len(level.stairs) == 1
+    stair = level.stairs[0]
     last = max(floor0, key=lambda r: r.tau)
     assert stair.room_id == last.id
     assert stair.x, stair.y == last.center()
@@ -70,28 +69,28 @@ def test_same_seed_reproduces_identical_skeleton(hospital_db):
 
 
 def test_tau_values_are_contiguous_from_one(hospital_db):
-    skeleton = arrange_rooms(LevelConfig(), hospital_db, derive_rng(5))
-    taus = sorted(r.tau for r in skeleton.rooms)
-    assert taus == list(range(1, len(skeleton.rooms) + 1))
+    level = arrange_rooms(LevelConfig(), hospital_db, derive_rng(5))
+    taus = sorted(r.tau for r in level.rooms)
+    assert taus == list(range(1, len(level.rooms) + 1))
 
 
 def test_stairs_exist_on_every_floor_but_last(hospital_db):
-    skeleton = arrange_rooms(LevelConfig(floors=3), hospital_db, derive_rng(5))
-    floors_with_rooms = sorted({r.floor for r in skeleton.rooms})
+    level = arrange_rooms(LevelConfig(floors=3), hospital_db, derive_rng(5))
+    floors_with_rooms = sorted({r.floor for r in level.rooms})
     stair_floors = sorted(
-        skeleton.room_by_id(s.room_id).floor for s in skeleton.stairs
+        level.room_by_id(s.room_id).floor for s in level.stairs
     )
     assert stair_floors == floors_with_rooms[:-1]
-    for stair in skeleton.stairs:
-        floor = skeleton.room_by_id(stair.room_id).floor
-        last = max(skeleton.rooms_on_floor(floor), key=lambda r: r.tau)
+    for stair in level.stairs:
+        floor = level.room_by_id(stair.room_id).floor
+        last = max(level.rooms_on_floor(floor), key=lambda r: r.tau)
         assert stair.room_id == last.id
 
 
 def test_rooms_never_overlap_and_stay_in_bounds(hospital_db):
     for seed in range(6):
-        skeleton = arrange_rooms(LevelConfig(), hospital_db, derive_rng(seed))
-        rooms = skeleton.rooms
+        level = arrange_rooms(LevelConfig(), hospital_db, derive_rng(seed))
+        rooms = level.rooms
         for r in rooms:
             x0, y0, x1, y1 = r.footprint()
             assert x0 >= 0 and y0 >= 0 and x1 <= 50 and y1 <= 50
@@ -108,9 +107,9 @@ def test_rooms_never_overlap_and_stay_in_bounds(hospital_db):
 
 
 def test_template_instance_caps_respected(hospital_db):
-    skeleton = arrange_rooms(LevelConfig(), hospital_db, derive_rng(9))
+    level = arrange_rooms(LevelConfig(), hospital_db, derive_rng(9))
     counts: dict[str, int] = {}
-    for r in skeleton.rooms:
+    for r in level.rooms:
         counts[r.template] = counts.get(r.template, 0) + 1
     for template in hospital_db.rooms:
         assert counts.get(template.name, 0) <= template.max_instances
@@ -127,13 +126,10 @@ def test_arrangement_fails_without_fitting_initial_room():
 
 def _state(db, placed, width=50.0, length=50.0):
     return ArrangeState(
-        width=width,
-        length=length,
+        level=make_level(placed, width=width, length=length),
         templates=list(db.rooms),
         usage={t.name: sum(1 for r in placed if r.template == t.name) for t in db.rooms},
         caps={t.name: t.max_instances for t in db.rooms},
-        placed=list(placed),
-        weights=WeightConfig(),
     )
 
 
@@ -214,11 +210,11 @@ def test_candidate_selection_prefers_satisfied_adjacency():
 
 
 def test_door_lands_at_shared_wall_midpoint(two_room_level):
-    skeleton = place_doors(two_room_level.skeleton, derive_rng(0))
-    assert len(skeleton.doors) == 1
-    door = skeleton.doors[0]
+    level = place_doors(two_room_level)
+    assert len(level.doors) == 1
+    door = level.doors[0]
     assert (door.x, door.y) == (10.0, 5.0)
-    assert [e.kind for e in skeleton.adjacency] == ["door"]
+    assert [e.kind for e in level.adjacency] == ["door"]
 
 
 def test_open_rooms_get_free_edge_not_door():
@@ -226,17 +222,11 @@ def test_open_rooms_get_free_edge_not_door():
         make_room(1, (0.0, 0.0), 10, 10, arch="open"),
         make_room(2, (10.0, 0.0), 10, 10, arch="open"),
     ]
-    from conftest import make_level
-
-    level = make_level(rooms, width=20, length=10)
-    skeleton = place_doors(level.skeleton, derive_rng(0))
-    assert skeleton.doors == []
-    assert [e.kind for e in skeleton.adjacency] == ["open"]
+    level = place_doors(make_level(rooms, width=20, length=10))
+    assert level.doors == []
+    assert [e.kind for e in level.adjacency] == ["open"]
 
 
 def test_single_room_floor_has_no_doors():
-    from conftest import make_level
-
-    level = make_level([make_room(1, (0.0, 0.0), 10, 10)], width=10, length=10)
-    skeleton = place_doors(level.skeleton, derive_rng(0))
-    assert skeleton.doors == [] and skeleton.adjacency == []
+    level = place_doors(make_level([make_room(1, (0.0, 0.0), 10, 10)], width=10, length=10))
+    assert level.doors == [] and level.adjacency == []

@@ -16,13 +16,13 @@ from levelforge.export import (
 )
 from levelforge.harness import generate_level
 from levelforge.layout import SAParams
-from levelforge.level import Level, MechanicPlacement
+from levelforge.level import MechanicPlacement
 from levelforge.geometry import Dimensions, Pose, shared_segment
 from levelforge.navsim import DOOR, build_nav_grid
 from levelforge.seeding import derive_rng
-from levelforge.vmf_reader import parse_vmf, read_vmf
 
 from conftest import make_facility, make_level, make_room
+from vmf_reader import parse_vmf, read_vmf
 
 
 def small_config(seed=0):
@@ -46,30 +46,61 @@ def test_export_import_export_is_byte_identical(minimal_db):
     assert blob == again
 
 
+def _rooms_doc(rooms):
+    """A 10x10x3, one-floor level document holding `rooms`, given as
+    (id, floor, origin, width and length)."""
+    return json.dumps(
+        {
+            "schema_version": 1,
+            "config": LevelConfig(width=10, length=10, height=3, floors=1).to_dict(),
+            "rooms": [
+                {
+                    "id": rid,
+                    "template": "Cell",
+                    "floor": floor,
+                    "origin": list(origin),
+                    "dims": [w, l, 3.0],
+                    "tau": tau,
+                    "arch_type": "enclosed",
+                }
+                for tau, (rid, floor, origin, (w, l)) in enumerate(rooms, start=1)
+            ],
+            "facilities": [],
+            "mechanics": [],
+            "doors": [],
+            "stairs": [],
+            "adjacency": [],
+        }
+    )
+
+
 def test_hand_written_minimal_document_imports():
-    doc = {
-        "schema_version": 1,
-        "config": LevelConfig(width=10, length=10, height=3, floors=1).to_dict(),
-        "rooms": [
-            {
-                "id": 1,
-                "template": "Cell",
-                "floor": 0,
-                "origin": [0.0, 0.0],
-                "dims": [10.0, 10.0, 3.0],
-                "tau": 1,
-                "arch_type": "enclosed",
-            }
-        ],
-        "facilities": [],
-        "mechanics": [],
-        "doors": [],
-        "stairs": [],
-        "adjacency": [],
-    }
-    level = import_level_json(json.dumps(doc))
+    level = import_level_json(_rooms_doc([(1, 0, (0.0, 0.0), (10.0, 10.0))]))
     assert len(level.rooms) == 1
     assert level.rooms[0].template == "Cell"
+
+
+IMPOSSIBLE_ROOMS = {
+    "floor_outside_level": [(1, 2, (0.0, 0.0), (10.0, 10.0))],
+    "no_rooms": [],
+    "room_leaves_bounds": [(1, 0, (5.0, 5.0), (10.0, 10.0))],
+    "room_inside_room": [(1, 0, (0.0, 0.0), (10.0, 10.0)), (2, 0, (2.0, 2.0), (4.0, 4.0))],
+    "duplicate_ids": [(1, 0, (0.0, 0.0), (5.0, 10.0)), (1, 0, (5.0, 0.0), (5.0, 10.0))],
+}
+
+
+@pytest.mark.parametrize("rooms", IMPOSSIBLE_ROOMS.values(), ids=IMPOSSIBLE_ROOMS.keys())
+def test_rooms_that_cannot_exist_are_rejected(rooms):
+    with pytest.raises(SchemaError):
+        import_level_json(_rooms_doc(rooms))
+
+
+def test_cli_rejects_rooms_that_cannot_exist(tmp_path, capsys):
+    path = tmp_path / "level.json"
+    for name, rooms in IMPOSSIBLE_ROOMS.items():
+        path.write_text(_rooms_doc(rooms))
+        assert cli.main(["simulate", "--level", str(path)]) == 1, name
+        assert capsys.readouterr().err.startswith("error: "), name
 
 
 def _linked_rooms_doc(doors=(), adjacency=()):
@@ -138,13 +169,13 @@ def test_cli_rejects_stored_door_between_rooms_sharing_no_wall(minimal_db, tmp_p
 
 def test_door_segment_nav_cells_and_vmf_openings_agree(hospital_db):
     config = LevelConfig()
-    level = Level(config, arrange_rooms(config, hospital_db, derive_rng(42, "arrange")))
+    level = arrange_rooms(config, hospital_db, derive_rng(42, "arrange"))
     grid = build_nav_grid(level)
     links = [(d.room_a, d.room_b, d) for d in level.doors]
     links += [(e.room_a, e.room_b, None) for e in level.adjacency if e.kind == "open"]
     assert any(door is None for *_, door in links) and level.doors
     for room_a, room_b, door in links:
-        axis, boundary, lo, hi = level.skeleton.shared_wall(room_a, room_b)
+        axis, boundary, lo, hi = level.shared_wall(room_a, room_b)
         if door is not None:
             across, along = (door.x, door.y) if axis == "x" else (door.y, door.x)
             assert across == boundary and along == (lo + hi) / 2.0

@@ -238,10 +238,38 @@ def test_cli_generate_simulate_and_export_vmf(tmp_path, capsys):
     assert cli.main(
         ["export-vmf", "--level", str(out / "level.json"), "--out", str(vmf)]
     ) == 0
-    from levelforge.vmf_reader import read_vmf
+    from vmf_reader import read_vmf
 
     summary = read_vmf(vmf.read_bytes())
     assert summary.brush_count > 0
+
+
+@pytest.mark.parametrize(
+    "group, key",
+    [
+        ("A-Baseline", "FloorKey"),
+        ("DB-Baseline", "FloorKey"),
+        ("A-Exploration", "KeyFragment"),
+        ("DB-Exploration", "KeyFragment"),
+    ],
+)
+def test_cli_generate_without_the_groups_key_definition_fails(tmp_path, capsys, group, key):
+    path = _db_path(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["mechanics"] = [m for m in doc["mechanics"] if m["name"] != key]
+    path.write_text(json.dumps(doc))
+    code = cli.main(
+        [
+            "generate",
+            "--db", str(path),
+            "--group", group,
+            "--seed", "7",
+            "--out", str(tmp_path / "out"),
+            "--width", "24", "--length", "24", "--height", "6", "--floors", "2",
+        ]
+    )
+    assert code == 1
+    assert f"mechanic {key!r} not in database" in capsys.readouterr().err
 
 
 def test_cli_experiment_writes_outputs(tmp_path):

@@ -269,8 +269,8 @@ def test_exploration_group_builds_three_spread_fragments(hospital_db):
 
 def test_exploration_exit_anchor_uses_stair_room(hospital_db):
     level = _floor_level([1, 2, 3, 4, 5, 6])
-    level.skeleton.floors = 2
-    level.skeleton.stairs.append(Stair(room_id=4, x=21.0, y=3.0, dims=Dimensions(2, 2, 3)))
+    level.config.floors = 2
+    level.stairs.append(Stair(room_id=4, x=21.0, y=3.0, dims=Dimensions(2, 2, 3)))
     insts = db_group_mechanics("exploration", level, 0, hospital_db, W)
     precedes = [r for i in insts for r in i.topo if r.kind == "precedes"]
     assert all(r.anchor_tau == 4.0 for r in precedes)

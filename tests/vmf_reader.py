@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from levelforge.errors import ParseError
 
 
 @dataclass
