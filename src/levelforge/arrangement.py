@@ -153,7 +153,7 @@ def gen_candidate_room(
     direction: str,
     db: Database,
     state: ArrangeState,
-    rng: Random | None = None,
+    rng: Random,
 ) -> RoomInstance | None:
     """Lowest-penalty template placement flush against `current`'s wall.
 
@@ -190,7 +190,7 @@ def gen_candidate_room(
         return None
     best_key = min((p, name) for p, name, _ in scored)
     tied = [c for p, name, c in scored if (p, name) == best_key]
-    if len(tied) == 1 or rng is None:
+    if len(tied) == 1:
         return tied[0]
     return tied[rng.randrange(len(tied))]
 

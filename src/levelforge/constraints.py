@@ -13,6 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import UnknownKind
 from .geometry import (
+    Dimensions,
     Pose,
     angle_diff,
     center_distance,
@@ -59,15 +60,6 @@ class ConstraintSpec:
     kind: str
     params: Mapping[str, object] = field(default_factory=dict)
     weight: float | None = None
-
-
-@dataclass(frozen=True)
-class RoomGeometry:
-    """Local frame of one room: [0,width] x [0,length] x [0,height]."""
-
-    width: float
-    length: float
-    height: float
 
 
 @dataclass(frozen=True)
@@ -187,7 +179,7 @@ def _nearest(subject: Pose, candidates: Sequence[Pose]) -> Pose | None:
 def eval_facility_penalty(
     spec: ConstraintSpec,
     subject: Pose,
-    room: RoomGeometry,
+    room: Dimensions,
     others: Sequence[tuple[str, Pose]] = (),
     weights: WeightConfig = DEFAULT_WEIGHTS,
 ) -> float:
@@ -294,7 +286,7 @@ def eval_facility_penalty(
 
 def total_constraint_penalty(
     facility,
-    room: RoomGeometry,
+    room: Dimensions,
     others: Sequence[tuple[str, Pose]] = (),
     weights: WeightConfig = DEFAULT_WEIGHTS,
 ) -> float:

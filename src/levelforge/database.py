@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .constraints import (
     ALL_KINDS,
@@ -22,7 +22,7 @@ from .constraints import (
     ConstraintSpec,
 )
 from .errors import ParseError, SchemaError, UnresolvedReferenceError
-from .geometry import Dimensions
+from .geometry import Dimensions, fits
 
 SCHEMA_VERSION = 1
 
@@ -337,46 +337,40 @@ def _parse_mechanic(obj, index: int) -> MechanicDef:
     )
 
 
-def _constraint_targets(spec: ConstraintSpec) -> list[str]:
-    target = spec.params.get("target")
-    return [target] if isinstance(target, str) else []
-
-
-def _bind_references(db: Database) -> None:
+def _unresolved_references(db: Database) -> Iterator[Violation]:
+    """Every name the database uses that no definition of its kind
+    carries, in document order."""
     facility_names = {f.name for f in db.facilities}
     room_names = {r.name for r in db.rooms}
     mechanic_names = {m.name for m in db.mechanics}
 
+    def targets(entity: str, specs, known: set[str], kind: str) -> Iterator[Violation]:
+        for spec in specs:
+            t = spec.params.get("target")
+            if isinstance(t, str) and t not in known:
+                yield Violation(
+                    entity, "unresolved-target", f"constraint target {t!r} is not a known {kind}"
+                )
+
     for f in db.facilities:
-        for spec in f.constraints:
-            for t in _constraint_targets(spec):
-                if t not in facility_names:
-                    raise UnresolvedReferenceError(
-                        f"facility {f.name!r}: constraint target {t!r} is not a known facility"
-                    )
+        yield from targets(f.name, f.constraints, facility_names, "facility")
     for r in db.rooms:
         for cf in r.characteristic_facilities:
             if cf.facility not in facility_names:
-                raise UnresolvedReferenceError(
-                    f"room {r.name!r}: characteristic facility {cf.facility!r} is not a known facility"
+                yield Violation(
+                    r.name,
+                    "unresolved-facility",
+                    f"characteristic facility {cf.facility!r} is not a known facility",
                 )
-        for spec in r.room_constraints:
-            for t in _constraint_targets(spec):
-                if t not in room_names:
-                    raise UnresolvedReferenceError(
-                        f"room {r.name!r}: constraint target {t!r} is not a known room template"
-                    )
+        yield from targets(r.name, r.room_constraints, room_names, "room template")
     for m in db.mechanics:
-        for spec in m.standard_constraints:
-            for t in _constraint_targets(spec):
-                if t not in facility_names:
-                    raise UnresolvedReferenceError(
-                        f"mechanic {m.name!r}: constraint target {t!r} is not a known facility"
-                    )
+        yield from targets(m.name, m.standard_constraints, facility_names, "facility")
         for tc in m.topo_constraints:
             if tc.other not in mechanic_names:
-                raise UnresolvedReferenceError(
-                    f"mechanic {m.name!r}: topological reference {tc.other!r} is not a known mechanic"
+                yield Violation(
+                    m.name,
+                    "unresolved-mechanic",
+                    f"topological reference {tc.other!r} is not a known mechanic",
                 )
 
 
@@ -413,7 +407,8 @@ def load_database(data: bytes | str) -> Database:
             for i, m in enumerate(_require_array(root["mechanics"], "mechanics"))
         ),
     )
-    _bind_references(db)
+    for v in _unresolved_references(db):
+        raise UnresolvedReferenceError(f"{v.entity}: {v.message}")
     return db
 
 
@@ -530,11 +525,7 @@ def _check_unique(kind: str, names: list[str], out: list[Violation]) -> None:
 
 def validate_database(db: Database) -> list[Violation]:
     """Check every type invariant; violations are data, not exceptions."""
-    out: list[Violation] = []
-    facility_names = {f.name for f in db.facilities}
-    room_names = {r.name for r in db.rooms}
-    mechanic_names = {m.name for m in db.mechanics}
-
+    out = list(_unresolved_references(db))
     _check_unique("facility", [f.name for f in db.facilities], out)
     _check_unique("room", [r.name for r in db.rooms], out)
     _check_unique("mechanic", [m.name for m in db.mechanics], out)
@@ -550,9 +541,6 @@ def validate_database(db: Database) -> list[Violation]:
                 out.append(
                     Violation(f.name, "constraint-tier", f"{spec.kind} is not facility-tier")
                 )
-            for t in _constraint_targets(spec):
-                if t not in facility_names:
-                    out.append(Violation(f.name, "unresolved-target", f"unknown facility {t!r}"))
         _check_constraint_weights(f.name, f.constraints, out)
 
     for r in db.rooms:
@@ -563,19 +551,11 @@ def validate_database(db: Database) -> list[Violation]:
             out.append(Violation(r.name, "arch-type", f"unknown arch_type {r.arch_type!r}"))
         for cf in r.characteristic_facilities:
             fac = db.facility(cf.facility)
-            if cf.facility not in facility_names or fac is None:
-                out.append(
-                    Violation(r.name, "unresolved-facility", f"unknown facility {cf.facility!r}")
-                )
-                continue
+            if fac is None:
+                continue  # reported as unresolved
             if cf.count < 1:
                 out.append(Violation(r.name, "facility-count", f"{cf.facility}: count {cf.count} < 1"))
-            fits = (
-                min(fac.dims.width, fac.dims.length) <= min(r.dims.width, r.dims.length)
-                and max(fac.dims.width, fac.dims.length) <= max(r.dims.width, r.dims.length)
-                and fac.dims.height <= r.dims.height
-            )
-            if not fits:
+            if not fits(fac.dims, r.dims):
                 out.append(
                     Violation(
                         r.name,
@@ -604,9 +584,6 @@ def validate_database(db: Database) -> list[Violation]:
         for spec in r.room_constraints:
             if spec.kind not in ROOM_KINDS:
                 out.append(Violation(r.name, "constraint-tier", f"{spec.kind} is not room-tier"))
-            for t in _constraint_targets(spec):
-                if t not in room_names:
-                    out.append(Violation(r.name, "unresolved-target", f"unknown room {t!r}"))
         _check_constraint_weights(r.name, r.room_constraints, out)
 
     for m in db.mechanics:
@@ -616,13 +593,8 @@ def validate_database(db: Database) -> list[Violation]:
                 out.append(
                     Violation(m.name, "constraint-tier", f"{spec.kind} is not facility-tier")
                 )
-            for t in _constraint_targets(spec):
-                if t not in facility_names:
-                    out.append(Violation(m.name, "unresolved-target", f"unknown facility {t!r}"))
         _check_constraint_weights(m.name, m.standard_constraints, out)
         for tc in m.topo_constraints:
-            if tc.other not in mechanic_names:
-                out.append(Violation(m.name, "unresolved-mechanic", f"unknown mechanic {tc.other!r}"))
             if tc.threshold is not None and tc.threshold < 0:
                 out.append(Violation(m.name, "threshold", f"{tc.kind} threshold {tc.threshold} < 0"))
 

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 from .arrangement import LevelConfig, _overlaps_any
 from .database import _constraint_to_json, _parse_constraint
 from .errors import ParseError, SchemaError
-from .geometry import Dimensions, Pose
+from .geometry import DOOR_WIDTH, Dimensions, Pose
 from .level import (
     AdjacencyEdge,
     Door,
@@ -38,7 +38,6 @@ LEVEL_SCHEMA_VERSION = 1
 DEFAULT_VMF_SCALE = 64.0  # map units per meter
 WALL_THICKNESS = 0.25
 SLAB_THICKNESS = 0.25
-DOOR_OPENING_WIDTH = 1.0
 DOOR_OPENING_HEIGHT = 2.0
 DEFAULT_CLASSNAME = "prop_dynamic"
 
@@ -236,6 +235,12 @@ def import_level_json(data: bytes | str) -> Level:
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"level document field error: {exc}") from exc
+    room_ids = {r.id for r in level.rooms}
+    named = [("a stair", s.room_id) for s in level.stairs]
+    named += [(repr(p.id), p.room_id) for p in (*level.facilities, *level.mechanics)]
+    for what, room_id in named:
+        if room_id not in room_ids:
+            raise SchemaError(f"{what} is in room {room_id}, which the level does not have")
     return level
 
 
@@ -325,40 +330,23 @@ class _Opening:
 
 
 def wall_openings(level: Level, room: RoomInstance) -> dict[str, list[_Opening]]:
-    """Openings per wall side ("-x", "+x", "-y", "+y") of one room."""
-    x0, y0, x1, y1 = room.footprint()
-    eps = 1e-9
+    """Openings per wall side ("-x", "+x", "-y", "+y") of one room: a door
+    width at each door, and the whole shared wall of each open edge."""
     out: dict[str, list[_Opening]] = {"-x": [], "+x": [], "-y": [], "+y": []}
-
-    def side_of(px: float, py: float) -> str | None:
-        if abs(px - x0) < eps:
-            return "-x"
-        if abs(px - x1) < eps:
-            return "+x"
-        if abs(py - y0) < eps:
-            return "-y"
-        if abs(py - y1) < eps:
-            return "+y"
-        return None
-
-    for door in level.doors:
-        if room.id not in (door.room_a, door.room_b):
+    links = [(d.room_a, d.room_b, d) for d in level.doors]
+    links += [(e.room_a, e.room_b, None) for e in level.adjacency if e.kind == "open"]
+    for room_a, room_b, door in links:
+        if room.id not in (room_a, room_b):
             continue
-        side = side_of(door.x, door.y)
-        if side is None:
-            continue
-        run = door.y if side in ("-x", "+x") else door.x
-        half = DOOR_OPENING_WIDTH / 2.0
-        out[side].append(_Opening(run - half, run + half, full_height=False))
-
-    for edge in level.adjacency:
-        if edge.kind != "open" or room.id not in (edge.room_a, edge.room_b):
-            continue
-        axis, boundary, lo, hi = level.shared_wall(edge.room_a, edge.room_b)
-        low_wall = x0 if axis == "x" else y0
-        side = ("-" if abs(boundary - low_wall) < eps else "+") + axis
-        out[side].append(_Opening(lo, hi, full_height=True))
-
+        axis, boundary, lo, hi = level.shared_wall(room_a, room_b)
+        low_wall = room.origin[0 if axis == "x" else 1]
+        side = ("-" if abs(boundary - low_wall) < 1e-9 else "+") + axis
+        if door is None:
+            out[side].append(_Opening(lo, hi, full_height=True))
+        else:
+            run = door.y if axis == "x" else door.x
+            half = DOOR_WIDTH / 2.0
+            out[side].append(_Opening(run - half, run + half, full_height=False))
     for side in out:
         out[side].sort(key=lambda o: (o.lo, o.hi))
     return out
@@ -366,10 +354,9 @@ def wall_openings(level: Level, room: RoomInstance) -> dict[str, list[_Opening]]
 
 def wall_segments(
     run_lo: float, run_hi: float, openings: Sequence[_Opening]
-) -> tuple[list[tuple[float, float]], int]:
-    """Solid wall segments left after cutting openings, plus header count."""
+) -> list[tuple[float, float]]:
+    """Solid wall segments left after cutting openings."""
     merged: list[list[float]] = []
-    headers = 0
     for op in sorted(openings, key=lambda o: (o.lo, o.hi)):
         lo, hi = max(run_lo, op.lo), min(run_hi, op.hi)
         if hi - lo <= 1e-9:
@@ -378,8 +365,6 @@ def wall_segments(
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
-        if not op.full_height:
-            headers += 1
     segments = []
     cursor = run_lo
     for lo, hi in merged:
@@ -388,20 +373,18 @@ def wall_segments(
         cursor = max(cursor, hi)
     if run_hi - cursor > 1e-9:
         segments.append((cursor, run_hi))
-    return segments, headers
+    return segments
 
 
-def _emit_room(w: _VmfWriter, level: Level, room: RoomInstance, scale: float) -> int:
-    """Emit the room's brushes; returns how many solids were written."""
+def _emit_room(w: _VmfWriter, level: Level, room: RoomInstance, scale: float) -> None:
+    """Emit the room's floor and ceiling slabs, wall segments and door headers."""
     x0, y0, x1, y1 = room.footprint()
     fh = level.config.floor_height
     z0 = room.floor * fh
     z1 = z0 + room.dims.height
-    count = 0
 
     _emit_box(w, (x0, y0, z0 - SLAB_THICKNESS), (x1, y1, z0), scale)
     _emit_box(w, (x0, y0, z1), (x1, y1, z1 + SLAB_THICKNESS), scale)
-    count += 2
 
     openings = wall_openings(level, room)
     t = WALL_THICKNESS
@@ -414,13 +397,11 @@ def _emit_room(w: _VmfWriter, level: Level, room: RoomInstance, scale: float) ->
     door_h = min(DOOR_OPENING_HEIGHT, room.dims.height)
     for side in ("-x", "+x", "-y", "+y"):
         (thick_lo, thick_hi), (run_lo, run_hi), run_axis = walls[side]
-        segments, _ = wall_segments(run_lo, run_hi, openings[side])
-        for lo, hi in segments:
+        for lo, hi in wall_segments(run_lo, run_hi, openings[side]):
             if run_axis == "y":
                 _emit_box(w, (thick_lo, lo, z0), (thick_hi, hi, z1), scale)
             else:
                 _emit_box(w, (lo, thick_lo, z0), (hi, thick_hi, z1), scale)
-            count += 1
         for op in openings[side]:
             if op.full_height or z0 + door_h >= z1 - 1e-9:
                 continue
@@ -431,8 +412,6 @@ def _emit_room(w: _VmfWriter, level: Level, room: RoomInstance, scale: float) ->
                 _emit_box(w, (thick_lo, lo, z0 + door_h), (thick_hi, hi, z1), scale)
             else:
                 _emit_box(w, (lo, thick_lo, z0 + door_h), (hi, thick_hi, z1), scale)
-            count += 1
-    return count
 
 
 def _classname(tags: Sequence[str], classmap: Mapping[str, str] | None) -> str:

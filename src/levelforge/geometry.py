@@ -1,5 +1,6 @@
-"""Axis-aligned box geometry, the shared-wall segment of two rooms, pose
-sampling and breadth-first hop counts, shared by every subsystem.
+"""Axis-aligned box geometry, the shared-wall segment of two rooms, the
+box-in-room rule (fit, clamp and pose sampling in a room's local frame)
+and breadth-first hop counts, shared by every subsystem.
 
 All footprints are axis-aligned rectangles on the floor plane; yaw only
 matters in 90-degree steps (it swaps width/length) and in the angular
@@ -23,7 +24,8 @@ DOOR_WIDTH = 1.0
 
 @dataclass(frozen=True)
 class Dimensions:
-    """Bounding-box size in meters."""
+    """Bounding-box size in meters. A room's dims are also its local frame,
+    [0,width] x [0,length] x [0,height], in which facilities are posed."""
 
     width: float
     length: float
@@ -195,20 +197,39 @@ def bfs(start: Hashable, neighbors: Callable[[Hashable], Iterable[Hashable]]) ->
     return dist
 
 
-def random_pose(dims: Dimensions, geom, rng: Random) -> Pose | None:
-    """Uniform pose of a box inside a `geom.width` x `geom.length` room.
+def fits(dims: Dimensions, room: Dimensions) -> bool:
+    """The box fits inside the room at some 90-degree yaw, height included."""
+    return (
+        min(dims.width, dims.length) <= min(room.width, room.length)
+        and max(dims.width, dims.length) <= max(room.width, room.length)
+        and dims.height <= room.height
+    )
+
+
+def clamp_into_room(pose: Pose, x: float, y: float, room: Dimensions) -> Pose | None:
+    """`pose` centred at the point nearest (x, y) where its footprint lies in
+    the [0,W]x[0,L] room; None when, at its yaw, the footprint is wider or
+    longer than the room."""
+    hx, hy = pose.half_extents()
+    if 2 * hx > room.width or 2 * hy > room.length:
+        return None
+    return pose.moved(min(max(x, hx), room.width - hx), min(max(y, hy), room.length - hy))
+
+
+def random_pose(dims: Dimensions, room: Dimensions, rng: Random) -> Pose | None:
+    """Uniform pose of a box inside the room.
 
     The yaw is a random 90-degree step, turned a quarter when the box does
     not fit that way; None when it fits neither way.
     """
     yaw = rng.randrange(4) * HALF_PI
     pose = Pose(0.0, 0.0, dims.height / 2.0, yaw, dims)
-    hx, hy = pose.half_extents()
-    if 2 * hx > geom.width or 2 * hy > geom.length:
-        pose = pose.rotated(yaw + HALF_PI)
-        hx, hy = pose.half_extents()
-        if 2 * hx > geom.width or 2 * hy > geom.length:
-            return None
-    pose.x = hx + rng.random() * (geom.width - 2 * hx)
-    pose.y = hy + rng.random() * (geom.length - 2 * hy)
+    # clamping the origin gives the lowest allowed centre, (hx, hy)
+    pose = clamp_into_room(pose, 0.0, 0.0, room) or clamp_into_room(
+        pose.rotated(yaw + HALF_PI), 0.0, 0.0, room
+    )
+    if pose is None:
+        return None
+    pose.x += rng.random() * (room.width - 2 * pose.x)
+    pose.y += rng.random() * (room.length - 2 * pose.y)
     return pose

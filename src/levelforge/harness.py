@@ -60,10 +60,6 @@ GROUPS = (
     "DB-Speedrun",
 )
 
-MC_SAMPLES = 200
-MC_SIGMA = 3.0
-
-
 def canonical_group(name: str) -> str:
     for g in GROUPS:
         if g.lower() == name.lower():
@@ -162,14 +158,7 @@ def _algorithmic_instances(
         elif strategy == "speedrun":
             chosen = [centrality_room(g)]
         else:
-            chosen = mc_dispersion_rooms(
-                g,
-                existing_keys=(),
-                n=keys,
-                sigma=MC_SIGMA,
-                samples=MC_SAMPLES,
-                rng=derive_rng(seed, "strategy", floor),
-            )
+            chosen = mc_dispersion_rooms(g, keys, derive_rng(seed, "strategy", floor))
         for k, room_id in enumerate(chosen):
             inst = MechanicInstance.of(
                 mdef, f"{def_name}@f{floor}#{k}", candidate_rooms=(room_id,)
@@ -247,7 +236,6 @@ def generate_level(
     db: Database,
     group: str | None,
     seed: int,
-    agent: AgentParams = AgentParams(),
     level_id: str | None = None,
 ) -> tuple[Level, MetricsRecord]:
     """Run the full pipeline for one seed; never raises in-level repair
@@ -279,9 +267,10 @@ def generate_level(
     _place_mechanics(level, instances, assignment, seed)
 
     adaptable_count = sum(1 for f in level.facilities if not f.fixed)
+    agent = AgentParams()
     grid = build_nav_grid(level)
     level, phase1 = geometric_repair(level, grid)
-    level, report = agent_repair(level, agent, grid, phase1)
+    level, report = agent_repair(level, agent, grid)
 
     record = MetricsRecord(
         level_id=level_id,
@@ -291,7 +280,7 @@ def generate_level(
         repair_time=report.repair_time,
         facilities_removed=report.facilities_removed,
         adaptable_facilities=adaptable_count,
-        phase1_moves=report.phase1_moves,
+        phase1_moves=phase1.phase1_moves,
         phase2_moves=report.phase2_moves,
     )
     if report.status != "repaired":

@@ -19,7 +19,6 @@ import numpy as np
 from .constraints import (
     DISTANCE_EPS,
     DEFAULT_WEIGHTS,
-    RoomGeometry,
     WeightConfig,
     eval_facility_penalty,
 )
@@ -28,6 +27,8 @@ from .geometry import (
     HALF_PI,
     Dimensions,
     Pose,
+    clamp_into_room,
+    fits,
     out_of_bounds_depth,
     penetration_depth,
     random_pose,
@@ -121,27 +122,20 @@ class ObjectiveBreakdown:
 
 @dataclass
 class RoomLayout:
-    room_id: int
     placements: dict[str, Pose]
     breakdown: ObjectiveBreakdown
 
 
-def interior_grid_points(geom: RoomGeometry) -> np.ndarray:
+def interior_grid_points(room: Dimensions) -> np.ndarray:
     """Unit-spaced test points strictly inside the room, on the floor plane."""
-    xs = np.arange(1.0, math.ceil(geom.width - 1e-9), 1.0)
-    ys = np.arange(1.0, math.ceil(geom.length - 1e-9), 1.0)
-    xs = xs[xs < geom.width]
-    ys = ys[ys < geom.length]
+    xs = np.arange(1.0, math.ceil(room.width - 1e-9), 1.0)
+    ys = np.arange(1.0, math.ceil(room.length - 1e-9), 1.0)
+    xs = xs[xs < room.width]
+    ys = ys[ys < room.length]
     if xs.size == 0 or ys.size == 0:
         return np.empty((0, 2))
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     return np.column_stack([gx.ravel(), gy.ravel()])
-
-
-def _room_geometry(room) -> RoomGeometry:
-    if isinstance(room, RoomGeometry):
-        return room
-    return RoomGeometry(room.dims.width, room.dims.length, room.dims.height)
 
 
 class _RoomEval:
@@ -149,17 +143,17 @@ class _RoomEval:
 
     def __init__(
         self,
-        geom: RoomGeometry,
+        room: Dimensions,
         facilities: Sequence[FacilityInstance],
         weights: WeightConfig,
         obstacles: Sequence[Pose] = (),
     ):
-        self.geom = geom
+        self.room = room
         self.weights = weights
         self.names = [f.def_name for f in facilities]
         self.constraints = [f.constraints for f in facilities]
         self.obstacle_footprints = [o.footprint() for o in obstacles]
-        self.grid = interior_grid_points(geom)
+        self.grid = interior_grid_points(room)
         self._gx = np.ascontiguousarray(self.grid[:, 0]) if self.grid.size else None
         self._gy = np.ascontiguousarray(self.grid[:, 1]) if self.grid.size else None
         self._cbuf = np.empty((len(facilities), 2))
@@ -168,7 +162,7 @@ class _RoomEval:
         w = self.weights
         n = len(poses)
         w_overlap, w_bounds = w.w_overlap, w.w_bounds
-        geom_w, geom_l = self.geom.width, self.geom.length
+        room_w, room_l = self.room.width, self.room.length
         footprints = [p.footprint() for p in poses]
 
         placement = 0.0
@@ -176,7 +170,7 @@ class _RoomEval:
         for i in range(n):
             pi = poses[i]
             fa = footprints[i]
-            oob = out_of_bounds_depth(fa, geom_w, geom_l)
+            oob = out_of_bounds_depth(fa, room_w, room_l)
             if oob > 0.0:
                 placement += w_bounds * oob * oob
             if self.constraints[i]:
@@ -185,7 +179,7 @@ class _RoomEval:
                 ]
                 for spec in self.constraints[i]:
                     placement += eval_facility_penalty(
-                        spec, pi, self.geom, others, w
+                        spec, pi, self.room, others, w
                     )
             for ob in self.obstacle_footprints:
                 depth = penetration_depth(fa, ob)
@@ -230,32 +224,18 @@ class _RoomEval:
 
 
 def objective(
-    room,
+    room: RoomInstance,
     facilities: Sequence[FacilityInstance],
     weights: WeightConfig = DEFAULT_WEIGHTS,
     obstacles: Sequence[Pose] = (),
 ) -> ObjectiveBreakdown:
     """Evaluate the room objective for the facilities' current poses."""
-    ev = _RoomEval(_room_geometry(room), facilities, weights, obstacles)
+    ev = _RoomEval(room.dims, facilities, weights, obstacles)
     return ev.breakdown([f.pose for f in facilities])
 
 
-def _fits(dims: Dimensions, geom: RoomGeometry) -> bool:
-    return (
-        min(dims.width, dims.length) <= min(geom.width, geom.length)
-        and max(dims.width, dims.length) <= max(geom.width, geom.length)
-        and dims.height <= geom.height
-    )
-
-
-def _clamp_center(x: float, y: float, hx: float, hy: float, geom: RoomGeometry):
-    cx = min(max(x, hx), geom.width - hx)
-    cy = min(max(y, hy), geom.length - hy)
-    return cx, cy
-
-
 def perturb(
-    room,
+    room: Dimensions,
     facilities: Sequence[FacilityInstance],
     poses: Sequence[Pose],
     rng: Random,
@@ -266,32 +246,24 @@ def perturb(
     With probability `translate_prob` the facility takes a gaussian step
     (clamped into the room); otherwise it rotates to the next 90-degree yaw.
     """
-    geom = _room_geometry(room)
     movable = [i for i, f in enumerate(facilities) if not f.fixed]
     if not movable:
         raise NoAdaptableFacilities("room has no adaptable facilities")
     idx = movable[rng.randrange(len(movable))]
-    sigma = sa.step_frac * math.hypot(geom.width, geom.length)
+    sigma = sa.step_frac * math.hypot(room.width, room.length)
 
     out = list(poses)
     cur = poses[idx]
     for _ in range(8):
-        if rng.random() < sa.translate_prob:
-            cand = cur
-        else:
-            cand = cur.rotated(cur.yaw + HALF_PI)
-            hx, hy = cand.half_extents()
-            if 2 * hx > geom.width or 2 * hy > geom.length:
-                cand = cur  # rotation cannot fit; translate instead
-        hx, hy = cand.half_extents()
-        nx, ny = _clamp_center(
-            cand.x + rng.gauss(0.0, sigma) if cand is cur else cand.x,
-            cand.y + rng.gauss(0.0, sigma) if cand is cur else cand.y,
-            hx,
-            hy,
-            geom,
-        )
-        cand = cand.moved(nx, ny)
+        cand = None
+        if rng.random() >= sa.translate_prob:
+            turned = cur.rotated(cur.yaw + HALF_PI)
+            # None when the turn cannot fit; translate instead
+            cand = clamp_into_room(turned, turned.x, turned.y, room)
+        if cand is None:
+            cand = clamp_into_room(
+                cur, cur.x + rng.gauss(0.0, sigma), cur.y + rng.gauss(0.0, sigma), room
+            )
         if cand.x != cur.x or cand.y != cur.y or cand.yaw != cur.yaw:
             out[idx] = cand
             return out
@@ -315,29 +287,28 @@ def optimize_room_layout(
     layout across all runs wins.
     """
     rng = rng or Random(0)
-    geom = _room_geometry(room)
-    room_id = getattr(room, "id", 0)
+    dims = room.dims
     for f in facilities:
-        if not _fits(f.pose.dims, geom):
+        if not fits(f.pose.dims, dims):
             raise InfeasibleRoom(
-                f"facility {f.id!r} ({f.pose.dims}) cannot fit in room {room_id}"
+                f"facility {f.id!r} ({f.pose.dims}) cannot fit in room {room.id}"
             )
 
-    ev = _RoomEval(geom, facilities, weights, obstacles)
+    ev = _RoomEval(dims, facilities, weights, obstacles)
 
     def init(rng: Random) -> list[Pose]:
-        # _fits above guarantees random_pose finds a yaw that fits
+        # `fits` above guarantees random_pose finds a yaw that fits
         return [
-            f.pose if f.fixed else random_pose(f.pose.dims, geom, rng)
+            f.pose if f.fixed else random_pose(f.pose.dims, dims, rng)
             for f in facilities
         ]
 
     def propose(poses: list[Pose], rng: Random) -> list[Pose]:
-        return perturb(geom, facilities, poses, rng, sa)
+        return perturb(dims, facilities, poses, rng, sa)
 
     movable = any(not f.fixed for f in facilities)
     best_poses, best = anneal(
         init, propose if movable else None, ev.breakdown, sa, rng, trace
     )
     placements = {f.id: p for f, p in zip(facilities, best_poses)}
-    return RoomLayout(room_id=room_id, placements=placements, breakdown=best)
+    return RoomLayout(placements, best)

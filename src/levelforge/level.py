@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .constraints import ConstraintSpec, RoomGeometry
+from .constraints import ConstraintSpec
 from .errors import SchemaError
 from .geometry import Dimensions, Pose, shared_segment
 
@@ -27,9 +27,6 @@ class RoomInstance:
     dims: Dimensions
     tau: int
     arch_type: str
-
-    def geometry(self) -> RoomGeometry:
-        return RoomGeometry(self.dims.width, self.dims.length, self.dims.height)
 
     def footprint(self) -> tuple[float, float, float, float]:
         ox, oy = self.origin

@@ -21,7 +21,7 @@ from .constraints import (
 )
 from .database import Database, MechanicDef
 from .errors import NoFreeSpace, NoRooms, UnboundMechanic, UnresolvedReferenceError
-from .geometry import HALF_PI, Dimensions, Pose, penetration_depth, random_pose
+from .geometry import HALF_PI, Dimensions, Pose, clamp_into_room, penetration_depth, random_pose
 from .layout import SAParams, anneal
 from .level import Level, MechanicPlacement, RoomInstance, TopoRule
 from .seeding import derive_rng
@@ -112,27 +112,25 @@ def make_cstd_evaluator(
     level: Level,
     weights: WeightConfig = DEFAULT_WEIGHTS,
     seed: int = 0,
-    samples: int = CSTD_SAMPLES,
 ) -> CStdEvaluator:
     """Minimal standard-constraint cost of a mechanic in a room, estimated
-    as the best of `samples` sampled poses and cached per (mechanic, room)."""
+    as the best of CSTD_SAMPLES sampled poses and cached per (mechanic, room)."""
     cache: dict[tuple[str, int], float] = {}
 
     def evaluate(inst: MechanicInstance, room_id: int) -> float:
         key = (inst.id, room_id)
         if key in cache:
             return cache[key]
-        room = level.room_by_id(room_id)
-        geom = room.geometry()
+        dims = level.room_by_id(room_id).dims
         others = [(f.def_name, f.pose) for f in level.facilities_in_room(room_id)]
         rng = derive_rng(seed, "cstd", inst.id, room_id)
         best = math.inf
-        for _ in range(samples):
-            pose = random_pose(inst.dims, geom, rng)
+        for _ in range(CSTD_SAMPLES):
+            pose = random_pose(inst.dims, dims, rng)
             if pose is None:
                 break
             cost = sum(
-                eval_facility_penalty(spec, pose, geom, others, weights)
+                eval_facility_penalty(spec, pose, dims, others, weights)
                 for spec in inst.standard_constraints
             )
             if cost < best:
@@ -261,21 +259,19 @@ def place_mechanic_in_room(
     penalty plus overlap penalty; existing facilities are never moved.
     Raises NoFreeSpace when every candidate overlaps something.
     """
-    geom = room.geometry()
+    dims = room.dims
     occupied = [p.footprint() for _, p in others] + [o.footprint() for o in obstacles]
 
     best: tuple[float, Pose] | None = None
     any_clear = False
     for _ in range(PLACEMENT_POSITIONS):
-        px = rng.random() * geom.width
-        py = rng.random() * geom.length
+        px = rng.random() * dims.width
+        py = rng.random() * dims.length
         for k in range(PLACEMENT_YAWS):
             pose = Pose(0.0, 0.0, mechanic.dims.height / 2.0, k * HALF_PI, mechanic.dims)
-            hx, hy = pose.half_extents()
-            if 2 * hx > geom.width or 2 * hy > geom.length:
+            pose = clamp_into_room(pose, px, py, dims)
+            if pose is None:
                 continue
-            pose.x = min(max(px, hx), geom.width - hx)
-            pose.y = min(max(py, hy), geom.length - hy)
             fp = pose.footprint()
             overlap = 0.0
             clear = True
@@ -285,7 +281,7 @@ def place_mechanic_in_room(
                     clear = False
                     overlap += weights.w_overlap * depth * depth
             score = overlap + sum(
-                eval_facility_penalty(spec, pose, geom, others, weights)
+                eval_facility_penalty(spec, pose, dims, others, weights)
                 for spec in mechanic.standard_constraints
             )
             any_clear = any_clear or clear

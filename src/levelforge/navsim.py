@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import UnreachableKey, UnreachableRoom
-from .geometry import Pose, bfs, penetration_depth
+from .geometry import Pose, bfs, clamp_into_room, penetration_depth
 from .level import FacilityInstance, Level, MechanicPlacement, RoomInstance
 
 FREE = 0
@@ -350,14 +350,6 @@ def _spiral_offsets(radius: int) -> list[tuple[int, int]]:
     return offs
 
 
-def _pose_fits_room(pose: Pose, room: RoomInstance) -> bool:
-    hx, hy = pose.half_extents()
-    return (
-        hx <= pose.x <= room.dims.width - hx
-        and hy <= pose.y <= room.dims.length - hy
-    )
-
-
 def _pose_clear(
     pose: Pose,
     fac_id: str,
@@ -380,16 +372,14 @@ def _pose_clear(
 
 
 def _relocation_poses(fac: FacilityInstance, room: RoomInstance) -> Iterable[Pose]:
-    """Nearby candidate poses in spiral order, nearest first, same yaw."""
+    """Nearby candidate poses in spiral order, nearest first, same yaw;
+    none when the facility does not fit the room at that yaw."""
     radius = int(math.ceil(max(room.dims.width, room.dims.length)))
     for dx, dy in _spiral_offsets(radius):
-        pose = fac.pose.moved(fac.pose.x + dx, fac.pose.y + dy)
-        hx, hy = pose.half_extents()
-        pose.x = min(max(pose.x, hx), room.dims.width - hx)
-        pose.y = min(max(pose.y, hy), room.dims.length - hy)
-        if pose.x == fac.pose.x and pose.y == fac.pose.y:
-            continue
-        if _pose_fits_room(pose, room):
+        pose = clamp_into_room(fac.pose, fac.pose.x + dx, fac.pose.y + dy, room.dims)
+        if pose is None:
+            return
+        if pose.x != fac.pose.x or pose.y != fac.pose.y:
             yield pose
 
 
@@ -582,10 +572,7 @@ def target_cell(
 # -- phase-2 agent repair --------------------------------------------------------
 
 def agent_repair(
-    level: Level,
-    agent: AgentParams = AgentParams(),
-    grid: NavGrid | None = None,
-    phase1: RepairReport | None = None,
+    level: Level, agent: AgentParams, grid: NavGrid
 ) -> tuple[Level, RepairReport]:
     """Phase two: walk rooms in topological order, repositioning then
     removing adaptable blockers until the whole order connects.
@@ -595,9 +582,7 @@ def agent_repair(
     plus a timeout per failed attempt) accumulates; exceeding the budget
     marks the level unrepairable.
     """
-    if grid is None:
-        grid = build_nav_grid(level)
-    report = RepairReport(phase1_moves=phase1.phase1_moves if phase1 else 0)
+    report = RepairReport()
     rooms = sorted(level.rooms, key=lambda r: r.tau)
     repositioned: set[str] = set()
     time = 0.0
@@ -768,15 +753,10 @@ def _walk_targets(
 
 
 def rerun_validation(
-    level: Level,
-    agent: AgentParams = AgentParams(),
-    grid: NavGrid | None = None,
-    trace: list | None = None,
+    level: Level, agent: AgentParams, grid: NavGrid, trace: list | None = None
 ) -> RerunResult:
     """Retraverse every room in topological order; any failure is a repair
     contract violation, not a level property."""
-    if grid is None:
-        grid = build_nav_grid(level)
     rooms = sorted(level.rooms, key=lambda r: r.tau)
     start = target_cell(grid, rooms[0])
     if start is None:
@@ -791,13 +771,11 @@ def rerun_validation(
 def simulate_objectives(
     level: Level,
     keys: Sequence[MechanicPlacement],
-    agent: AgentParams = AgentParams(),
-    grid: NavGrid | None = None,
+    agent: AgentParams,
+    grid: NavGrid,
     trace: list | None = None,
 ) -> SimResult:
     """Collect keys in ascending room order, then head to the level end."""
-    if grid is None:
-        grid = build_nav_grid(level)
     rooms = sorted(level.rooms, key=lambda r: r.tau)
     start = target_cell(grid, rooms[0])
     if start is None:

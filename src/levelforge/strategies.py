@@ -11,10 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Sequence
 
 from .geometry import bfs
 from .level import Level, RoomInstance
+
+# Monte Carlo dispersion: sampled points per claimed room, and the width of
+# each claimed key's gaussian in the key-density field.
+MC_SAMPLES = 200
+MC_SIGMA = 3.0
 
 
 @dataclass
@@ -48,14 +52,13 @@ def build_floor_graph(level: Level, floor: int) -> FloorGraph:
     )
 
 
-def bfs_balanced_room(g: FloorGraph, w_start: float = 0.5, w_end: float = 0.5) -> int:
+def bfs_balanced_room(g: FloorGraph) -> int:
     """The deepest room among those balanced between the start and end.
 
-    Candidate rooms minimize the weighted distance imbalance
-    |w_start*d_start - w_end*d_end|; within that set the reciprocal score
-    w_start/d_start + w_end/d_end ranks candidates and the minimum (the
-    room farthest from both endpoints) wins, ties breaking on the lowest
-    topological order. Ranking by the raw score alone rewards rooms
+    Candidate rooms minimize the distance imbalance |d_start - d_end|;
+    within that set the reciprocal score 1/d_start + 1/d_end ranks
+    candidates and the minimum (the room farthest from both endpoints)
+    wins, ties breaking on the lowest topological order. Ranking by the raw score alone rewards rooms
     adjacent to either endpoint, which measurably inverts the intended
     pacing: baseline keys would beat the speedrun strategy. Endpoint rooms
     themselves are excluded.
@@ -70,8 +73,8 @@ def bfs_balanced_room(g: FloorGraph, w_start: float = 0.5, w_end: float = 0.5) -
         de = d_end.get(node)
         if not ds or not de:  # unreachable or an endpoint itself
             continue
-        imbalance = abs(w_start * ds - w_end * de)
-        score = w_start / ds + w_end / de
+        imbalance = abs(ds - de)
+        score = 1.0 / ds + 1.0 / de
         candidates.append((imbalance, score, g.tau(node), node))
     if not candidates:
         return g.start
@@ -94,14 +97,7 @@ def _neighbor_distance_spread(g: FloorGraph, room_id: int) -> float:
     return math.sqrt(sum((d - mean) ** 2 for d in dists) / len(dists))
 
 
-def mc_dispersion_rooms(
-    g: FloorGraph,
-    existing_keys: Sequence[tuple[float, float]] = (),
-    n: int = 3,
-    sigma: float = 3.0,
-    samples: int = 200,
-    rng: Random | None = None,
-) -> list[int]:
+def mc_dispersion_rooms(g: FloorGraph, n: int, rng: Random) -> list[int]:
     """Pick `n` distinct key rooms by sampling low key-density points.
 
     Each round samples candidate points uniformly over the remaining rooms'
@@ -109,19 +105,18 @@ def mc_dispersion_rooms(
     times one minus the normalized gaussian key density, and claims the
     best point's room; the room center joins the density field.
     """
-    rng = rng or Random(0)
     if n >= len(g.nodes):
         return list(g.nodes)
-    keys = [(float(x), float(y)) for x, y in existing_keys]
+    keys: list[tuple[float, float]] = []
     available = list(g.nodes)
     weights = [g.rooms[r].dims.footprint_area() for r in available]
     selected: list[int] = []
-    inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma)
+    inv_two_sigma2 = 1.0 / (2.0 * MC_SIGMA * MC_SIGMA)
 
     for _ in range(n):
         spread = {r: _neighbor_distance_spread(g, r) for r in available}
         best: tuple[float, int] | None = None
-        for _ in range(samples):
+        for _ in range(MC_SAMPLES):
             room_id = rng.choices(available, weights=weights, k=1)[0]
             room = g.rooms[room_id]
             ox, oy = room.origin

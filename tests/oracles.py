@@ -16,7 +16,6 @@ import numpy as np
 from levelforge.constraints import (
     DISTANCE_EPS,
     ConstraintSpec,
-    RoomGeometry,
     WeightConfig,
     eval_facility_penalty,
 )
@@ -29,7 +28,7 @@ GRID_STEP = 0.5
 YAWS = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 
 
-def enumerate_poses(dims: Dimensions, geom: RoomGeometry, yaw_sensitive: bool) -> list[Pose]:
+def enumerate_poses(dims: Dimensions, geom: Dimensions, yaw_sensitive: bool) -> list[Pose]:
     """All grid poses; yaw-equivalent duplicates collapse when no constraint
     reads the yaw (identical footprint and penalties, so the optimum is
     unchanged)."""
@@ -74,7 +73,7 @@ def _centers(poses: list[Pose]) -> np.ndarray:
 def _solo_costs(
     poses: list[Pose],
     inst: FacilityInstance,
-    geom: RoomGeometry,
+    geom: Dimensions,
     fixed: list[FacilityInstance],
     weights: WeightConfig,
 ) -> np.ndarray:
@@ -105,7 +104,7 @@ def _solo_costs(
 
 
 def oracle_layout_optimum(
-    geom: RoomGeometry,
+    geom: Dimensions,
     adaptable: list[FacilityInstance],
     fixed: list[FacilityInstance],
     weights: WeightConfig,
@@ -198,7 +197,7 @@ def make_layout_instance(index: int):
     """Seeded small-room instance mix for the annealer-vs-oracle check."""
     rng = Random(derive_seed("layout-oracle", index))
     side = rng.choice([5.0, 6.0, 7.0, 8.0])
-    geom = RoomGeometry(side, side, 3.0)
+    geom = Dimensions(side, side, 3.0)
     weights = WeightConfig()
 
     def inst(name, idx, dims, constraints=()):

@@ -14,7 +14,7 @@ from random import Random
 import pytest
 
 from levelforge.arrangement import LevelConfig
-from levelforge.constraints import ConstraintSpec, RoomGeometry, eval_facility_penalty
+from levelforge.constraints import ConstraintSpec, eval_facility_penalty
 from levelforge.export import export_level_json, export_vmf, import_level_json, level_hash
 from levelforge.geometry import Dimensions, Pose
 from levelforge.harness import (
@@ -63,7 +63,7 @@ def paper_experiment(tmp_path_factory, hospital_db):
 def test_criterion_1_formula_correctness():
     """Every penalty kind matches its hand evaluation to 1e-9 relative."""
     started = time.monotonic()
-    room = RoomGeometry(20.0, 20.0, 3.0)
+    room = Dimensions(20.0, 20.0, 3.0)
 
     def pose(x, y, yaw=0.0, w=1.0, l=1.0):
         return Pose(x, y, 0.5, yaw, Dimensions(w, l, 1.0))
@@ -158,7 +158,7 @@ def test_criterion_2_layout_sa_matches_exhaustive_oracle():
         geom, adaptable, fixed, weights = make_layout_instance(idx)
         best = oracle_layout_optimum(geom, adaptable, fixed, weights)
         layout = optimize_room_layout(
-            geom,
+            make_room(1, (0.0, 0.0), geom.width, geom.length, h=geom.height),
             adaptable + fixed,
             weights,
             SAParams(restarts=5),

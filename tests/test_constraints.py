@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from levelforge.constraints import (
     ConstraintSpec,
-    RoomGeometry,
     eval_facility_penalty,
     eval_room_penalty,
     total_constraint_penalty,
@@ -16,7 +15,7 @@ from levelforge.geometry import Dimensions, Pose, penetration_depth
 
 from conftest import make_facility, make_room
 
-ROOM = RoomGeometry(20.0, 20.0, 3.0)
+ROOM = Dimensions(20.0, 20.0, 3.0)
 REL = 1e-9
 
 

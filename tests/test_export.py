@@ -7,7 +7,6 @@ from levelforge.arrangement import LevelConfig, arrange_rooms
 from levelforge.errors import SchemaError
 from levelforge.export import (
     DOOR_OPENING_HEIGHT,
-    DOOR_OPENING_WIDTH,
     export_level_json,
     export_vmf,
     import_level_json,
@@ -17,7 +16,7 @@ from levelforge.export import (
 from levelforge.harness import generate_level
 from levelforge.layout import SAParams
 from levelforge.level import MechanicPlacement
-from levelforge.geometry import Dimensions, Pose, shared_segment
+from levelforge.geometry import DOOR_WIDTH, Dimensions, Pose, shared_segment
 from levelforge.navsim import DOOR, build_nav_grid
 from levelforge.seeding import derive_rng
 
@@ -101,6 +100,35 @@ def test_cli_rejects_rooms_that_cannot_exist(tmp_path, capsys):
         path.write_text(_rooms_doc(rooms))
         assert cli.main(["simulate", "--level", str(path)]) == 1, name
         assert capsys.readouterr().err.startswith("error: "), name
+
+
+_POSE = {"center": [5.0, 5.0, 0.5], "yaw": 0.0, "dims": [1.0, 1.0, 1.0]}
+
+# One entry per kind of object that names its room; each names room 9 of a
+# one-room level.
+IN_UNKNOWN_ROOM = {
+    "stairs": {"room": 9, "position": [5.0, 5.0], "dims": [2.0, 2.0, 3.0]},
+    "facilities": {
+        "id": "f", "def": "Crate", "room": 9, "pose": _POSE, "fixed": False, "constraints": [],
+    },
+    "mechanics": {
+        "id": "k", "def": "FloorKey", "room": 9, "pose": _POSE, "constraints": [], "topo": [],
+    },
+}
+
+
+@pytest.mark.parametrize("kind", IN_UNKNOWN_ROOM)
+def test_reference_to_an_unknown_room_is_rejected(kind, tmp_path, capsys):
+    doc = json.loads(_rooms_doc([(1, 0, (0.0, 0.0), (10.0, 10.0))]))
+    doc[kind] = [IN_UNKNOWN_ROOM[kind]]
+    with pytest.raises(SchemaError, match="room 9"):
+        import_level_json(json.dumps(doc))
+    path = tmp_path / "level.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--level", str(path)]) == 1
+    assert cli.main(["export-vmf", "--level", str(path), "--out", str(tmp_path / "l.vmf")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
 
 
 def _linked_rooms_doc(doors=(), adjacency=()):
@@ -194,7 +222,7 @@ def test_door_segment_nav_cells_and_vmf_openings_agree(hospital_db):
             if door is None:
                 assert (lo, hi, True) in openings
             else:
-                half = DOOR_OPENING_WIDTH / 2.0
+                half = DOOR_WIDTH / 2.0
                 assert (along - half, along + half, False) in openings
 
 
@@ -266,12 +294,12 @@ def expected_brush_count(level):
             if abs(door.x - x0) < eps or abs(door.x - x1) < eps:
                 side = "-x" if abs(door.x - x0) < eps else "+x"
                 sides[side].append(
-                    (door.y - DOOR_OPENING_WIDTH / 2, door.y + DOOR_OPENING_WIDTH / 2)
+                    (door.y - DOOR_WIDTH / 2, door.y + DOOR_WIDTH / 2)
                 )
             else:
                 side = "-y" if abs(door.y - y0) < eps else "+y"
                 sides[side].append(
-                    (door.x - DOOR_OPENING_WIDTH / 2, door.x + DOOR_OPENING_WIDTH / 2)
+                    (door.x - DOOR_WIDTH / 2, door.x + DOOR_WIDTH / 2)
                 )
             if room.dims.height > DOOR_OPENING_HEIGHT + eps:
                 headers += 1

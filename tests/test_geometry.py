@@ -1,8 +1,19 @@
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from levelforge.geometry import DOOR_WIDTH, Dimensions, random_pose, shared_segment
+from levelforge.geometry import (
+    DOOR_WIDTH,
+    HALF_PI,
+    Dimensions,
+    Pose,
+    clamp_into_room,
+    fits,
+    random_pose,
+    shared_segment,
+)
 
 
 @pytest.mark.parametrize(
@@ -30,11 +41,35 @@ def test_shared_segment_table(fa, fb, expected):
 
 
 def test_random_pose_turns_to_fit_and_gives_up_when_neither_way_fits():
-    class Room:
-        width, length = 2.0, 8.0
-
+    room = Dimensions(2.0, 8.0, 1.0)
     for seed in range(20):
-        pose = random_pose(Dimensions(6.0, 1.0, 1.0), Room, Random(seed))
+        pose = random_pose(Dimensions(6.0, 1.0, 1.0), room, Random(seed))
         x0, y0, x1, y1 = pose.footprint()
-        assert 0.0 <= x0 and x1 <= Room.width and 0.0 <= y0 and y1 <= Room.length
-    assert random_pose(Dimensions(3.0, 9.0, 1.0), Room, Random(0)) is None
+        assert 0.0 <= x0 and x1 <= room.width and 0.0 <= y0 and y1 <= room.length
+    assert random_pose(Dimensions(3.0, 9.0, 1.0), room, Random(0)) is None
+
+
+sizes = st.floats(min_value=0.05, max_value=20.0)
+coords = st.floats(min_value=-40.0, max_value=40.0)
+
+
+@given(w=sizes, l=sizes, room_w=sizes, room_l=sizes, quarter=st.integers(0, 3), x=coords, y=coords)
+def test_clamp_puts_the_footprint_inside_the_room_whenever_it_fits(
+    w, l, room_w, room_l, quarter, x, y
+):
+    room = Dimensions(room_w, room_l, 3.0)
+    pose = Pose(0.0, 0.0, 0.5, quarter * HALF_PI, Dimensions(w, l, 1.0))
+    across, along = (w, l) if quarter % 2 == 0 else (l, w)
+    clamped = clamp_into_room(pose, x, y, room)
+    assert (clamped is None) == (across > room_w or along > room_l)
+    if clamped is not None:
+        x0, y0, x1, y1 = clamped.footprint()
+        eps = 1e-9
+        assert -eps <= x0 and x1 <= room_w + eps and -eps <= y0 and y1 <= room_l + eps
+        assert clamped.yaw == pose.yaw
+
+
+@given(w=sizes, l=sizes, room_w=sizes, room_l=sizes, seed=st.integers(0, 2**32))
+def test_fits_exactly_when_random_pose_finds_a_pose(w, l, room_w, room_l, seed):
+    dims, room = Dimensions(w, l, 1.0), Dimensions(room_w, room_l, 1.0)
+    assert fits(dims, room) == (random_pose(dims, room, Random(seed)) is not None)

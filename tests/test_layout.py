@@ -6,7 +6,6 @@ import pytest
 from levelforge.constraints import (
     DISTANCE_EPS,
     ConstraintSpec,
-    RoomGeometry,
     WeightConfig,
     eval_facility_penalty,
     total_constraint_penalty,
@@ -25,26 +24,27 @@ from levelforge.layout import (
 from conftest import make_facility, make_room
 from oracles import make_layout_instance, oracle_layout_optimum
 
-GEOM = RoomGeometry(10.0, 10.0, 3.0)
+ROOM = make_room(1, (0.0, 0.0), 10, 10)
+GEOM = ROOM.dims
 W = WeightConfig()
 
 
 def test_objective_of_empty_room_is_all_zero():
-    b = objective(GEOM, [])
+    b = objective(ROOM, [])
     assert (b.placement, b.cluster, b.sparsity, b.total) == (0, 0, 0, 0)
 
 
 def test_cluster_term_matches_inverse_distance_formula():
     a = make_facility("a", 1, 4.0, 5.0)
     b = make_facility("b", 1, 5.0, 5.0)
-    breakdown = objective(GEOM, [a, b])
+    breakdown = objective(ROOM, [a, b])
     assert breakdown.cluster == pytest.approx(1.0 / 1.1, rel=1e-9)
 
 
 def test_total_combines_terms_with_scales():
     a = make_facility("a", 1, 4.0, 5.0)
     b = make_facility("b", 1, 5.0, 5.0)
-    breakdown = objective(GEOM, [a, b])
+    breakdown = objective(ROOM, [a, b])
     assert breakdown.total == pytest.approx(
         W.penalty_scale * breakdown.placement
         + W.cluster_scale * breakdown.cluster
@@ -56,7 +56,7 @@ def test_total_combines_terms_with_scales():
 def test_disjoint_unconstrained_facilities_have_zero_placement():
     a = make_facility("a", 1, 2.0, 2.0)
     b = make_facility("b", 1, 7.0, 7.0)
-    assert objective(GEOM, [a, b]).placement == 0.0
+    assert objective(ROOM, [a, b]).placement == 0.0
 
 
 def test_objective_matches_independent_resummation():
@@ -81,7 +81,7 @@ def test_objective_matches_independent_resummation():
             )
             for i in range(n)
         ]
-        breakdown = objective(GEOM, facs)
+        breakdown = objective(ROOM, facs)
 
         placement = 0.0
         cluster = 0.0
@@ -119,13 +119,13 @@ def test_objective_invariant_under_relabeling():
         make_facility("b", 1, 7.0, 3.0, w=2.0),
         make_facility("c", 1, 5.0, 8.0),
     ]
-    forward = objective(GEOM, facs)
-    backward = objective(GEOM, list(reversed(facs)))
+    forward = objective(ROOM, facs)
+    backward = objective(ROOM, list(reversed(facs)))
     assert forward.total == pytest.approx(backward.total, rel=1e-12)
 
 
 def test_interior_grid_points_are_strictly_inside():
-    pts = interior_grid_points(RoomGeometry(4.0, 3.0, 3.0))
+    pts = interior_grid_points(Dimensions(4.0, 3.0, 3.0))
     assert sorted(map(tuple, pts.tolist())) == [
         (1.0, 1.0),
         (1.0, 2.0),

@@ -363,15 +363,15 @@ def test_vertical_steps_use_floor_height():
 
 def test_single_room_rerun_metrics():
     level = single_room_level()
-    result = rerun_validation(level, AGENT)
+    result = rerun_validation(level, AGENT, build_nav_grid(level))
     assert result.rerun_time == 0.0
     assert result.grid_cells == 9  # dilated start cell
     assert not result.abnormal
 
 
 def test_rerun_counts_revisited_cells_once(two_room_level):
-    result = rerun_validation(two_room_level, AGENT)
     grid = build_nav_grid(two_room_level)
+    result = rerun_validation(two_room_level, AGENT, grid)
     start = target_cell(grid, two_room_level.room_by_id(1))
     tgt = target_cell(grid, two_room_level.room_by_id(2))
     path = astar_path(grid, start, tgt)
@@ -390,7 +390,7 @@ def test_rerun_raises_on_unreachable_room(two_room_level):
         make_facility("seal", 1, 9.5, 5.5, fixed=True)
     )
     with pytest.raises(UnreachableRoom):
-        rerun_validation(two_room_level, AGENT)
+        rerun_validation(two_room_level, AGENT, build_nav_grid(two_room_level))
 
 
 # -- objective simulation -----------------------------------------------------------------
@@ -408,8 +408,8 @@ def _key(level, kid, room_id, x, y):
 
 
 def test_zero_keys_simulation_is_direct_path(two_room_level):
-    sim = simulate_objectives(two_room_level, [], AGENT)
     grid = build_nav_grid(two_room_level)
+    sim = simulate_objectives(two_room_level, [], AGENT, grid)
     start = target_cell(grid, two_room_level.room_by_id(1))
     end = target_cell(grid, two_room_level.room_by_id(2))
     path = astar_path(grid, start, end)
@@ -419,11 +419,11 @@ def test_zero_keys_simulation_is_direct_path(two_room_level):
 
 
 def test_key_on_direct_path_adds_no_detour(two_room_level):
-    baseline = simulate_objectives(two_room_level, [], AGENT)
     grid = build_nav_grid(two_room_level)
+    baseline = simulate_objectives(two_room_level, [], AGENT, grid)
     end = target_cell(grid, two_room_level.room_by_id(2))
     key = _key(two_room_level, "k", 2, end[1] - 10.0 + 0.5, end[2] + 0.5)
-    sim = simulate_objectives(two_room_level, [key], AGENT)
+    sim = simulate_objectives(two_room_level, [key], AGENT, grid)
     assert sim.simulation_time == pytest.approx(baseline.simulation_time)
 
 
@@ -467,7 +467,7 @@ def test_pocketed_key_collected_from_nearest_reachable_cell():
     for i, (x, y) in enumerate(ring):
         level.facilities.append(make_facility(f"ring{i}", 1, x, y, fixed=True))
     key = _key(level, "pocketed", 1, 1.5, 1.5)
-    sim = simulate_objectives(level, [key], AGENT)
+    sim = simulate_objectives(level, [key], AGENT, build_nav_grid(level))
     assert sim.simulation_time > 0.0
 
 
@@ -481,5 +481,5 @@ def test_keys_visited_in_room_tau_order():
     adjacency = [AdjacencyEdge(1, 2, "door"), AdjacencyEdge(2, 3, "door")]
     level = make_level(rooms, doors, adjacency, width=30, length=10)
     keys = [_key(level, "late", 3, 5.0, 5.0), _key(level, "early", 1, 5.0, 5.0)]
-    sim = simulate_objectives(level, keys, AGENT)
+    sim = simulate_objectives(level, keys, AGENT, build_nav_grid(level))
     assert sim.simulation_time > 0.0

@@ -34,11 +34,11 @@ def path_graph(n):
 
 def test_three_node_path_picks_middle():
     g = path_graph(3)
-    assert bfs_balanced_room(g) == 2  # only candidate: 0.5/1 + 0.5/1 = 1.0
+    assert bfs_balanced_room(g) == 2  # only candidate: 1/1 + 1/1 = 2.0
 
 
 def test_five_node_path_picks_balanced_middle():
-    # imbalance |0.5*ds - 0.5*de|: B=D=1, C=0 -> only C is balanced.
+    # imbalance |ds - de|: B=D=2, C=0 -> only C is balanced.
     # (Ranking by the raw reciprocal score would hand the key to an
     # endpoint-adjacent room and invert the measured pacing ordering.)
     g = path_graph(5)
