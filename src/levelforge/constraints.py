@@ -166,14 +166,18 @@ def _axis_deviation(spec: ConstraintSpec, cx, cy, cz, frame_w, frame_l, subject_
 
 # -- facility tier -----------------------------------------------------------
 
-def _instances_of(name: str, others: Sequence[tuple[str, Pose]]) -> list[Pose]:
-    return [pose for n, pose in others if n == name]
-
-
-def _nearest(subject: Pose, candidates: Sequence[Pose]) -> Pose | None:
-    if not candidates:
-        return None
-    return min(candidates, key=lambda p: center_distance(subject, p))
+def _nearest(
+    subject: Pose, name: str, others: Sequence[tuple[str, Pose]]
+) -> tuple[Pose | None, float]:
+    """The nearest placed instance of definition `name` (the first on a
+    tie) and its centre distance; None when there is none."""
+    target, best = None, math.inf
+    for n, pose in others:
+        if n == name:
+            d = center_distance(subject, pose)
+            if target is None or d < best:
+                target, best = pose, d
+    return target, best
 
 
 def eval_facility_penalty(
@@ -217,10 +221,9 @@ def eval_facility_penalty(
         return w * e * e
 
     if kind in ("Near", "Far"):
-        target = _nearest(subject, _instances_of(spec.params["target"], others))
+        target, d12 = _nearest(subject, spec.params["target"], others)
         if target is None:
             return 0.0
-        d12 = center_distance(subject, target)
         if kind == "Near":
             d_min = float(spec.params.get("d_min", weights.near_d_min))
             if d12 > d_min:
@@ -232,7 +235,7 @@ def eval_facility_penalty(
         return 0.0
 
     if kind == "CanSee":
-        target = _nearest(subject, _instances_of(spec.params["target"], others))
+        target, _ = _nearest(subject, spec.params["target"], others)
         if target is None:
             return 0.0
         p0 = (subject.x, subject.y, subject.z)
@@ -248,7 +251,7 @@ def eval_facility_penalty(
         if "point" in spec.params:
             px, py = (float(v) for v in spec.params["point"])
         else:
-            target = _nearest(subject, _instances_of(spec.params["target"], others))
+            target, _ = _nearest(subject, spec.params["target"], others)
             if target is None:
                 return 0.0
             px, py = target.x, target.y
@@ -264,7 +267,7 @@ def eval_facility_penalty(
         return 0.0
 
     if kind == "Alignment":
-        target = _nearest(subject, _instances_of(spec.params["target"], others))
+        target, _ = _nearest(subject, spec.params["target"], others)
         if target is None:
             return 0.0
         dx, dy = target.x - subject.x, target.y - subject.y
@@ -277,7 +280,7 @@ def eval_facility_penalty(
         return w * theta * theta
 
     # Orientation
-    target = _nearest(subject, _instances_of(spec.params["target"], others))
+    target, _ = _nearest(subject, spec.params["target"], others)
     if target is None:
         return 0.0
     theta = angle_diff(subject.yaw, target.yaw)
@@ -302,13 +305,8 @@ def total_constraint_penalty(
 
 # -- room tier ---------------------------------------------------------------
 
-def room_center(room) -> tuple[float, float]:
-    ox, oy = room.origin
-    return ox + room.dims.width / 2.0, oy + room.dims.length / 2.0
-
-
 def _room_plane_distance(a, b) -> float:
-    (ax, ay), (bx, by) = room_center(a), room_center(b)
+    (ax, ay), (bx, by) = a.center(), b.center()
     return math.hypot(ax - bx, ay - by)
 
 
@@ -332,7 +330,7 @@ def eval_room_penalty(
     w = _weight(spec, _ROOM_DEFAULT_WEIGHT, weights)
 
     if kind == "AxisFunction":
-        cx, cy = room_center(subject)
+        cx, cy = subject.center()
         dev = _axis_deviation(spec, cx, cy, 0.0, level_dims[0], level_dims[1], 0.0)
         return w * dev * dev
 

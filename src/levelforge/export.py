@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 from .arrangement import LevelConfig, _overlaps_any
 from .database import _constraint_to_json, _parse_constraint
 from .errors import ParseError, SchemaError
-from .geometry import DOOR_WIDTH, Dimensions, Pose
+from .geometry import DOOR_WIDTH, Dimensions, Pose, out_of_bounds_depth
 from .level import (
     AdjacencyEdge,
     Door,
@@ -235,12 +235,17 @@ def import_level_json(data: bytes | str) -> Level:
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"level document field error: {exc}") from exc
-    room_ids = {r.id for r in level.rooms}
+    rooms = {r.id: r for r in level.rooms}
     named = [("a stair", s.room_id) for s in level.stairs]
     named += [(repr(p.id), p.room_id) for p in (*level.facilities, *level.mechanics)]
     for what, room_id in named:
-        if room_id not in room_ids:
+        if room_id not in rooms:
             raise SchemaError(f"{what} is in room {room_id}, which the level does not have")
+    for kind, placed in (("facility", level.facilities), ("mechanic", level.mechanics)):
+        for p in placed:
+            dims = rooms[p.room_id].dims
+            if out_of_bounds_depth(p.pose.footprint(), dims.width, dims.length) > 1e-9:
+                raise SchemaError(f"{kind} {p.id!r} does not fit inside room {p.room_id}")
     return level
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from random import Random
 from typing import Callable, Hashable, Iterable
 
@@ -68,10 +68,10 @@ class Pose:
         return (x0, y0, self.z - hz, x1, y1, self.z + hz)
 
     def moved(self, x: float, y: float) -> "Pose":
-        return replace(self, x=x, y=y)
+        return Pose(x, y, self.z, self.yaw, self.dims)
 
     def rotated(self, yaw: float) -> "Pose":
-        return replace(self, yaw=wrap_angle(yaw))
+        return Pose(self.x, self.y, self.z, wrap_angle(yaw), self.dims)
 
 
 def wrap_angle(a: float) -> float:

@@ -5,14 +5,30 @@ The room objective combines three weighted terms: the summed placement
 penalties (overlap, bounds and constraint violations), a pairwise
 inverse-distance cluster term that discourages crowding, and a worst-case
 sparsity term measured over a unit grid of interior test points.
+
+The evaluator is incremental. An annealer state (`_Layout`) carries the
+poses and every term of their objective: per facility its footprint,
+out-of-bounds, stair-obstacle and constraint terms and its squared-distance
+column over the grid points; per pair the overlap and cluster terms. A move
+of facility k recomputes only k's own terms and column, the n-1 pairs that
+hold k, and the constraint terms that read k's pose (k's, those targeting
+k's definition, and every CanSee). Sparsity is the largest of min(k's
+column, the minimum of the other columns), memoised per k until another
+facility's move is accepted; a turn in place changes no column. Floating-
+point sums depend on their order, so the cached terms are re-summed in the
+order of a full evaluation (per facility: bounds, constraints, obstacles,
+its pairs with later facilities): a total is bit-identical to `objective()`
+of the same poses, whatever moves led there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import attrgetter
 from random import Random
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -138,8 +154,25 @@ def interior_grid_points(room: Dimensions) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
+@dataclass
+class _Layout:
+    """Annealer state: the poses plus every cached term of their objective."""
+
+    poses: list[Pose]
+    own: list[tuple]  # per facility: footprint, bounds term, stair-obstacle terms
+    cons: list[list[float]]  # per facility: its constraint terms
+    overlap: list[float]  # per pair i < j, at i * n + j
+    cluster: list[float]
+    cols: list[np.ndarray | None]  # per facility: squared distance to each grid point
+    # k -> min of the columns other than k's (None if none); it reads only
+    # those columns, so it may be filled in on an otherwise unchanged state
+    rest: dict[int, np.ndarray | None]
+    breakdown: ObjectiveBreakdown
+
+
 class _RoomEval:
-    """Reusable objective evaluator for one room's facility set."""
+    """Objective evaluator for one room's facility set, incremental in the
+    facility a move changes."""
 
     def __init__(
         self,
@@ -153,74 +186,141 @@ class _RoomEval:
         self.names = [f.def_name for f in facilities]
         self.constraints = [f.constraints for f in facilities]
         self.obstacle_footprints = [o.footprint() for o in obstacles]
-        self.grid = interior_grid_points(room)
-        self._gx = np.ascontiguousarray(self.grid[:, 0]) if self.grid.size else None
-        self._gy = np.ascontiguousarray(self.grid[:, 1]) if self.grid.size else None
-        self._cbuf = np.empty((len(facilities), 2))
+        grid = interior_grid_points(room)
+        self._gx = np.ascontiguousarray(grid[:, 0]) if grid.size else None
+        self._gy = np.ascontiguousarray(grid[:, 1]) if grid.size else None
 
-    def breakdown(self, poses: Sequence[Pose]) -> ObjectiveBreakdown:
-        w = self.weights
-        n = len(poses)
-        w_overlap, w_bounds = w.w_overlap, w.w_bounds
-        room_w, room_l = self.room.width, self.room.length
-        footprints = [p.footprint() for p in poses]
-
-        placement = 0.0
-        cluster = 0.0
-        for i in range(n):
-            pi = poses[i]
-            fa = footprints[i]
-            oob = out_of_bounds_depth(fa, room_w, room_l)
-            if oob > 0.0:
-                placement += w_bounds * oob * oob
-            if self.constraints[i]:
-                others = [
-                    (self.names[j], poses[j]) for j in range(n) if j != i
-                ]
-                for spec in self.constraints[i]:
-                    placement += eval_facility_penalty(
-                        spec, pi, self.room, others, w
-                    )
-            for ob in self.obstacle_footprints:
-                depth = penetration_depth(fa, ob)
-                if depth > 0.0:
-                    placement += w_overlap * depth * depth
-            for j in range(i + 1, n):
-                fb = footprints[j]
-                # a collision is felt by both facilities, hence twice
-                ox = (fa[2] if fa[2] < fb[2] else fb[2]) - (
-                    fa[0] if fa[0] > fb[0] else fb[0]
+    @cached_property
+    def readers(self) -> list[list[int]]:
+        """readers[k]: the facilities whose constraint terms read k's pose --
+        k's own, those that target k's definition, and every line of sight
+        (CanSee is blocked by any other facility)."""
+        return [
+            [
+                i
+                for i, specs in enumerate(self.constraints)
+                if specs
+                and (
+                    i == k
+                    or any(s.kind == "CanSee" or s.params.get("target") == name for s in specs)
                 )
-                if ox > 0.0:
-                    oy = (fa[3] if fa[3] < fb[3] else fb[3]) - (
-                        fa[1] if fa[1] > fb[1] else fb[1]
-                    )
-                    if oy > 0.0:
-                        depth = ox if ox < oy else oy
-                        placement += 2.0 * w_overlap * depth * depth
-                pj = poses[j]
-                dx, dy, dz = pi.x - pj.x, pi.y - pj.y, pi.z - pj.z
-                cluster += 1.0 / (math.sqrt(dx * dx + dy * dy + dz * dz) + DISTANCE_EPS)
+            ]
+            for k, name in enumerate(self.names)
+        ]
 
+    def _own(self, pose: Pose) -> tuple:
+        w = self.weights
+        fp = pose.footprint()
+        oob = out_of_bounds_depth(fp, self.room.width, self.room.length)
+        depths = [penetration_depth(fp, ob) for ob in self.obstacle_footprints]
+        return (
+            fp,
+            w.w_bounds * oob * oob if oob > 0.0 else 0.0,
+            [w.w_overlap * d * d if d > 0.0 else 0.0 for d in depths],
+        )
+
+    def _cons(self, i: int, poses: Sequence[Pose]) -> list[float]:
+        others = [(self.names[j], poses[j]) for j in range(len(poses)) if j != i]
+        return [
+            eval_facility_penalty(spec, poses[i], self.room, others, self.weights)
+            for spec in self.constraints[i]
+        ]
+
+    def _set_pairs(self, k: int, js: Iterable[int], poses, own, overlap, cluster) -> None:
+        """Write the overlap and cluster terms of each pair (k, j), j in `js`."""
+        n = len(poses)
+        w_overlap = self.weights.w_overlap
+        for j in js:
+            if j == k:
+                continue
+            i, j = (j, k) if j < k else (k, j)
+            fa, fb = own[i][0], own[j][0]
+            ov = 0.0
+            ox = (fa[2] if fa[2] < fb[2] else fb[2]) - (fa[0] if fa[0] > fb[0] else fb[0])
+            if ox > 0.0:
+                oy = (fa[3] if fa[3] < fb[3] else fb[3]) - (fa[1] if fa[1] > fb[1] else fb[1])
+                if oy > 0.0:
+                    depth = ox if ox < oy else oy
+                    # a collision is felt by both facilities, hence twice
+                    ov = 2.0 * w_overlap * depth * depth
+            pa, pb = poses[i], poses[j]
+            dx, dy, dz = pa.x - pb.x, pa.y - pb.y, pa.z - pb.z
+            overlap[i * n + j] = ov
+            cluster[i * n + j] = 1.0 / (math.sqrt(dx * dx + dy * dy + dz * dz) + DISTANCE_EPS)
+
+    def _col(self, pose: Pose) -> np.ndarray | None:
+        if self._gx is None:
+            return None
+        dx = self._gx - pose.x
+        dy = self._gy - pose.y
+        d2 = dx * dx
+        d2 += dy * dy
+        return d2
+
+    def fill(self, poses: Sequence[Pose]) -> _Layout:
+        """Every term of `poses`, computed from scratch."""
+        poses = list(poses)
+        n = len(poses)
+        own = [self._own(p) for p in poses]
+        overlap, cluster = [0.0] * (n * n), [0.0] * (n * n)
+        for k in range(n):
+            self._set_pairs(k, range(k + 1, n), poses, own, overlap, cluster)
+        cols = [self._col(p) for p in poses]
+        sparsity = 0.0
         if n and self._gx is not None:
-            c = self._cbuf[:n]
-            for i, p in enumerate(poses):
-                c[i, 0] = p.x
-                c[i, 1] = p.y
-            dx = self._gx[:, None] - c[None, :, 0]
-            dy = self._gy[:, None] - c[None, :, 1]
-            d2 = dx * dx
-            d2 += dy * dy
-            sparsity = math.sqrt(float(d2.min(axis=1).max()))
-        else:
-            sparsity = 0.0
+            sparsity = math.sqrt(float(reduce(np.minimum, cols).max()))
+        cons = [self._cons(i, poses) for i in range(n)]
+        return self._summed(poses, own, cons, overlap, cluster, cols, {}, sparsity)
 
+    def moved(self, s: _Layout, k: int, pose: Pose) -> _Layout:
+        """`s` with facility k at `pose`, recomputing only the terms that
+        read k's pose; `s` keeps its terms."""
+        n = len(s.poses)
+        poses, own, cons = s.poses.copy(), s.own.copy(), s.cons.copy()
+        poses[k], own[k] = pose, self._own(pose)
+        for i in self.readers[k]:
+            cons[i] = self._cons(i, poses)
+        overlap, cluster = s.overlap.copy(), s.cluster.copy()
+        self._set_pairs(k, range(n), poses, own, overlap, cluster)
+        cols = s.cols.copy()
+        old = s.poses[k]
+        sparsity = s.breakdown.sparsity  # a turn in place keeps every column
+        if self._gx is not None and (pose.x != old.x or pose.y != old.y):
+            cols[k] = col = self._col(pose)
+            if k not in s.rest:
+                others = cols[:k] + cols[k + 1 :]
+                s.rest[k] = reduce(np.minimum, others) if others else None
+            rest = s.rest[k]
+            sparsity = math.sqrt(float((col if rest is None else np.minimum(rest, col)).max()))
+        # no column but k's changed, so k's memo carries over
+        memo = {k: s.rest[k]} if k in s.rest else {}
+        return self._summed(poses, own, cons, overlap, cluster, cols, memo, sparsity)
+
+    def _summed(self, poses, own, cons, overlap, cluster, cols, rest, sparsity) -> _Layout:
+        # Re-sum in one fixed order -- per facility i: bounds, constraints,
+        # obstacles, then the pairs (i, j > i) -- so a total is bit-identical
+        # however the layout was reached.
+        n = len(poses)
+        placement = 0.0
+        clustered = 0.0
+        for i in range(n):
+            _, bounds, obstacles = own[i]
+            placement += bounds
+            for t in cons[i]:
+                placement += t
+            for t in obstacles:
+                placement += t
+            for ij in range(i * n + i + 1, i * n + n):
+                placement += overlap[ij]
+                clustered += cluster[ij]
+        w = self.weights
         total = (
             w.penalty_scale * placement
-            + w.cluster_scale * cluster
+            + w.cluster_scale * clustered
             + w.sparsity_scale * sparsity
         )
-        return ObjectiveBreakdown(placement, cluster, sparsity, total)
+        breakdown = ObjectiveBreakdown(placement, clustered, sparsity, total)
+        return _Layout(poses, own, cons, overlap, cluster, cols, rest, breakdown)
 
 
 def objective(
@@ -231,32 +331,31 @@ def objective(
 ) -> ObjectiveBreakdown:
     """Evaluate the room objective for the facilities' current poses."""
     ev = _RoomEval(room.dims, facilities, weights, obstacles)
-    return ev.breakdown([f.pose for f in facilities])
+    return ev.fill([f.pose for f in facilities]).breakdown
 
 
 def perturb(
     room: Dimensions,
-    facilities: Sequence[FacilityInstance],
+    movable: Sequence[int],
     poses: Sequence[Pose],
     rng: Random,
-    sa: SAParams = SAParams(),
-) -> list[Pose]:
-    """Return a copy of `poses` with exactly one adaptable facility moved.
+    sigma: float,
+    translate_prob: float = SAParams.translate_prob,
+) -> tuple[int, Pose]:
+    """Move exactly one facility, drawn from the indices `movable`; returns
+    its index and new pose.
 
-    With probability `translate_prob` the facility takes a gaussian step
-    (clamped into the room); otherwise it rotates to the next 90-degree yaw.
+    With probability `translate_prob` the facility takes a gaussian step of
+    `sigma` per axis (clamped into the room); otherwise it rotates to the
+    next 90-degree yaw.
     """
-    movable = [i for i, f in enumerate(facilities) if not f.fixed]
     if not movable:
         raise NoAdaptableFacilities("room has no adaptable facilities")
     idx = movable[rng.randrange(len(movable))]
-    sigma = sa.step_frac * math.hypot(room.width, room.length)
-
-    out = list(poses)
     cur = poses[idx]
     for _ in range(8):
         cand = None
-        if rng.random() >= sa.translate_prob:
+        if rng.random() >= translate_prob:
             turned = cur.rotated(cur.yaw + HALF_PI)
             # None when the turn cannot fit; translate instead
             cand = clamp_into_room(turned, turned.x, turned.y, room)
@@ -265,10 +364,8 @@ def perturb(
                 cur, cur.x + rng.gauss(0.0, sigma), cur.y + rng.gauss(0.0, sigma), room
             )
         if cand.x != cur.x or cand.y != cur.y or cand.yaw != cur.yaw:
-            out[idx] = cand
-            return out
-    out[idx] = cand
-    return out
+            return idx, cand
+    return idx, cand
 
 
 def optimize_room_layout(
@@ -295,20 +392,20 @@ def optimize_room_layout(
             )
 
     ev = _RoomEval(dims, facilities, weights, obstacles)
+    movable = [i for i, f in enumerate(facilities) if not f.fixed]
+    sigma = sa.step_frac * math.hypot(dims.width, dims.length)
 
-    def init(rng: Random) -> list[Pose]:
+    def init(rng: Random) -> _Layout:
         # `fits` above guarantees random_pose finds a yaw that fits
-        return [
-            f.pose if f.fixed else random_pose(f.pose.dims, dims, rng)
-            for f in facilities
-        ]
+        return ev.fill(
+            [f.pose if f.fixed else random_pose(f.pose.dims, dims, rng) for f in facilities]
+        )
 
-    def propose(poses: list[Pose], rng: Random) -> list[Pose]:
-        return perturb(dims, facilities, poses, rng, sa)
+    def propose(state: _Layout, rng: Random) -> _Layout:
+        return ev.moved(state, *perturb(dims, movable, state.poses, rng, sigma, sa.translate_prob))
 
-    movable = any(not f.fixed for f in facilities)
-    best_poses, best = anneal(
-        init, propose if movable else None, ev.breakdown, sa, rng, trace
+    best_state, best = anneal(
+        init, propose if movable else None, attrgetter("breakdown"), sa, rng, trace
     )
-    placements = {f.id: p for f, p in zip(facilities, best_poses)}
+    placements = {f.id: p for f, p in zip(facilities, best_state.poses)}
     return RoomLayout(placements, best)

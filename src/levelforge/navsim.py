@@ -547,26 +547,20 @@ def target_cell(
 ) -> Cell | None:
     """Walkable cell of a room nearest to a plan point (default its center).
 
-    With `reachable` given, cells outside that set are skipped; used to
-    collect keys from the nearest open spot when furniture pockets part of
-    a room.
+    Ties go to the lowest (x, y). With `reachable` given, cells outside
+    that set are skipped; used to collect keys from the nearest open spot
+    when furniture pockets part of a room.
     """
     px, py = point if point is not None else room.center()
-    best: tuple[float, int, int] | None = None
-    coords = np.argwhere(grid.room_of[room.floor] == room.id)
     state = grid.state[room.floor]
-    for x, y in coords:
-        if state[x, y] not in _WALKABLE:
-            continue
-        if reachable is not None and (room.floor, int(x), int(y)) not in reachable:
-            continue
-        d = (x + 0.5 - px) ** 2 + (y + 0.5 - py) ** 2
-        key = (d, int(x), int(y))
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return None
-    return (room.floor, best[1], best[2])
+    mask = (grid.room_of[room.floor] == room.id) & np.isin(state, _WALKABLE)
+    xs, ys = np.nonzero(mask)
+    d = (xs + 0.5 - px) ** 2 + (ys + 0.5 - py) ** 2
+    for i in np.lexsort((ys, xs, d)):  # by d, then x, then y
+        cell = (room.floor, int(xs[i]), int(ys[i]))
+        if reachable is None or cell in reachable:
+            return cell
+    return None
 
 
 # -- phase-2 agent repair --------------------------------------------------------

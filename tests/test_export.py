@@ -131,6 +131,31 @@ def test_reference_to_an_unknown_room_is_rejected(kind, tmp_path, capsys):
     assert len(err) == 2 and all(line.startswith("error: ") for line in err)
 
 
+# A 4x4 pose centred 1.5 m from a wall of a 10x10 room: it pokes 0.5 m out.
+_OVERHANGING = {"center": [1.5, 5.0, 0.5], "yaw": 0.0, "dims": [4.0, 4.0, 1.0]}
+
+
+@pytest.mark.parametrize("kind", ["facilities", "mechanics"])
+def test_placement_leaving_its_room_is_rejected(kind, tmp_path, capsys):
+    doc = json.loads(_rooms_doc([(1, 0, (0.0, 0.0), (10.0, 10.0))]))
+    doc[kind] = [{**IN_UNKNOWN_ROOM[kind], "room": 1, "pose": _OVERHANGING}]
+    name = "facility 'f'" if kind == "facilities" else "mechanic 'k'"
+    with pytest.raises(SchemaError, match=f"{name} does not fit inside room 1"):
+        import_level_json(json.dumps(doc))
+    path = tmp_path / "level.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--level", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_placement_flush_with_the_walls_imports():
+    doc = json.loads(_rooms_doc([(1, 0, (0.0, 0.0), (10.0, 10.0))]))
+    # exactly as wide as the room, off by a rounding error at each wall
+    pose = {"center": [5.0 + 1e-12, 1.0, 0.5], "yaw": 0.0, "dims": [10.0, 2.0, 1.0]}
+    doc["facilities"] = [{**IN_UNKNOWN_ROOM["facilities"], "room": 1, "pose": pose}]
+    assert len(import_level_json(json.dumps(doc)).facilities) == 1
+
+
 def _linked_rooms_doc(doors=(), adjacency=()):
     """Rooms 1 and 2 share the wall x=6 on floor 0; room 3 touches neither;
     room 4 lies on floor 1 where room 2 lies on floor 0."""

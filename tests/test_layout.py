@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levelforge.constraints import (
     DISTANCE_EPS,
@@ -11,9 +13,11 @@ from levelforge.constraints import (
     total_constraint_penalty,
 )
 from levelforge.errors import InfeasibleRoom, NoAdaptableFacilities
-from levelforge.geometry import Dimensions, Pose, penetration_depth
+from levelforge import layout as layout_module
+from levelforge.geometry import Dimensions, Pose, penetration_depth, random_pose
 from levelforge.layout import (
     SAParams,
+    _RoomEval,
     anneal,
     interior_grid_points,
     objective,
@@ -139,22 +143,28 @@ def test_interior_grid_points_are_strictly_inside():
 # -- perturb ------------------------------------------------------------------
 
 
+SIGMA = SAParams().step_frac * math.hypot(GEOM.width, GEOM.length)
+
+
 def test_perturb_changes_exactly_one_adaptable_facility():
     facs = [
         make_facility("a", 1, 2.0, 2.0),
         make_facility("b", 1, 7.0, 7.0),
         make_facility("frozen", 1, 5.0, 5.0, fixed=True),
     ]
+    movable = [i for i, f in enumerate(facs) if not f.fixed]
     poses = [f.pose for f in facs]
     rng = Random(0)
     for _ in range(50):
-        new = perturb(GEOM, facs, poses, rng)
+        k, pose = perturb(GEOM, movable, poses, rng, SIGMA)
+        new = list(poses)
+        new[k] = pose
         changed = [
             i
             for i, (old, cur) in enumerate(zip(poses, new))
             if (old.x, old.y, old.yaw) != (cur.x, cur.y, cur.yaw)
         ]
-        assert len(changed) == 1
+        assert changed == [k]
         assert not facs[changed[0]].fixed
         poses = new
 
@@ -162,7 +172,7 @@ def test_perturb_changes_exactly_one_adaptable_facility():
 def test_perturb_requires_an_adaptable_facility():
     facs = [make_facility("frozen", 1, 5.0, 5.0, fixed=True)]
     with pytest.raises(NoAdaptableFacilities):
-        perturb(GEOM, facs, [facs[0].pose], Random(0))
+        perturb(GEOM, [], [facs[0].pose], Random(0), SIGMA)
 
 
 def test_perturbed_centers_always_stay_in_bounds():
@@ -170,7 +180,8 @@ def test_perturbed_centers_always_stay_in_bounds():
     poses = [facs[0].pose]
     rng = Random(1)
     for _ in range(1000):
-        poses = perturb(GEOM, facs, poses, rng)
+        k, poses[0] = perturb(GEOM, [0], poses, rng, SIGMA)
+        assert k == 0
         p = poses[0]
         hx, hy = p.half_extents()
         assert hx <= p.x <= 10.0 - hx
@@ -179,16 +190,103 @@ def test_perturbed_centers_always_stay_in_bounds():
 
 def test_perturb_translate_rotate_mixture():
     facs = [make_facility("a", 1, 5.0, 5.0)]
-    poses = [facs[0].pose]
+    pose = facs[0].pose
     rng = Random(2)
     rotations = 0
     trials = 10000
     for _ in range(trials):
-        new = perturb(GEOM, facs, poses, rng)
-        if new[0].yaw != poses[0].yaw:
+        _, new = perturb(GEOM, [0], [pose], rng, SIGMA)
+        if new.yaw != pose.yaw:
             rotations += 1
-        poses = new
+        pose = new
     assert rotations / trials == pytest.approx(0.2, abs=0.03)
+
+
+# -- incremental evaluation ----------------------------------------------------
+
+
+def _posed(facilities, poses):
+    return [replace(f, pose=p) for f, p in zip(facilities, poses)]
+
+
+_TARGETED_KINDS = ["Near", "Far", "Focus", "CanSee", "Alignment", "Orientation"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_incremental_breakdown_equals_a_full_evaluation(data):
+    draw = data.draw
+    rng = Random(draw(st.integers(0, 2**32)))
+    width, length = draw(st.sampled_from([5, 8, 12])), draw(st.sampled_from([6, 10]))
+    room = make_room(1, (0.0, 0.0), width, length)
+    dims = room.dims
+    stair = Dimensions(2.0, 2.0, 3.0)
+    obstacles = [
+        Pose(rng.uniform(0, width), rng.uniform(0, length), 1.5, 0.0, stair)
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    n = draw(st.integers(1, 4))
+    names = [draw(st.sampled_from(["A", "B", "C"])) for _ in range(n)]
+    facilities = []
+    for i, name in enumerate(names):
+        specs = [
+            ConstraintSpec(kind, {"target": draw(st.sampled_from(names))})
+            for kind in draw(st.lists(st.sampled_from(_TARGETED_KINDS), max_size=3))
+        ]
+        w, l = rng.choice([1.0, 2.0]), rng.choice([1.0, 3.0])
+        pose = random_pose(Dimensions(w, l, 1.0), dims, rng)
+        facilities.append(
+            make_facility(
+                f"f{i}", 1, pose.x, pose.y, w=w, l=l, yaw=pose.yaw, def_name=name, constraints=specs
+            )
+        )
+    # the fixed facility may poke out of the room and through the stairs
+    facilities.append(
+        make_facility(
+            "anchor", 1, rng.uniform(0, width), rng.uniform(0, length), w=3.0, fixed=True, def_name="A"
+        )
+    )
+    ev = _RoomEval(dims, facilities, W, obstacles)
+    state = ev.fill([f.pose for f in facilities])
+    movable = list(range(n))
+    for accept in draw(st.lists(st.booleans(), min_size=1, max_size=25)):
+        cand = ev.moved(state, *perturb(dims, movable, state.poses, rng, SIGMA))
+        assert cand.breakdown == objective(room, _posed(facilities, cand.poses), W, obstacles)
+        if accept:
+            state = cand
+    assert state.breakdown == objective(room, _posed(facilities, state.poses), W, obstacles)
+
+
+def test_every_trace_row_is_the_objective_of_the_accepted_poses(monkeypatch):
+    facs = [
+        make_facility("a", 1, 5.0, 5.0, def_name="Desk"),
+        make_facility("b", 1, 5.0, 5.0, w=2.0, def_name="Chair",
+                      constraints=(ConstraintSpec("Near", {"target": "Desk"}),
+                                   ConstraintSpec("CanSee", {"target": "Desk"}))),
+        make_facility("c", 1, 5.0, 5.0, l=2.0),
+        make_facility("d", 1, 1.0, 1.0, fixed=True),
+    ]
+    obstacles = [Pose(8.0, 8.0, 1.5, 0.0, Dimensions(2.0, 2.0, 3.0))]
+    accepted = []
+
+    def spy(init, propose, energy, sa, rng, trace=None):
+        # propose is handed the state accepted at the previous iteration
+        def watched(state, rng):
+            accepted.append(state.poses)
+            return propose(state, rng)
+
+        return anneal(init, watched, energy, sa, rng, trace)
+
+    monkeypatch.setattr(layout_module, "anneal", spy)
+    trace: list = []
+    result = optimize_room_layout(
+        ROOM, facs, W, SAParams(iterations=300), Random(8), obstacles, trace=trace
+    )
+    assert len(trace) == 300 and len(accepted) == 300
+    for row, poses in zip(trace, accepted[1:]):
+        assert row[2] == objective(ROOM, _posed(facs, poses), W, obstacles).total
+    best = [result.placements[f.id] for f in facs]
+    assert result.breakdown == objective(ROOM, _posed(facs, best), W, obstacles)
 
 
 # -- annealing ------------------------------------------------------------------

@@ -459,6 +459,49 @@ def test_dead_end_key_detour_matches_path_length_oracle():
     assert expected_extra > 0.0
 
 
+def _target_cell_oracle(grid, room, point, reachable):
+    """Scan every cell of the floor for the minimum of (distance², x, y)."""
+    px, py = point if point is not None else room.center()
+    best = None
+    for x in range(grid.width):
+        for y in range(grid.length):
+            if grid.room_of[room.floor][x, y] != room.id:
+                continue
+            if grid.state[room.floor][x, y] not in (FREE, DOOR, STAIR):
+                continue
+            if reachable is not None and (room.floor, x, y) not in reachable:
+                continue
+            key = ((x + 0.5 - px) ** 2 + (y + 0.5 - py) ** 2, x, y)
+            if best is None or key < best:
+                best = key
+    return None if best is None else (room.floor, best[1], best[2])
+
+
+def test_target_cell_matches_a_brute_force_scan_with_ties():
+    rooms = [make_room(1, (0.0, 0.0), 10, 10), make_room(2, (10.0, 0.0), 10, 10)]
+    level = make_level(rooms, width=20, length=10, height=3.0)
+    grid = build_nav_grid(level)
+    state = grid.state[0]
+    state[4, 4] = FACILITY  # one of the four cells tied nearest the centre
+    state[1, 1] = DOOR
+    state[8, 1] = STAIR
+    room = level.room_by_id(1)
+    cells = [(0, x, y) for x in range(20) for y in range(10)]
+    rng = Random(5)
+    reachables = [None, set(), {(0, 5, 5)}, dict.fromkeys(rng.sample(cells, 60))]
+    reachables += [set(rng.sample(cells, 20)) for _ in range(5)]
+    # integer and half-integer points put several cells at equal distance
+    points = [None, (5.0, 5.0), (0.0, 0.0), (1.5, 1.5), (9.0, 0.5), (15.0, 5.0), (2.3, 7.9)]
+    found = 0
+    for point in points:
+        for reachable in reachables:
+            want = _target_cell_oracle(grid, room, point, reachable)
+            assert target_cell(grid, room, point, reachable) == want
+            found += want is not None
+    assert target_cell(grid, room) == (0, 4, 5)
+    assert found > len(points)
+
+
 def test_pocketed_key_collected_from_nearest_reachable_cell():
     # fixed furniture walls off the corner holding the key; the agent
     # grabs it from the nearest open cell instead of failing
