@@ -1,17 +1,24 @@
-"""Golden-output pin: byte-level hashes of a fixed small experiment and of
-one paper-scale level per group.
+"""Golden-output pin: byte-level hashes of a fixed small experiment, of
+one paper-scale level per group and of both repair phases on seeded
+crowded levels.
 
 A change that alters any pinned hash changes generated levels; it must say
 why and show the acceptance suite still passing before the pin moves.
 """
 
 import hashlib
+from random import Random
 
 import pytest
 
 from levelforge.arrangement import LevelConfig
+from levelforge.geometry import HALF_PI, Dimensions, Pose, clamp_into_room
 from levelforge.harness import GROUPS, ExperimentConfig, generate_level, level_seed, run_experiment
 from levelforge.layout import SAParams
+from levelforge.level import AdjacencyEdge, Door, FacilityInstance
+from levelforge.navsim import AgentParams, agent_repair, build_nav_grid, geometric_repair
+
+from conftest import make_level, make_room
 
 pytestmark = pytest.mark.golden
 
@@ -25,6 +32,9 @@ PAPER_LEVEL_HASHES = {
     "A-Speedrun": "8b37c527a5ae50a2f470f4275653e469bd4b110ab0a363ade8827c959b365968",
     "DB-Speedrun": "9b0a8b686b0f63102961e7df3542a46b5c74e565ce54f56eb9b1111f8ef5bdc7",
 }
+
+REPAIR_CASES = 150
+REPAIR_SHA256 = "1f35d9e84dd30f2bf907f6a0d668d27fede937cb093319a5b85bb9f78d15e4f7"
 
 
 def test_small_experiment_records_csv_is_pinned(minimal_db, tmp_path, monkeypatch):
@@ -50,3 +60,53 @@ def test_paper_scale_level_hash_is_pinned(hospital_db, group):
     assert any(e.kind == "open" for e in level.adjacency)
     assert level.doors and record.phase1_moves > 0
     assert record.level_hash == PAPER_LEVEL_HASHES[group]
+
+
+def crowded_level(rng: Random):
+    """Four 10x10 rooms in a square (two enclosed, two open) joined by three
+    doors and one open edge, holding 2-25 random facilities of 1-4 x 1-6 m
+    at yaw 0 or 90 degrees, about 15% of them fixed."""
+    rooms = [
+        make_room(1, (0.0, 0.0), 10, 10),
+        make_room(2, (10.0, 0.0), 10, 10),
+        make_room(3, (0.0, 10.0), 10, 10, arch="open"),
+        make_room(4, (10.0, 10.0), 10, 10, arch="open"),
+    ]
+    doors = [
+        Door(1, 2, 10.0, rng.uniform(1.0, 9.0)),
+        Door(1, 3, rng.uniform(1.0, 9.0), 10.0),
+        Door(2, 4, rng.uniform(11.0, 19.0), 10.0),
+    ]
+    adjacency = [AdjacencyEdge(d.room_a, d.room_b, "door") for d in doors]
+    adjacency.append(AdjacencyEdge(3, 4, "open"))
+    level = make_level(rooms, doors, adjacency, width=20, length=20, height=3.0)
+    for k in range(rng.randint(2, 25)):
+        room = rng.choice(rooms)
+        dims = Dimensions(rng.uniform(1.0, 4.0), rng.uniform(1.0, 6.0), 1.0)
+        pose = Pose(0.0, 0.0, 0.5, rng.choice((0.0, HALF_PI)), dims)
+        pose = clamp_into_room(pose, rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0), room.dims)
+        fixed = rng.random() < 0.15
+        level.facilities.append(FacilityInstance(f"f{k}", "Crate", room.id, pose, fixed))
+    return level
+
+
+def test_repair_of_crowded_levels_is_pinned():
+    # paper-scale levels almost never reach phase 2; these reach both phases,
+    # the budget and removals
+    digest = hashlib.sha256()
+    for case in range(REPAIR_CASES):
+        level = crowded_level(Random(case))
+        grid = build_nav_grid(level)
+        _, phase1 = geometric_repair(level, grid)
+        _, report = agent_repair(level, AgentParams(), grid)
+        poses = [(f.id, f.pose.x, f.pose.y, f.pose.yaw) for f in level.facilities]
+        row = (
+            phase1.phase1_moves,
+            report.phase2_moves,
+            report.facilities_removed,
+            report.status,
+            report.repair_time,
+            poses,
+        )
+        digest.update(repr(row).encode() + b"\n")
+    assert digest.hexdigest() == REPAIR_SHA256

@@ -245,6 +245,24 @@ def test_all_fixed_seals_lead_to_unrepairable(two_room_level):
     assert report.repair_time > AGENT.total_budget
 
 
+def test_covered_start_room_is_opened_from_inside(two_room_level):
+    # one adaptable facility covers every walkable cell of room 1, door included
+    level = two_room_level
+    level.facilities.append(make_facility("cover", 1, 5.5, 5.0, w=9.0, l=10.0))
+    grid = build_nav_grid(level)
+    assert target_cell(grid, level.room_by_id(1)) is None
+    level, report = agent_repair(level, AGENT, grid)
+    assert report.status == "repaired"
+    assert report.phase2_moves == 1 and report.facilities_removed == 0
+    start = target_cell(grid, level.room_by_id(1))
+    walk = traversal_time(
+        astar_path(grid, start, target_cell(grid, level.room_by_id(2))), AGENT
+    )
+    # the clean sweep after the move walks the same path again
+    assert walk == pytest.approx(1.5)
+    assert report.repair_time == pytest.approx(AGENT.room_timeout + 2 * walk)
+
+
 def test_grid_stays_consistent_after_repairs(two_room_level):
     level = two_room_level
     rng = Random(2)
