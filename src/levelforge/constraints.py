@@ -287,22 +287,6 @@ def eval_facility_penalty(
     return w * theta * theta
 
 
-def total_constraint_penalty(
-    facility,
-    room: Dimensions,
-    others: Sequence[tuple[str, Pose]] = (),
-    weights: WeightConfig = DEFAULT_WEIGHTS,
-) -> float:
-    """Sum of all facility-tier penalties for one placed facility.
-
-    `facility` needs `.pose` and `.constraints` attributes.
-    """
-    total = 0.0
-    for spec in facility.constraints:
-        total += eval_facility_penalty(spec, facility.pose, room, others, weights)
-    return total
-
-
 # -- room tier ---------------------------------------------------------------
 
 def _room_plane_distance(a, b) -> float:

@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .arrangement import LevelConfig, _overlaps_any
 from .database import _constraint_to_json, _parse_constraint
@@ -39,7 +39,7 @@ DEFAULT_VMF_SCALE = 64.0  # map units per meter
 WALL_THICKNESS = 0.25
 SLAB_THICKNESS = 0.25
 DOOR_OPENING_HEIGHT = 2.0
-DEFAULT_CLASSNAME = "prop_dynamic"
+ENTITY_CLASSNAME = "prop_dynamic"
 
 
 def _pose_to_json(pose: Pose) -> dict:
@@ -419,25 +419,9 @@ def _emit_room(w: _VmfWriter, level: Level, room: RoomInstance, scale: float) ->
                 _emit_box(w, (lo, thick_lo, z0 + door_h), (hi, thick_hi, z1), scale)
 
 
-def _classname(tags: Sequence[str], classmap: Mapping[str, str] | None) -> str:
-    if classmap:
-        for tag in tags:
-            if tag in classmap:
-                return classmap[tag]
-    return DEFAULT_CLASSNAME
-
-
-def export_vmf(
-    level: Level,
-    scale: float = DEFAULT_VMF_SCALE,
-    classmap: Mapping[str, str] | None = None,
-    facility_tags: Mapping[str, Sequence[str]] | None = None,
-) -> bytes:
-    """Emit the level as VMF text with placeholder geometry.
-
-    `classmap` maps facility tags to entity classnames; `facility_tags`
-    supplies the tags per facility definition name (both optional).
-    """
+def export_vmf(level: Level, scale: float = DEFAULT_VMF_SCALE) -> bytes:
+    """Emit the level as VMF text with placeholder geometry; every facility,
+    mechanic and stairwell is a `prop_dynamic` point entity."""
     w = _VmfWriter()
     w.open("versioninfo")
     w.kv("editorversion", "400")
@@ -456,12 +440,11 @@ def export_vmf(
     w.close()
 
     fh = level.config.floor_height
-    tags = facility_tags or {}
 
-    def emit_entity(name: str, classname: str, gx: float, gy: float, gz: float, yaw: float):
+    def emit_entity(name: str, gx: float, gy: float, gz: float, yaw: float):
         w.open("entity")
         w.kv("id", w.take_id())
-        w.kv("classname", classname)
+        w.kv("classname", ENTITY_CLASSNAME)
         w.kv("targetname", name)
         w.kv("origin", f"{_fmt(gx * scale)} {_fmt(gy * scale)} {_fmt(gz * scale)}")
         w.kv("angles", f"0 {_fmt(math.degrees(yaw))} 0")
@@ -470,33 +453,13 @@ def export_vmf(
     for fac in level.facilities:
         room = level.room_by_id(fac.room_id)
         gx, gy, gz = level.global_pose_center(fac.room_id, fac.pose)
-        emit_entity(
-            fac.id,
-            _classname(tags.get(fac.def_name, ()), classmap),
-            gx,
-            gy,
-            room.floor * fh + gz,
-            fac.pose.yaw,
-        )
+        emit_entity(fac.id, gx, gy, room.floor * fh + gz, fac.pose.yaw)
     for mech in level.mechanics:
         room = level.room_by_id(mech.room_id)
         gx, gy, gz = level.global_pose_center(mech.room_id, mech.pose)
-        emit_entity(
-            mech.id,
-            _classname(tags.get(mech.def_name, ()), classmap),
-            gx,
-            gy,
-            room.floor * fh + gz,
-            mech.pose.yaw,
-        )
+        emit_entity(mech.id, gx, gy, room.floor * fh + gz, mech.pose.yaw)
     for idx, stair in enumerate(level.stairs):
         room = level.room_by_id(stair.room_id)
-        emit_entity(
-            f"stair#{idx}",
-            _classname(("Structure",), classmap),
-            stair.x,
-            stair.y,
-            room.floor * fh + stair.dims.height / 2.0,
-            0.0,
-        )
+        gz = room.floor * fh + stair.dims.height / 2.0
+        emit_entity(f"stair#{idx}", stair.x, stair.y, gz, 0.0)
     return w.text().encode("utf-8")

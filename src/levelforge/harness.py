@@ -269,40 +269,41 @@ def generate_level(
     adaptable_count = sum(1 for f in level.facilities if not f.fixed)
     agent = AgentParams()
     grid = build_nav_grid(level)
-    level, phase1 = geometric_repair(level, grid)
-    level, report = agent_repair(level, agent, grid)
-
-    record = MetricsRecord(
+    phase1_moves = geometric_repair(level, grid)
+    report = agent_repair(level, agent, grid)
+    repair = dict(
         level_id=level_id,
         group=group_label,
         seed=seed,
-        status=report.status,
         repair_time=report.repair_time,
         facilities_removed=report.facilities_removed,
         adaptable_facilities=adaptable_count,
-        phase1_moves=phase1.phase1_moves,
+        phase1_moves=phase1_moves,
         phase2_moves=report.phase2_moves,
     )
     if report.status != "repaired":
-        record.status = "unrepairable"
-        record.level_hash = level_hash(level)
-        return level, record
+        return level, MetricsRecord(
+            status="unrepairable", level_hash=level_hash(level), **repair
+        )
 
     rerun = rerun_validation(level, agent, grid)
     sim = simulate_objectives(level, level.mechanics, agent, grid)
-    total_cells = grid.total_cells
-    record.status = "abnormal" if rerun.abnormal else "valid"
-    record.rerun_time = rerun.rerun_time
-    record.simulation_time = sim.simulation_time
-    record.avg_completion_time = (rerun.rerun_time + sim.simulation_time) / 2.0
-    record.grid_exploration = rerun.grid_cells
-    record.sim_grid_exploration = sim.sim_grid_cells
-    record.avg_grid_exploration = (rerun.grid_cells + sim.sim_grid_cells) / 2.0
-    record.coverage = rerun.grid_cells / total_cells
-    record.sim_coverage = sim.sim_grid_cells / total_cells
-    record.avg_coverage = record.avg_grid_exploration / total_cells
-    record.level_hash = level_hash(level)
-    return level, record
+    total_cells = math.prod(config.grid_shape())
+    explored = (rerun.grid_cells + sim.sim_grid_cells) / 2.0
+    return level, MetricsRecord(
+        status="abnormal" if rerun.abnormal else "valid",
+        rerun_time=rerun.rerun_time,
+        simulation_time=sim.simulation_time,
+        avg_completion_time=(rerun.rerun_time + sim.simulation_time) / 2.0,
+        grid_exploration=rerun.grid_cells,
+        sim_grid_exploration=sim.sim_grid_cells,
+        avg_grid_exploration=explored,
+        coverage=rerun.grid_cells / total_cells,
+        sim_coverage=sim.sim_grid_cells / total_cells,
+        avg_coverage=explored / total_cells,
+        level_hash=level_hash(level),
+        **repair,
+    )
 
 
 # -- batch runner ---------------------------------------------------------------
@@ -519,36 +520,3 @@ def emit_table(stats: AggregateStats) -> tuple[str, str]:
                 [group, f"count:{status}", "", "", "", "", stats.tallies[group][status]]
             )
     return markdown, buf.getvalue()
-
-
-def parse_stats_csv(text: str) -> AggregateStats:
-    """Rebuild AggregateStats from its CSV form (round-trip identical)."""
-    rows = list(csv.reader(io.StringIO(text)))
-    header, body = rows[0], rows[1:]
-    assert header[0] == "group"
-    total_cells = 0
-    groups: list[str] = []
-    metrics: dict[str, dict[str, MetricStats]] = {}
-    tallies: dict[str, dict[str, int]] = {}
-    for row in body:
-        group, name = row[0], row[1]
-        if group == "_total_cells":
-            total_cells = int(row[6])
-            continue
-        if group not in metrics:
-            metrics[group] = {}
-            tallies[group] = {}
-            groups.append(group)
-        if name.startswith("count:"):
-            tallies[group][name.split(":", 1)[1]] = int(row[6])
-        else:
-            metrics[group][name] = MetricStats(
-                mean=float(row[2]),
-                std=float(row[3]),
-                ci_low=float(row[4]),
-                ci_high=float(row[5]),
-                n=int(row[6]),
-            )
-    return AggregateStats(
-        groups=tuple(groups), metrics=metrics, tallies=tallies, total_cells=total_cells
-    )

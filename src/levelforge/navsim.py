@@ -1,12 +1,15 @@
 """Navigation grid, two-phase navigability repair and agent simulation.
 
 The level discretizes into unit cells per floor. Phase one fixes doorway
-blockages room by room with flood fill and minimal repositioning of
-adaptable facilities. Phase two walks the rooms in topological order with
-an A* agent, repositioning and then removing blockers until every
-consecutive pair connects or the simulated-time budget runs out. The same
-agent then drives rerun validation and the objective (key-collection)
-simulation that produce the pacing metrics.
+blockages room by room with flood fill (`geometry.bfs` over the room's
+open cells) and minimal repositioning of adaptable facilities. Phase two
+walks the rooms in topological order with an A* agent, repositioning and
+then removing blockers until every consecutive pair connects or the
+simulated-time budget runs out. Both phases take their blockers from one
+in-bounds neighbour scan (`_around`) and their new poses from one
+relocation search (`_relocations`). The same agent then drives rerun
+validation and the objective (key-collection) simulation that produce
+the pacing metrics.
 
 All times are simulated seconds derived from path geometry and the agent
 constants; wall-clock never enters the metrics.
@@ -15,10 +18,10 @@ constants; wall-clock never enters the metrics.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,7 +51,6 @@ class AgentParams:
 
 @dataclass
 class RepairReport:
-    phase1_moves: int = 0
     phase2_moves: int = 0
     facilities_removed: int = 0
     repair_time: float = 0.0
@@ -110,14 +112,6 @@ class NavGrid:
     stair_cells: list[set[tuple[int, int]]] = field(default_factory=list)
     # room id -> doorway source cells on that room's side, keyed by room pair
     doorways: dict[int, dict[DoorwayKey, list[Cell]]] = field(default_factory=dict)
-
-    @property
-    def total_cells(self) -> int:
-        return self.width * self.length * self.floors
-
-    def walkable(self, cell: Cell) -> bool:
-        f, x, y = cell
-        return self.state[f][x, y] in _WALKABLE
 
 
 def _cell_span(lo: float, hi: float, limit: int) -> range:
@@ -274,6 +268,19 @@ class FloodResult:
     blocked: list[DoorwayKey]
 
 
+def _around(grid: NavGrid, cells: Iterable[Cell]) -> Iterator[Cell]:
+    """In-bounds 4-neighbours of each cell on its own floor, repeats included."""
+    for f, x, y in cells:
+        if x + 1 < grid.width:
+            yield (f, x + 1, y)
+        if x > 0:
+            yield (f, x - 1, y)
+        if y + 1 < grid.length:
+            yield (f, x, y + 1)
+        if y > 0:
+            yield (f, x, y - 1)
+
+
 def flood_fill_room(level: Level, grid: NavGrid, room: RoomInstance) -> FloodResult:
     """4-connected flood from each doorway, limited to the room's cells.
 
@@ -281,111 +288,71 @@ def flood_fill_room(level: Level, grid: NavGrid, room: RoomInstance) -> FloodRes
     its region fails to reach some other doorway of the room.
     """
     doorways = grid.doorways.get(room.id, {})
-    rid = room.id
-    room_arr = grid.room_of[room.floor]
-    state = grid.state[room.floor]
+    f = room.floor
+    # as nested lists: one cell at a time, they index faster than the array
+    is_open = ((grid.room_of[f] == room.id) & np.isin(grid.state[f], _WALKABLE)).tolist()
 
-    def room_walkable(x: int, y: int) -> bool:
-        return (
-            0 <= x < grid.width
-            and 0 <= y < grid.length
-            and room_arr[x, y] == rid
-            and state[x, y] in _WALKABLE
-        )
-
-    regions: dict[DoorwayKey, frozenset[Cell]] = {}
-    component: dict[tuple[int, int], int] = {}
-    comp_cells: list[set[tuple[int, int]]] = []
-
-    def component_of(x: int, y: int) -> int:
-        if (x, y) in component:
-            return component[(x, y)]
-        idx = len(comp_cells)
-        seen = {(x, y)}
-        queue = deque([(x, y)])
-        while queue:
-            cx, cy = queue.popleft()
-            component[(cx, cy)] = idx
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                nx, ny = cx + dx, cy + dy
-                if (nx, ny) not in seen and room_walkable(nx, ny):
-                    seen.add((nx, ny))
-                    queue.append((nx, ny))
-        comp_cells.append(seen)
-        return idx
+    def steps(cell: Cell) -> list[Cell]:
+        return [c for c in _around(grid, (cell,)) if is_open[c[1]][c[2]]]
 
     sources = {k: tuple(v) for k, v in doorways.items()}
-    walk_sources: dict[DoorwayKey, list[Cell]] = {}
-    for key, cells in doorways.items():
-        walk = [c for c in cells if room_walkable(c[1], c[2])]
-        walk_sources[key] = walk
-        merged: set[tuple[int, int]] = set()
-        for c in walk:
-            merged |= comp_cells[component_of(c[1], c[2])]
-        regions[key] = frozenset((room.floor, x, y) for x, y in merged)
+    open_sources = {k: [c for c in v if is_open[c[1]][c[2]]] for k, v in doorways.items()}
+    component: dict[Cell, frozenset[Cell]] = {}
+    regions: dict[DoorwayKey, frozenset[Cell]] = {}
+    for key, cells in open_sources.items():
+        for c in cells:
+            if c not in component:
+                comp = frozenset(bfs(c, steps))
+                component.update(dict.fromkeys(comp, comp))
+        regions[key] = frozenset().union(*(component[c] for c in cells))
 
-    blocked = []
-    for key in sorted(doorways):
-        if not walk_sources[key]:
-            blocked.append(key)
-            continue
-        region = regions[key]
-        for other in doorways:
-            if other == key:
-                continue
-            if not any(c in region for c in sources[other]):
-                blocked.append(key)
-                break
+    blocked = [
+        key
+        for key in sorted(doorways)
+        if not open_sources[key]
+        or any(o != key and regions[key].isdisjoint(sources[o]) for o in doorways)
+    ]
     return FloodResult(sources=sources, regions=regions, blocked=blocked)
 
 
-def _spiral_offsets(radius: int) -> list[tuple[int, int]]:
-    offs = [
-        (dx, dy)
-        for dx in range(-radius, radius + 1)
-        for dy in range(-radius, radius + 1)
-        if (dx, dy) != (0, 0)
-    ]
-    offs.sort(key=lambda o: (o[0] * o[0] + o[1] * o[1], o[0], o[1]))
-    return offs
-
-
-def _pose_clear(
-    pose: Pose,
-    fac_id: str,
+def _relocations(
     level: Level,
+    grid: NavGrid,
+    fac: FacilityInstance,
     room: RoomInstance,
-) -> bool:
-    fp = pose.footprint()
-    for other in level.facilities:
-        if other.room_id != room.id or other.id == fac_id:
-            continue
-        if penetration_depth(fp, other.pose.footprint()) > 0:
-            return False
-    for mech in level.mechanics:
-        if mech.room_id == room.id and penetration_depth(fp, mech.pose.footprint()) > 0:
-            return False
-    for obstacle in level.stair_obstacles(room.id):
-        if penetration_depth(fp, obstacle.footprint()) > 0:
-            return False
-    return True
-
-
-def _relocation_poses(fac: FacilityInstance, room: RoomInstance) -> Iterable[Pose]:
-    """Nearby candidate poses in spiral order, nearest first, same yaw;
-    none when the facility does not fit the room at that yaw."""
+    cells_ok: Callable[[list[Cell]], bool],
+) -> Iterator[Pose]:
+    """Poses of `fac` around its own in spiral order, nearest first, same
+    yaw, whose cells pass `cells_ok` and whose footprint overlaps no other
+    facility, mechanic or stair obstacle of the room; none when the
+    facility does not fit the room at that yaw."""
+    home = fac.pose
+    taken = [
+        o.pose.footprint() for o in level.facilities if o.room_id == room.id and o.id != fac.id
+    ]
+    taken += [m.pose.footprint() for m in level.mechanics if m.room_id == room.id]
+    taken += [o.footprint() for o in level.stair_obstacles(room.id)]
     radius = int(math.ceil(max(room.dims.width, room.dims.length)))
-    for dx, dy in _spiral_offsets(radius):
-        pose = clamp_into_room(fac.pose, fac.pose.x + dx, fac.pose.y + dy, room.dims)
+    span = range(-radius, radius + 1)
+    offsets = sorted(
+        ((dx, dy) for dx in span for dy in span if dx or dy),
+        key=lambda o: (o[0] * o[0] + o[1] * o[1], o),
+    )
+    for dx, dy in offsets:
+        pose = clamp_into_room(home, home.x + dx, home.y + dy, room.dims)
         if pose is None:
             return
-        if pose.x != fac.pose.x or pose.y != fac.pose.y:
+        if (pose.x, pose.y) == (home.x, home.y) or not cells_ok(_pose_cells(grid, room, pose)):
+            continue
+        fp = pose.footprint()
+        if not any(penetration_depth(fp, other) > 0 for other in taken):
             yield pose
 
 
-def geometric_repair(level: Level, grid: NavGrid) -> tuple[Level, RepairReport]:
+def geometric_repair(level: Level, grid: NavGrid) -> int:
     """Phase one: resolve doorway blockages by minimally repositioning
-    adaptable facilities; residual blockages are left to the agent phase."""
+    adaptable facilities; residual blockages are left to the agent phase.
+    Returns the number of moves."""
     moves = 0
     for room in sorted(level.rooms, key=lambda r: r.id):
         stuck: set[DoorwayKey] = set()
@@ -394,66 +361,38 @@ def geometric_repair(level: Level, grid: NavGrid) -> tuple[Level, RepairReport]:
             pending = [k for k in result.blocked if k not in stuck]
             if not pending:
                 break
-            key = pending[0]
-            if _unblock_doorway(level, grid, room, key, result):
+            if _unblock_doorway(level, grid, room, pending[0], result):
                 moves += 1
             else:
-                stuck.add(key)
-    return level, RepairReport(phase1_moves=moves)
-
-
-def _blocking_facilities(
-    level: Level, grid: NavGrid, room: RoomInstance, key: DoorwayKey, result: FloodResult
-) -> list[FacilityInstance]:
-    """Adaptable facilities on the doorway cells or hugging its region."""
-    cells: set[Cell] = set()
-    for c in result.sources[key]:
-        if grid.state[c[0]][c[1], c[2]] == FACILITY:
-            cells.add(c)
-    for f, x, y in result.regions[key]:
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nx, ny = x + dx, y + dy
-            if (
-                0 <= nx < grid.width
-                and 0 <= ny < grid.length
-                and grid.room_of[f][nx, ny] == room.id
-                and grid.state[f][nx, ny] == FACILITY
-            ):
-                cells.add((f, nx, ny))
-    return _adaptable_occupants(level, grid, cells)
+                stuck.add(pending[0])
+    return moves
 
 
 def _unblock_doorway(
     level: Level, grid: NavGrid, room: RoomInstance, key: DoorwayKey, result: FloodResult
 ) -> bool:
+    """Move one adaptable facility on the doorway's cells or hugging its
+    region off those cells, to the first of at most 64 clear poses that
+    frees the doorway without blocking another."""
+    sources = set(result.sources[key])
+    hugging = set(_around(grid, result.regions[key]))
+    state, room_of = grid.state[room.floor], grid.room_of[room.floor]
+    blockers = {c for c in sources if state[c[1], c[2]] == FACILITY}
+    blockers.update(
+        c for c in hugging if room_of[c[1], c[2]] == room.id and state[c[1], c[2]] == FACILITY
+    )
+    doorway = sources | hugging
     before = set(result.blocked)
-    for fac in _blocking_facilities(level, grid, room, key, result):
-        original = fac.pose
-        occupied = set(_facility_cells(grid, level, fac))
-        # the subset of doorway-relevant cells this facility must vacate
-        critical = {
-            c
-            for c in occupied
-            if c in result.sources[key]
-            or any(
-                (c[0], c[1] + dx, c[2] + dy) in result.regions[key]
-                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
-            )
-        }
-        attempts = 0
-        for pose in _relocation_poses(fac, room):
-            if not critical.isdisjoint(_pose_cells(grid, room, pose)):
-                continue  # still covering the blockage
-            if not _pose_clear(pose, fac.id, level, room):
-                continue
-            attempts += 1
-            if attempts > 64:
-                break
+    for fac in _adaptable_occupants(level, grid, blockers):
+        home = fac.pose
+        # the cells on the doorway or beside its region that it must vacate
+        critical = doorway.intersection(_facility_cells(grid, level, fac))
+        for pose in islice(_relocations(level, grid, fac, room, critical.isdisjoint), 64):
             _move_facility(grid, level, fac, pose)
             after = set(flood_fill_room(level, grid, room).blocked)
             if key not in after and after <= before:
                 return True
-            _move_facility(grid, level, fac, original)
+            _move_facility(grid, level, fac, home)
     return False
 
 
@@ -565,59 +504,46 @@ def target_cell(
 
 # -- phase-2 agent repair --------------------------------------------------------
 
-def agent_repair(
-    level: Level, agent: AgentParams, grid: NavGrid
-) -> tuple[Level, RepairReport]:
+def agent_repair(level: Level, agent: AgentParams, grid: NavGrid) -> RepairReport:
     """Phase two: walk rooms in topological order, repositioning then
     removing adaptable blockers until the whole order connects.
 
     Sweeps repeat until one passes with no repair action, so a late move
-    can never silently break an earlier segment. Simulated time (walking
-    plus a timeout per failed attempt) accumulates; exceeding the budget
-    marks the level unrepairable.
+    can never silently break an earlier segment. The start room is reached
+    by a zero-length path. Simulated time (walking plus a timeout per
+    failed attempt) accumulates; exceeding the budget marks the level
+    unrepairable.
     """
     report = RepairReport()
     rooms = sorted(level.rooms, key=lambda r: r.tau)
     repositioned: set[str] = set()
-    time = 0.0
-
-    def fail(msg_time: float) -> tuple[Level, RepairReport]:
-        report.repair_time = msg_time
-        report.status = "unrepairable"
-        return level, report
-
     while True:
         actions = 0
-        pos = target_cell(grid, rooms[0])
-        while pos is None:
-            time += agent.room_timeout
-            if time > agent.total_budget:
-                return fail(time)
-            if _repair_action(level, grid, None, rooms[0], repositioned, report):
-                actions += 1
-            pos = target_cell(grid, rooms[0])
-
-        for room in rooms[1:]:
+        pos: Cell | None = None
+        for room in rooms:
             while True:
                 tgt = target_cell(grid, room)
-                path = astar_path(grid, pos, tgt) if tgt is not None else None
+                if tgt is None:
+                    path = None
+                elif pos is None:
+                    path = [tgt]
+                else:
+                    path = astar_path(grid, pos, tgt)
+                report.repair_time += (
+                    agent.room_timeout
+                    if path is None
+                    else traversal_time(path, agent, grid.floor_height)
+                )
+                if report.repair_time > agent.total_budget:
+                    report.status = "unrepairable"
+                    return report
                 if path is not None:
-                    time += traversal_time(path, agent, grid.floor_height)
-                    if time > agent.total_budget:
-                        return fail(time)
                     pos = tgt
                     break
-                time += agent.room_timeout
-                if time > agent.total_budget:
-                    return fail(time)
                 if _repair_action(level, grid, pos, room, repositioned, report):
                     actions += 1
         if actions == 0:
-            break
-
-    report.repair_time = time
-    report.status = "repaired"
-    return level, report
+            return report
 
 
 def _repair_action(
@@ -630,64 +556,44 @@ def _repair_action(
 ) -> bool:
     """Reposition (first time) or remove (second time) the adaptable
     facility blocking the frontier nearest the failed path's end."""
-
     if pos is None:
         # start room fully covered: attack any adaptable facility inside it
-        frontier: list[tuple[int, Cell]] = [
-            (0, c)
-            for c in sorted(grid.occupants)
-            if grid.room_of[c[0]][c[1], c[2]] == target_room.id
+        frontier = [
+            c for c in sorted(grid.occupants) if grid.room_of[c[0]][c[1], c[2]] == target_room.id
         ]
     else:
         reach = bfs(pos, lambda c: _neighbors(grid, c))
         tx, ty = target_room.center()
         tf = target_room.floor
+        span = grid.width + grid.length
         end = min(
             reach,
             key=lambda c: (
-                abs(c[0] - tf) * (grid.width + grid.length)
-                + abs(c[1] + 0.5 - tx)
-                + abs(c[2] + 0.5 - ty),
+                abs(c[0] - tf) * span + abs(c[1] + 0.5 - tx) + abs(c[2] + 0.5 - ty),
                 reach[c],
                 c,
             ),
         )
-        seen: set[Cell] = set()
-        frontier = []
-        for f, x, y in reach:
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                nx, ny = x + dx, y + dy
-                cell = (f, nx, ny)
-                if (
-                    0 <= nx < grid.width
-                    and 0 <= ny < grid.length
-                    and cell not in seen
-                    and grid.state[f][nx, ny] == FACILITY
-                ):
-                    seen.add(cell)
-                    d = (
-                        abs(f - end[0]) * (grid.width + grid.length)
-                        + abs(nx - end[1])
-                        + abs(ny - end[2])
-                    )
-                    frontier.append((d, cell))
-        frontier.sort(key=lambda item: (item[0], item[1]))
+        frontier = sorted(
+            {c for c in _around(grid, reach) if grid.state[c[0]][c[1], c[2]] == FACILITY},
+            key=lambda c: (
+                abs(c[0] - end[0]) * span + abs(c[1] - end[1]) + abs(c[2] - end[2]),
+                c,
+            ),
+        )
 
-    for _, cell in frontier:
+    def off_doors_and_stairs(cells: list[Cell]) -> bool:
+        return not any(grid.base[f][x, y] in (DOOR, STAIR) for f, x, y in cells)
+
+    for cell in frontier:
         movable = _adaptable_occupants(level, grid, (cell,))
         if not movable:
             continue
         fac = movable[0]
-        room = level.room_by_id(fac.room_id)
         if fac.id not in repositioned:
-            for pose in _relocation_poses(fac, room):
-                if not _pose_clear(pose, fac.id, level, room):
-                    continue
-                if any(
-                    grid.base[f][x, y] in (DOOR, STAIR)
-                    for f, x, y in _pose_cells(grid, room, pose)
-                ):
-                    continue
+            room = level.room_by_id(fac.room_id)
+            pose = next(_relocations(level, grid, fac, room, off_doors_and_stairs), None)
+            if pose is not None:
                 _move_facility(grid, level, fac, pose)
                 repositioned.add(fac.id)
                 report.phase2_moves += 1

@@ -4,22 +4,30 @@ The layout oracle enumerates poses on a half-unit grid over four yaw steps
 and recomputes the room objective from the raw formulas (bounds, pairwise
 overlap, constraint rows, inverse-distance cluster sum, worst-case grid
 sparsity) without touching the annealer's evaluator.
+
+Two test-only helpers live here too: the facility-tier penalty sum of one
+placed facility, and the parser that reads `emit_table`'s CSV back.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from random import Random
+from typing import Sequence
 
 import numpy as np
 
 from levelforge.constraints import (
+    DEFAULT_WEIGHTS,
     DISTANCE_EPS,
     ConstraintSpec,
     WeightConfig,
     eval_facility_penalty,
 )
 from levelforge.geometry import Dimensions, Pose
+from levelforge.harness import AggregateStats, MetricStats
 from levelforge.layout import interior_grid_points
 from levelforge.level import FacilityInstance
 from levelforge.seeding import derive_seed
@@ -237,3 +245,52 @@ def make_layout_instance(index: int):
             inst("buddy", 1, Dimensions(1.0, 2.0, 1.0), []),
         ]
     return geom, adaptable, [], weights
+
+
+def total_constraint_penalty(
+    facility,
+    room: Dimensions,
+    others: Sequence[tuple[str, Pose]] = (),
+    weights: WeightConfig = DEFAULT_WEIGHTS,
+) -> float:
+    """Sum of all facility-tier penalties for one placed facility.
+
+    `facility` needs `.pose` and `.constraints` attributes.
+    """
+    total = 0.0
+    for spec in facility.constraints:
+        total += eval_facility_penalty(spec, facility.pose, room, others, weights)
+    return total
+
+
+def parse_stats_csv(text: str) -> AggregateStats:
+    """Rebuild AggregateStats from its CSV form (round-trip identical)."""
+    rows = list(csv.reader(io.StringIO(text)))
+    header, body = rows[0], rows[1:]
+    assert header[0] == "group"
+    total_cells = 0
+    groups: list[str] = []
+    metrics: dict[str, dict[str, MetricStats]] = {}
+    tallies: dict[str, dict[str, int]] = {}
+    for row in body:
+        group, name = row[0], row[1]
+        if group == "_total_cells":
+            total_cells = int(row[6])
+            continue
+        if group not in metrics:
+            metrics[group] = {}
+            tallies[group] = {}
+            groups.append(group)
+        if name.startswith("count:"):
+            tallies[group][name.split(":", 1)[1]] = int(row[6])
+        else:
+            metrics[group][name] = MetricStats(
+                mean=float(row[2]),
+                std=float(row[3]),
+                ci_low=float(row[4]),
+                ci_high=float(row[5]),
+                n=int(row[6]),
+            )
+    return AggregateStats(
+        groups=tuple(groups), metrics=metrics, tallies=tallies, total_cells=total_cells
+    )

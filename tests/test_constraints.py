@@ -8,12 +8,12 @@ from levelforge.constraints import (
     ConstraintSpec,
     eval_facility_penalty,
     eval_room_penalty,
-    total_constraint_penalty,
 )
 from levelforge.errors import UnknownKind
 from levelforge.geometry import Dimensions, Pose, penetration_depth
 
 from conftest import make_facility, make_room
+from oracles import total_constraint_penalty
 
 ROOM = Dimensions(20.0, 20.0, 3.0)
 REL = 1e-9

@@ -15,13 +15,12 @@ from levelforge.export import (
 )
 from levelforge.harness import generate_level
 from levelforge.layout import SAParams
-from levelforge.level import MechanicPlacement
-from levelforge.geometry import DOOR_WIDTH, Dimensions, Pose, shared_segment
+from levelforge.geometry import DOOR_WIDTH, shared_segment
 from levelforge.navsim import DOOR, build_nav_grid
 from levelforge.seeding import derive_rng
 
-from conftest import make_facility, make_level, make_room
-from vmf_reader import parse_vmf, read_vmf
+from conftest import make_level, make_room
+from vmf_reader import read_vmf
 
 
 def small_config(seed=0):
@@ -413,25 +412,3 @@ world
 
     with pytest.raises(ParseError):
         read_vmf(bad)
-
-
-def test_classmap_overrides_entity_classnames():
-    level = make_level([make_room(1, (0.0, 0.0), 10, 10)], width=10, length=10)
-    level.facilities.append(make_facility("f", 1, 5.0, 5.0))
-    level.mechanics.append(
-        MechanicPlacement(
-            id="key",
-            def_name="FloorKey",
-            room_id=1,
-            pose=Pose(3.0, 3.0, 0.15, 0.0, Dimensions(0.3, 0.3, 0.3)),
-        )
-    )
-    text = export_vmf(
-        level,
-        classmap={"Prop": "prop_physics"},
-        facility_tags={"Crate": ["Prop"]},
-    ).decode()
-    blocks = parse_vmf(text)
-    classnames = [b.props["classname"] for b in blocks if b.name == "entity"]
-    assert "prop_physics" in classnames
-    assert "prop_dynamic" in classnames  # the key keeps the default

@@ -97,11 +97,11 @@ def test_repair_of_crowded_levels_is_pinned():
     for case in range(REPAIR_CASES):
         level = crowded_level(Random(case))
         grid = build_nav_grid(level)
-        _, phase1 = geometric_repair(level, grid)
-        _, report = agent_repair(level, AgentParams(), grid)
+        phase1_moves = geometric_repair(level, grid)
+        report = agent_repair(level, AgentParams(), grid)
         poses = [(f.id, f.pose.x, f.pose.y, f.pose.yaw) for f in level.facilities]
         row = (
-            phase1.phase1_moves,
+            phase1_moves,
             report.phase2_moves,
             report.facilities_removed,
             report.status,

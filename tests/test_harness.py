@@ -15,12 +15,12 @@ from levelforge.harness import (
     emit_table,
     generate_level,
     level_seed,
-    parse_stats_csv,
     records_csv,
     run_experiment,
 )
 from levelforge.navsim import MetricsRecord
 
+from oracles import parse_stats_csv
 from test_export import small_config
 
 

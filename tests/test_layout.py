@@ -10,7 +10,6 @@ from levelforge.constraints import (
     ConstraintSpec,
     WeightConfig,
     eval_facility_penalty,
-    total_constraint_penalty,
 )
 from levelforge.errors import InfeasibleRoom, NoAdaptableFacilities
 from levelforge import layout as layout_module
@@ -26,7 +25,7 @@ from levelforge.layout import (
 )
 
 from conftest import make_facility, make_room
-from oracles import make_layout_instance, oracle_layout_optimum
+from oracles import make_layout_instance, oracle_layout_optimum, total_constraint_penalty
 
 ROOM = make_room(1, (0.0, 0.0), 10, 10)
 GEOM = ROOM.dims

@@ -174,8 +174,7 @@ def test_facility_on_door_cell_gets_repositioned(two_room_level):
     grid = build_nav_grid(level)
     before = flood_fill_room(level, grid, level.room_by_id(1))
     assert before.blocked == [(1, 2)]
-    level, report = geometric_repair(level, grid)
-    assert report.phase1_moves == 1
+    assert geometric_repair(level, grid) == 1
     after = flood_fill_room(level, grid, level.room_by_id(1))
     assert after.blocked == []
 
@@ -184,8 +183,7 @@ def test_fixed_blockage_survives_phase_one(two_room_level):
     level = two_room_level
     level.facilities.append(make_facility("sealed", 1, 9.5, 5.5, fixed=True))
     grid = build_nav_grid(level)
-    level, report = geometric_repair(level, grid)
-    assert report.phase1_moves == 0
+    assert geometric_repair(level, grid) == 0
     assert flood_fill_room(level, grid, level.room_by_id(1)).blocked == [(1, 2)]
 
 
@@ -204,7 +202,7 @@ def test_phase_one_never_increases_blockage_count():
         grid = build_nav_grid(level)
         room = level.room_by_id(1)
         before = len(flood_fill_room(level, grid, room).blocked)
-        level, _ = geometric_repair(level, grid)
+        geometric_repair(level, grid)
         after = len(flood_fill_room(level, grid, room).blocked)
         assert after <= before
 
@@ -214,7 +212,7 @@ def test_phase_one_never_increases_blockage_count():
 
 def test_clean_level_repairs_with_zero_actions(two_room_level):
     grid = build_nav_grid(two_room_level)
-    level, report = agent_repair(two_room_level, AGENT, grid)
+    report = agent_repair(two_room_level, AGENT, grid)
     assert report.status == "repaired"
     assert report.phase2_moves == 0 and report.facilities_removed == 0
     assert report.repair_time > 0.0
@@ -225,7 +223,7 @@ def test_fixed_seal_with_adaptable_bystander_reposition_then_remove(two_room_lev
     level.facilities.append(make_facility("seal", 1, 9.5, 5.5, fixed=True))
     level.facilities.append(make_facility("bystander", 1, 8.5, 4.5))
     grid = build_nav_grid(level)
-    level, report = agent_repair(level, AGENT, grid)
+    report = agent_repair(level, AGENT, grid)
     assert report.status == "unrepairable"
     # the adaptable facility was repositioned first, removed only afterwards
     assert report.phase2_moves == 1
@@ -239,7 +237,7 @@ def test_all_fixed_seals_lead_to_unrepairable(two_room_level):
     level.facilities.append(make_facility("seal_a", 1, 9.5, 5.5, fixed=True))
     level.facilities.append(make_facility("seal_b", 2, 0.5, 5.5, fixed=True))
     grid = build_nav_grid(level)
-    level, report = agent_repair(level, AGENT, grid)
+    report = agent_repair(level, AGENT, grid)
     assert report.status == "unrepairable"
     assert report.facilities_removed == 0
     assert report.repair_time > AGENT.total_budget
@@ -251,7 +249,7 @@ def test_covered_start_room_is_opened_from_inside(two_room_level):
     level.facilities.append(make_facility("cover", 1, 5.5, 5.0, w=9.0, l=10.0))
     grid = build_nav_grid(level)
     assert target_cell(grid, level.room_by_id(1)) is None
-    level, report = agent_repair(level, AGENT, grid)
+    report = agent_repair(level, AGENT, grid)
     assert report.status == "repaired"
     assert report.phase2_moves == 1 and report.facilities_removed == 0
     start = target_cell(grid, level.room_by_id(1))
@@ -271,8 +269,8 @@ def test_grid_stays_consistent_after_repairs(two_room_level):
             make_facility(f"f{k}", 1, rng.uniform(1, 9), rng.uniform(1, 9), w=2.0, l=1.0)
         )
     grid = build_nav_grid(level)
-    level, _ = geometric_repair(level, grid)
-    level, _ = agent_repair(level, AGENT, grid)
+    geometric_repair(level, grid)
+    agent_repair(level, AGENT, grid)
     fresh = build_nav_grid(level)
     for f in range(grid.floors):
         assert np.array_equal(grid.state[f], fresh.state[f])
