@@ -3,8 +3,11 @@ import json
 
 import pytest
 
+from levelforge.constraints import ConstraintSpec
 from levelforge.database import (
     Database,
+    TopoConstraint,
+    Violation,
     load_database,
     save_database,
     validate_database,
@@ -240,3 +243,98 @@ def test_topo_constraint_references_must_resolve():
     )
     with pytest.raises(UnresolvedReferenceError):
         load_database(source)
+
+
+def _replace(db: Database, section: str, entity: str, **changes) -> Database:
+    """`db` with entity `entity` of `section` rebuilt with `changes`."""
+    rebuilt = tuple(
+        dataclasses.replace(e, **changes) if e.name == entity else e
+        for e in getattr(db, section)
+    )
+    return dataclasses.replace(db, **{section: rebuilt})
+
+
+def test_each_rule_trips_alone_with_its_message(minimal_db):
+    near_crate = ConstraintSpec("Near", {"target": "Crate", "d_min": 3.0})
+    (cell_crate,) = minimal_db.room("Cell").characteristic_facilities
+    vault_pillar, vault_crate = minimal_db.room("Vault").characteristic_facilities
+
+    def facility(entity, **changes):
+        return _replace(minimal_db, "facilities", entity, **changes)
+
+    def room(entity, **changes):
+        return _replace(minimal_db, "rooms", entity, **changes)
+
+    def mechanic(entity, **changes):
+        return _replace(minimal_db, "mechanics", entity, **changes)
+
+    cases = [
+        (
+            facility("Beacon", constraints=(ConstraintSpec("Near", {"target": "Ghost"}),)),
+            "Beacon", "unresolved-target", "constraint target 'Ghost' is not a known facility",
+        ),
+        (
+            room(
+                "Cell", characteristic_facilities=(dataclasses.replace(cell_crate, facility="Ghost"),)
+            ),
+            "Cell", "unresolved-facility", "characteristic facility 'Ghost' is not a known facility",
+        ),
+        (
+            mechanic("KeyA", topo_constraints=(TopoConstraint("precedes", "Ghost"),)),
+            "KeyA", "unresolved-mechanic", "topological reference 'Ghost' is not a known mechanic",
+        ),
+        (
+            facility("Stair", name="Crate"),
+            "Crate", "name-unique", "facility name 'Crate' appears more than once",
+        ),
+        (
+            mechanic("FloorKey", dims=Dimensions(-1.0, 0.3, 0.3)),
+            "FloorKey", "dimensions-positive",
+            "all dimensions must be strictly positive and finite, got (-1.0, 0.3, 0.3)",
+        ),
+        (
+            facility("Stair", instance_guideline=0),
+            "Stair", "instance-guideline", "guideline 0 < 1",
+        ),
+        (
+            facility("Beacon", constraints=(ConstraintSpec("AdjacentTo", {"target": "Crate"}),)),
+            "Beacon", "constraint-tier", "AdjacentTo is not facility-tier",
+        ),
+        (
+            facility("Beacon", constraints=(dataclasses.replace(near_crate, weight=-1.0),)),
+            "Beacon", "weight-non-negative", "Near weight -1.0 < 0",
+        ),
+        (
+            room("Cell", max_instances=0),
+            "Cell", "max-instances", "max_instances 0 < 1",
+        ),
+        (
+            room("Cell", arch_type="cave"),
+            "Cell", "arch-type", "unknown arch_type 'cave'",
+        ),
+        (
+            room("Cell", characteristic_facilities=(dataclasses.replace(cell_crate, count=0),)),
+            "Cell", "facility-count", "Crate: count 0 < 1",
+        ),
+        (
+            room("Cell", dims=Dimensions(0.5, 0.5, 3.0)),
+            "Cell", "facility-fits", "Crate footprint does not fit inside the room",
+        ),
+        (
+            room(
+                "Vault",
+                characteristic_facilities=(
+                    dataclasses.replace(vault_pillar, positions=()), vault_crate
+                ),
+            ),
+            "Vault", "fixed-positions",
+            "Pillar: fixed facility needs 1 authored position(s), got 0",
+        ),
+        (
+            mechanic("KeyA", topo_constraints=(TopoConstraint("topo_near", "KeyB", -1),)),
+            "KeyA", "threshold", "topo_near threshold -1 < 0",
+        ),
+    ]
+    assert validate_database(minimal_db) == []
+    for mutant, entity, rule, message in cases:
+        assert validate_database(mutant) == [Violation(entity, rule, message)]

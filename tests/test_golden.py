@@ -1,17 +1,24 @@
 """Golden-output pin: byte-level hashes of a fixed small experiment, of
-one paper-scale level per group and of both repair phases on seeded
-crowded levels.
+one paper-scale level per group, of both repair phases on seeded crowded
+levels and of how seeded mutated database documents read.
 
 A change that alters any pinned hash changes generated levels; it must say
 why and show the acceptance suite still passing before the pin moves.
 """
 
+import copy
 import hashlib
+import json
+from importlib import resources
 from random import Random
 
 import pytest
 
+from levelforge import SAMPLE_DATABASES
 from levelforge.arrangement import LevelConfig
+from levelforge.constraints import ALL_KINDS
+from levelforge.database import load_database, save_database, validate_database
+from levelforge.errors import LevelforgeError
 from levelforge.geometry import HALF_PI, Dimensions, Pose, clamp_into_room
 from levelforge.harness import GROUPS, ExperimentConfig, generate_level, level_seed, run_experiment
 from levelforge.layout import SAParams
@@ -35,6 +42,9 @@ PAPER_LEVEL_HASHES = {
 
 REPAIR_CASES = 150
 REPAIR_SHA256 = "1f35d9e84dd30f2bf907f6a0d668d27fede937cb093319a5b85bb9f78d15e4f7"
+
+DATABASE_CASES = 1500
+DATABASE_SHA256 = "a33fc8fb94716f8018b3fe6bf79cac41108e0b660d8a99bb9f576870d4008962"
 
 
 def test_small_experiment_records_csv_is_pinned(minimal_db, tmp_path, monkeypatch):
@@ -110,3 +120,82 @@ def test_repair_of_crowded_levels_is_pinned():
         )
         digest.update(repr(row).encode() + b"\n")
     assert digest.hexdigest() == REPAIR_SHA256
+
+
+def _slots(node, out):
+    """Every (container, key) pair under `node`, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            _slots(value, out)
+    return out
+
+
+def _mutate_once(rng: Random, doc: dict, names: list[str]) -> None:
+    """One structural mutation (deleted field or item, wrong type, extra key,
+    duplicated item) or value mutation (zero or negative number or weight,
+    another entity's name, a constraint kind of any tier, an added
+    topological rule) at a random slot."""
+    container, key = rng.choice(_slots(doc, []))
+    value = container[key]
+    op = rng.random()
+    if op < 0.12:
+        del container[key]
+    elif op < 0.22:
+        container[key] = rng.choice([None, "x", 7, -2.5, True, [], {}])
+    elif op < 0.30:
+        target = value if isinstance(value, dict) else doc
+        target["extra"] = 1
+    elif op < 0.38:
+        target = value if isinstance(value, list) else container
+        if isinstance(target, list) and target:
+            target.append(copy.deepcopy(rng.choice(target)))
+    elif isinstance(value, dict) and "type" in value:
+        value["weight"] = rng.choice([-1.0, 0.0, 2.0])
+    elif isinstance(container, dict) and isinstance(container.get("topo_constraints"), list):
+        kind, key = rng.choice([("TopologicalNear", "d_max"), ("TopologicalFar", "d_min")])
+        other = rng.choice([container.get("name"), rng.choice(names)])
+        rule = {"type": kind, "parameters": {"other": other, key: rng.choice([-1, 0, 2])}}
+        container["topo_constraints"].append(rule)
+    elif isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return
+    elif isinstance(value, int):
+        container[key] = rng.choice([0, -1, 1, 3, 40])
+    elif isinstance(value, float):
+        container[key] = rng.choice([0.0, -value, value / 10.0, value * 10.0, 0.5])
+    elif key == "type":
+        container[key] = rng.choice(sorted(ALL_KINDS))
+    elif key in ("positioning", "arch_type"):
+        container[key] = rng.choice(["fixed", "adaptable", "enclosed", "open"])
+    else:
+        container[key] = rng.choice(names)
+
+
+def mutated_database(rng: Random, base: dict) -> bytes:
+    doc = copy.deepcopy(base)
+    names = [e["name"] for section in ("facilities", "rooms", "mechanics") for e in base[section]]
+    for _ in range(rng.choice((1, 1, 1, 2, 3))):
+        _mutate_once(rng, doc, names)
+    return json.dumps(doc).encode()
+
+
+def test_reading_of_mutated_databases_is_pinned():
+    # each document either loads, and its normalized bytes and violations
+    # are hashed, or fails, and its error class and message are hashed
+    bases = [
+        json.loads(resources.files("levelforge.data").joinpath(f"{name}.json").read_bytes())
+        for name in SAMPLE_DATABASES
+    ]
+    digest = hashlib.sha256()
+    for case in range(DATABASE_CASES):
+        rng = Random(case)
+        data = mutated_database(rng, bases[case % 2])
+        try:
+            db = load_database(data)
+        except LevelforgeError as exc:
+            row = (type(exc).__name__, str(exc))
+        else:
+            row = (save_database(db), validate_database(db))
+        digest.update(repr(row).encode() + b"\n")
+    assert digest.hexdigest() == DATABASE_SHA256
