@@ -151,7 +151,6 @@ def _room_penalty(candidate: RoomInstance, template: RoomTemplate, state: Arrang
 def gen_candidate_room(
     current: RoomInstance,
     direction: str,
-    db: Database,
     state: ArrangeState,
     rng: Random,
 ) -> RoomInstance | None:
@@ -270,7 +269,7 @@ def arrange_rooms(config: LevelConfig, db: Database, rng: Random) -> Level:
         while stack:
             current = stack.pop()
             for direction in DIRECTIONS:
-                candidate = gen_candidate_room(current, direction, db, state, rng)
+                candidate = gen_candidate_room(current, direction, state, rng)
                 if candidate is not None:
                     commit(candidate.template, candidate)
                     stack.append(candidate)

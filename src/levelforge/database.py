@@ -1,9 +1,11 @@
 """The three offline content databases: facilities, room templates, mechanics.
 
-One JSON document holds all three sections. Loading is strict (unknown or
-missing fields are schema errors, names must resolve) but does not enforce
-value invariants; those are reported by `validate_database` so that callers
-can inspect a broken database instead of failing fast.
+One JSON document holds all three sections. Reading is strict: unknown or
+missing fields are schema errors. One rule pass then checks the entities,
+and it has two modes. `load_database` enforces the reference rules (every
+name resolves) and raises on the first dangling name; `validate_database`
+lists every violation, value rules included (positive dims, unique names,
+...), so that callers can inspect a broken database instead of failing fast.
 
 All numeric parameters are SI: meters for distances, radians for angles.
 """
@@ -12,12 +14,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .constraints import (
     ALL_KINDS,
     FACILITY_KINDS,
     ROOM_KINDS,
+    STRUCTURAL_KINDS,
     TOPO_KINDS,
     ConstraintSpec,
 )
@@ -103,22 +106,13 @@ class Database:
     mechanics: tuple[MechanicDef, ...] = ()
 
     def facility(self, name: str) -> FacilityDef | None:
-        for f in self.facilities:
-            if f.name == name:
-                return f
-        return None
+        return next((f for f in self.facilities if f.name == name), None)
 
     def room(self, name: str) -> RoomTemplate | None:
-        for r in self.rooms:
-            if r.name == name:
-                return r
-        return None
+        return next((r for r in self.rooms if r.name == name), None)
 
     def mechanic(self, name: str) -> MechanicDef | None:
-        for m in self.mechanics:
-            if m.name == name:
-                return m
-        return None
+        return next((m for m in self.mechanics if m.name == name), None)
 
 
 @dataclass(frozen=True)
@@ -130,15 +124,24 @@ class Violation:
 
 # -- strict JSON helpers -----------------------------------------------------
 
+def read_json(data: bytes | str):
+    """The JSON value `data` holds; ParseError unless it is UTF-8 JSON."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+def write_json(doc) -> bytes:
+    """The byte-normalized form of `doc`: two-space indent, final newline."""
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
 def _require_object(value, where: str) -> Mapping:
     if not isinstance(value, dict):
         raise SchemaError(f"{where}: expected an object, got {type(value).__name__}")
-    return value
-
-
-def _require_array(value, where: str) -> Sequence:
-    if not isinstance(value, list):
-        raise SchemaError(f"{where}: expected an array, got {type(value).__name__}")
     return value
 
 
@@ -150,6 +153,15 @@ def _take(obj: Mapping, where: str, required: Sequence[str], optional: Sequence[
     if missing:
         raise SchemaError(f"{where}: missing field(s) {missing}")
     return dict(obj)
+
+
+def _array(obj: Mapping, key: str, where: str, parse: Callable[[object, str], object]) -> tuple:
+    """Array field `key` of `obj` (absent is empty), each item parsed at its path."""
+    path = f"{where}.{key}" if where else key
+    items = obj.get(key, [])
+    if not isinstance(items, list):
+        raise SchemaError(f"{path}: expected an array, got {type(items).__name__}")
+    return tuple(parse(item, f"{path}[{i}]") for i, item in enumerate(items))
 
 
 def _number(value, where: str) -> float:
@@ -211,7 +223,7 @@ def _parse_topo(obj, where: str) -> TopoConstraint:
         raise SchemaError(f"{where}.parameters: unknown field(s) {sorted(extra)}")
     if "other" not in params:
         raise SchemaError(f"{where}.parameters: missing 'other'")
-    strength = float(params.get("strength", 1.0))
+    strength = _number(params.get("strength", 1.0), f"{where}.parameters.strength")
     return TopoConstraint(
         kind=kind,
         other=_string(params["other"], f"{where}.parameters.other"),
@@ -220,8 +232,7 @@ def _parse_topo(obj, where: str) -> TopoConstraint:
     )
 
 
-def _parse_facility(obj, index: int) -> FacilityDef:
-    where = f"facilities[{index}]"
+def _parse_facility(obj, where: str) -> FacilityDef:
     data = _take(
         _require_object(obj, where),
         where,
@@ -231,14 +242,8 @@ def _parse_facility(obj, index: int) -> FacilityDef:
     positioning = _string(data["positioning"], f"{where}.positioning")
     if positioning not in POSITIONING:
         raise SchemaError(f"{where}.positioning: expected one of {POSITIONING}")
-    constraints = tuple(
-        _parse_constraint(c, f"{where}.constraints[{i}]")
-        for i, c in enumerate(_require_array(data.get("constraints", []), f"{where}.constraints"))
-    )
-    tags = tuple(
-        _string(t, f"{where}.tags[{i}]")
-        for i, t in enumerate(_require_array(data.get("tags", []), f"{where}.tags"))
-    )
+    constraints = _array(data, "constraints", where, _parse_constraint)
+    tags = _array(data, "tags", where, _string)
     return FacilityDef(
         name=_string(data["name"], f"{where}.name"),
         dims=_parse_dimensions(data["dimensions"], f"{where}.dimensions"),
@@ -258,77 +263,59 @@ def _parse_fixed_position(obj, where: str) -> FixedPosition:
     )
 
 
-def _parse_room(obj, index: int) -> RoomTemplate:
-    where = f"rooms[{index}]"
+def _parse_characteristic(obj, where: str) -> CharacteristicFacility:
+    data = _take(_require_object(obj, where), where, ("facility",), ("count", "positions"))
+    positions = _array(data, "positions", where, _parse_fixed_position)
+    return CharacteristicFacility(
+        facility=_string(data["facility"], f"{where}.facility"),
+        count=_integer(data.get("count", 1), f"{where}.count"),
+        positions=positions,
+    )
+
+
+def _parse_room(obj, where: str) -> RoomTemplate:
     data = _take(
         _require_object(obj, where),
         where,
         ("name", "dimensions"),
         ("characteristic_facilities", "max_instances", "arch_type", "constraints"),
     )
-    char = []
-    for i, c in enumerate(
-        _require_array(data.get("characteristic_facilities", []), f"{where}.characteristic_facilities")
-    ):
-        cw = f"{where}.characteristic_facilities[{i}]"
-        cdata = _take(_require_object(c, cw), cw, ("facility",), ("count", "positions"))
-        positions = tuple(
-            _parse_fixed_position(p, f"{cw}.positions[{j}]")
-            for j, p in enumerate(_require_array(cdata.get("positions", []), f"{cw}.positions"))
-        )
-        char.append(
-            CharacteristicFacility(
-                facility=_string(cdata["facility"], f"{cw}.facility"),
-                count=_integer(cdata.get("count", 1), f"{cw}.count"),
-                positions=positions,
-            )
-        )
-
+    char = _array(data, "characteristic_facilities", where, _parse_characteristic)
     max_instances = _integer(data.get("max_instances", 1), f"{where}.max_instances")
     arch_type = _string(data.get("arch_type", "enclosed"), f"{where}.arch_type")
-    room_constraints = []
-    for i, c in enumerate(_require_array(data.get("constraints", []), f"{where}.constraints")):
-        spec = _parse_constraint(c, f"{where}.constraints[{i}]")
+
+    def parse_constraint(obj, cwhere: str) -> ConstraintSpec:
+        nonlocal max_instances, arch_type
+        spec = _parse_constraint(obj, cwhere)
         # Structural rows configure the template instead of being scored.
         if spec.kind == "MaxInstances":
-            max_instances = _integer(spec.params.get("count"), f"{where}.constraints[{i}].parameters.count")
+            max_instances = _integer(spec.params.get("count"), f"{cwhere}.parameters.count")
         elif spec.kind == "SetType":
-            arch_type = _string(spec.params.get("type"), f"{where}.constraints[{i}].parameters.type")
-        else:
-            room_constraints.append(spec)
+            arch_type = _string(spec.params.get("type"), f"{cwhere}.parameters.type")
+        return spec
+
+    constraints = _array(data, "constraints", where, parse_constraint)
     if arch_type not in ARCH_TYPES:
         raise SchemaError(f"{where}.arch_type: expected one of {ARCH_TYPES}")
-
     return RoomTemplate(
         name=_string(data["name"], f"{where}.name"),
         dims=_parse_dimensions(data["dimensions"], f"{where}.dimensions"),
-        characteristic_facilities=tuple(char),
+        characteristic_facilities=char,
         max_instances=max_instances,
         arch_type=arch_type,
-        room_constraints=tuple(room_constraints),
+        room_constraints=tuple(c for c in constraints if c.kind not in STRUCTURAL_KINDS),
     )
 
 
-def _parse_mechanic(obj, index: int) -> MechanicDef:
-    where = f"mechanics[{index}]"
+def _parse_mechanic(obj, where: str) -> MechanicDef:
     data = _take(
         _require_object(obj, where),
         where,
         ("name", "dimensions"),
         ("standard_constraints", "topo_constraints"),
     )
-    standard = tuple(
-        _parse_constraint(c, f"{where}.standard_constraints[{i}]")
-        for i, c in enumerate(
-            _require_array(data.get("standard_constraints", []), f"{where}.standard_constraints")
-        )
-    )
-    topo = tuple(
-        _parse_topo(c, f"{where}.topo_constraints[{i}]")
-        for i, c in enumerate(
-            _require_array(data.get("topo_constraints", []), f"{where}.topo_constraints")
-        )
-    )
+    standard = _array(data, "standard_constraints", where, _parse_constraint)
+    topo = _array(data, "topo_constraints", where, _parse_topo)
     return MechanicDef(
         name=_string(data["name"], f"{where}.name"),
         dims=_parse_dimensions(data["dimensions"], f"{where}.dimensions"),
@@ -337,78 +324,127 @@ def _parse_mechanic(obj, index: int) -> MechanicDef:
     )
 
 
-def _unresolved_references(db: Database) -> Iterator[Violation]:
-    """Every name the database uses that no definition of its kind
-    carries, in document order."""
-    facility_names = {f.name for f in db.facilities}
-    room_names = {r.name for r in db.rooms}
-    mechanic_names = {m.name for m in db.mechanics}
+# -- rules ---------------------------------------------------------------------
 
-    def targets(entity: str, specs, known: set[str], kind: str) -> Iterator[Violation]:
+_REFERENCE_RULES = frozenset({"unresolved-target", "unresolved-facility", "unresolved-mechanic"})
+
+# constraint tier -> (kinds it admits, what its targets name)
+_TIERS = {"facility": (FACILITY_KINDS, "facility"), "room": (ROOM_KINDS, "room template")}
+
+
+def _violations(db: Database) -> Iterator[Violation]:
+    """Every broken rule, entity by entity in document order. Within an
+    entity, names are checked in the order the document gives them, so the
+    first reference violation is the first dangling name."""
+    facilities: dict[str, FacilityDef] = {}
+    for f in reversed(db.facilities):
+        facilities[f.name] = f  # the first definition wins, as in Database.facility
+    targets = {"facility": facilities.keys(), "room": {r.name for r in db.rooms}}
+    mechanics = {m.name for m in db.mechanics}
+    seen: dict[str, set[str]] = {"facility": set(), "room": set(), "mechanic": set()}
+
+    def shared(kind: str, entity, specs, tier: str) -> Iterator[Violation]:
+        """The rules every facility, room and mechanic keeps."""
+        name, dims = entity.name, entity.dims
+        if name in seen[kind]:
+            yield Violation(name, "name-unique", f"{kind} name {name!r} appears more than once")
+        seen[kind].add(name)
+        if not dims.is_valid():
+            yield Violation(
+                name,
+                "dimensions-positive",
+                f"all dimensions must be strictly positive and finite, got "
+                f"({dims.width}, {dims.length}, {dims.height})",
+            )
+        kinds, target_kind = _TIERS[tier]
         for spec in specs:
             t = spec.params.get("target")
-            if isinstance(t, str) and t not in known:
+            if isinstance(t, str) and t not in targets[tier]:
                 yield Violation(
-                    entity, "unresolved-target", f"constraint target {t!r} is not a known {kind}"
+                    name, "unresolved-target", f"constraint target {t!r} is not a known {target_kind}"
                 )
+            if spec.kind not in kinds:
+                yield Violation(name, "constraint-tier", f"{spec.kind} is not {tier}-tier")
+            if spec.weight is not None and spec.weight < 0:
+                yield Violation(name, "weight-non-negative", f"{spec.kind} weight {spec.weight} < 0")
 
     for f in db.facilities:
-        yield from targets(f.name, f.constraints, facility_names, "facility")
+        yield from shared("facility", f, f.constraints, "facility")
+        if f.instance_guideline < 1:
+            yield Violation(f.name, "instance-guideline", f"guideline {f.instance_guideline} < 1")
+
     for r in db.rooms:
+        # a room names its characteristic facilities before its constraints
         for cf in r.characteristic_facilities:
-            if cf.facility not in facility_names:
+            fac = facilities.get(cf.facility)
+            if fac is None:
                 yield Violation(
                     r.name,
                     "unresolved-facility",
                     f"characteristic facility {cf.facility!r} is not a known facility",
                 )
-        yield from targets(r.name, r.room_constraints, room_names, "room template")
+                continue
+            if cf.count < 1:
+                yield Violation(r.name, "facility-count", f"{cf.facility}: count {cf.count} < 1")
+            if not fits(fac.dims, r.dims):
+                yield Violation(
+                    r.name, "facility-fits", f"{cf.facility} footprint does not fit inside the room"
+                )
+            if fac.positioning == "fixed":
+                if len(cf.positions) != cf.count:
+                    yield Violation(
+                        r.name,
+                        "fixed-positions",
+                        f"{cf.facility}: fixed facility needs {cf.count} authored "
+                        f"position(s), got {len(cf.positions)}",
+                    )
+            elif cf.positions:
+                yield Violation(
+                    r.name,
+                    "fixed-positions",
+                    f"{cf.facility}: adaptable facility must not carry positions",
+                )
+        yield from shared("room", r, r.room_constraints, "room")
+        if r.max_instances < 1:
+            yield Violation(r.name, "max-instances", f"max_instances {r.max_instances} < 1")
+        if r.arch_type not in ARCH_TYPES:
+            yield Violation(r.name, "arch-type", f"unknown arch_type {r.arch_type!r}")
+
     for m in db.mechanics:
-        yield from targets(m.name, m.standard_constraints, facility_names, "facility")
+        yield from shared("mechanic", m, m.standard_constraints, "facility")
         for tc in m.topo_constraints:
-            if tc.other not in mechanic_names:
+            if tc.other not in mechanics:
                 yield Violation(
                     m.name,
                     "unresolved-mechanic",
                     f"topological reference {tc.other!r} is not a known mechanic",
                 )
+            if tc.threshold is not None and tc.threshold < 0:
+                yield Violation(m.name, "threshold", f"{tc.kind} threshold {tc.threshold} < 0")
 
 
 def load_database(data: bytes | str) -> Database:
     """Parse and cross-link a database document.
 
-    Raises ParseError for malformed JSON, SchemaError for structural
-    problems and UnresolvedReferenceError for dangling names. Value
-    invariants (positive dims, unique names, ...) are left to
-    `validate_database`.
+    Raises ParseError for bytes that are not UTF-8 JSON, SchemaError for
+    structural problems and UnresolvedReferenceError for the first dangling
+    name. The value rules (positive dims, unique names, ...) run in the same
+    pass but only `validate_database` reports them.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
     root = _take(
-        _require_object(doc, "document"),
+        _require_object(read_json(data), "document"),
         "document",
         ("facilities", "rooms", "mechanics"),
         ("schema_version",),
     )
     db = Database(
-        facilities=tuple(
-            _parse_facility(f, i)
-            for i, f in enumerate(_require_array(root["facilities"], "facilities"))
-        ),
-        rooms=tuple(
-            _parse_room(r, i) for i, r in enumerate(_require_array(root["rooms"], "rooms"))
-        ),
-        mechanics=tuple(
-            _parse_mechanic(m, i)
-            for i, m in enumerate(_require_array(root["mechanics"], "mechanics"))
-        ),
+        facilities=_array(root, "facilities", "", _parse_facility),
+        rooms=_array(root, "rooms", "", _parse_room),
+        mechanics=_array(root, "mechanics", "", _parse_mechanic),
     )
-    for v in _unresolved_references(db):
-        raise UnresolvedReferenceError(f"{v.entity}: {v.message}")
+    for v in _violations(db):
+        if v.rule in _REFERENCE_RULES:
+            raise UnresolvedReferenceError(f"{v.entity}: {v.message}")
     return db
 
 
@@ -431,6 +467,13 @@ def _topo_to_json(tc: TopoConstraint) -> dict:
     if tc.strength != 1.0:
         params["strength"] = tc.strength
     return {"type": _TOPO_TYPE_BY_KIND[tc.kind], "parameters": params}
+
+
+def _characteristic_to_json(cf: CharacteristicFacility) -> dict:
+    out: dict = {"facility": cf.facility, "count": cf.count}
+    if cf.positions:
+        out["positions"] = [{"x": p.x, "y": p.y, "yaw": p.yaw} for p in cf.positions]
+    return out
 
 
 def _dims_to_json(d: Dimensions) -> dict:
@@ -457,20 +500,7 @@ def save_database(db: Database) -> bytes:
                 "name": r.name,
                 "dimensions": _dims_to_json(r.dims),
                 "characteristic_facilities": [
-                    {
-                        "facility": cf.facility,
-                        "count": cf.count,
-                        **(
-                            {
-                                "positions": [
-                                    {"x": p.x, "y": p.y, "yaw": p.yaw} for p in cf.positions
-                                ]
-                            }
-                            if cf.positions
-                            else {}
-                        ),
-                    }
-                    for cf in r.characteristic_facilities
+                    _characteristic_to_json(cf) for cf in r.characteristic_facilities
                 ],
                 "max_instances": r.max_instances,
                 "arch_type": r.arch_type,
@@ -488,115 +518,9 @@ def save_database(db: Database) -> bytes:
             for m in db.mechanics
         ],
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
-
-
-# -- validation ----------------------------------------------------------------
-
-def _check_dims(entity: str, dims: Dimensions, out: list[Violation]) -> None:
-    if not dims.is_valid():
-        out.append(
-            Violation(
-                entity,
-                "dimensions-positive",
-                f"all dimensions must be strictly positive and finite, got "
-                f"({dims.width}, {dims.length}, {dims.height})",
-            )
-        )
-
-
-def _check_constraint_weights(entity: str, specs, out: list[Violation]) -> None:
-    for spec in specs:
-        if spec.weight is not None and spec.weight < 0:
-            out.append(
-                Violation(entity, "weight-non-negative", f"{spec.kind} weight {spec.weight} < 0")
-            )
-
-
-def _check_unique(kind: str, names: list[str], out: list[Violation]) -> None:
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            out.append(
-                Violation(name, "name-unique", f"{kind} name {name!r} appears more than once")
-            )
-        seen.add(name)
+    return write_json(doc)
 
 
 def validate_database(db: Database) -> list[Violation]:
-    """Check every type invariant; violations are data, not exceptions."""
-    out = list(_unresolved_references(db))
-    _check_unique("facility", [f.name for f in db.facilities], out)
-    _check_unique("room", [r.name for r in db.rooms], out)
-    _check_unique("mechanic", [m.name for m in db.mechanics], out)
-
-    for f in db.facilities:
-        _check_dims(f.name, f.dims, out)
-        if f.instance_guideline < 1:
-            out.append(
-                Violation(f.name, "instance-guideline", f"guideline {f.instance_guideline} < 1")
-            )
-        for spec in f.constraints:
-            if spec.kind not in FACILITY_KINDS:
-                out.append(
-                    Violation(f.name, "constraint-tier", f"{spec.kind} is not facility-tier")
-                )
-        _check_constraint_weights(f.name, f.constraints, out)
-
-    for r in db.rooms:
-        _check_dims(r.name, r.dims, out)
-        if r.max_instances < 1:
-            out.append(Violation(r.name, "max-instances", f"max_instances {r.max_instances} < 1"))
-        if r.arch_type not in ARCH_TYPES:
-            out.append(Violation(r.name, "arch-type", f"unknown arch_type {r.arch_type!r}"))
-        for cf in r.characteristic_facilities:
-            fac = db.facility(cf.facility)
-            if fac is None:
-                continue  # reported as unresolved
-            if cf.count < 1:
-                out.append(Violation(r.name, "facility-count", f"{cf.facility}: count {cf.count} < 1"))
-            if not fits(fac.dims, r.dims):
-                out.append(
-                    Violation(
-                        r.name,
-                        "facility-fits",
-                        f"{cf.facility} footprint does not fit inside the room",
-                    )
-                )
-            if fac.positioning == "fixed":
-                if len(cf.positions) != cf.count:
-                    out.append(
-                        Violation(
-                            r.name,
-                            "fixed-positions",
-                            f"{cf.facility}: fixed facility needs {cf.count} authored "
-                            f"position(s), got {len(cf.positions)}",
-                        )
-                    )
-            elif cf.positions:
-                out.append(
-                    Violation(
-                        r.name,
-                        "fixed-positions",
-                        f"{cf.facility}: adaptable facility must not carry positions",
-                    )
-                )
-        for spec in r.room_constraints:
-            if spec.kind not in ROOM_KINDS:
-                out.append(Violation(r.name, "constraint-tier", f"{spec.kind} is not room-tier"))
-        _check_constraint_weights(r.name, r.room_constraints, out)
-
-    for m in db.mechanics:
-        _check_dims(m.name, m.dims, out)
-        for spec in m.standard_constraints:
-            if spec.kind not in FACILITY_KINDS:
-                out.append(
-                    Violation(m.name, "constraint-tier", f"{spec.kind} is not facility-tier")
-                )
-        _check_constraint_weights(m.name, m.standard_constraints, out)
-        for tc in m.topo_constraints:
-            if tc.threshold is not None and tc.threshold < 0:
-                out.append(Violation(m.name, "threshold", f"{tc.kind} threshold {tc.threshold} < 0"))
-
-    out.sort(key=lambda v: (v.entity, v.rule, v.message))
-    return out
+    """Every rule the database breaks, sorted; violations are data, not exceptions."""
+    return sorted(_violations(db), key=lambda v: (v.entity, v.rule, v.message))

@@ -13,14 +13,13 @@ per facility, mechanic and stairwell.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .arrangement import LevelConfig, _overlaps_any
-from .database import _constraint_to_json, _parse_constraint
-from .errors import ParseError, SchemaError
+from .database import _constraint_to_json, _parse_constraint, read_json, write_json
+from .errors import SchemaError
 from .geometry import DOOR_WIDTH, Dimensions, Pose, out_of_bounds_depth
 from .level import (
     AdjacencyEdge,
@@ -131,7 +130,7 @@ def export_level_json(level: Level) -> bytes:
             for e in level.adjacency
         ],
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return write_json(doc)
 
 
 def level_hash(level: Level) -> str:
@@ -162,12 +161,7 @@ def _check_rooms(level: Level) -> None:
 
 
 def import_level_json(data: bytes | str) -> Level:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    doc = read_json(data)
     if not isinstance(doc, dict):
         raise SchemaError("level document must be an object")
     try:

@@ -82,7 +82,7 @@ def level_seed(base_seed: int, group: str, index: int) -> int:
 
 # -- single level pipeline -----------------------------------------------------
 
-def _instantiate_room_facilities(level: Level, db: Database, room) -> list[FacilityInstance]:
+def _instantiate_room_facilities(db: Database, room) -> list[FacilityInstance]:
     template = db.room(room.template)
     out: list[FacilityInstance] = []
     for cf in template.characteristic_facilities:
@@ -249,7 +249,7 @@ def generate_level(
         raise GenerationFailed(str(exc)) from exc
 
     for room in level.rooms:
-        facilities = _instantiate_room_facilities(level, db, room)
+        facilities = _instantiate_room_facilities(db, room)
         if facilities:
             layout = optimize_room_layout(
                 room,

@@ -24,7 +24,7 @@ of the same poses, whatever moves led there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, reduce
 from operator import attrgetter
 from random import Random
@@ -64,14 +64,7 @@ class SAParams:
     restarts: int = 1
 
     def to_dict(self) -> dict:
-        return {
-            "initial_temperature": self.initial_temperature,
-            "cooling_rate": self.cooling_rate,
-            "iterations": self.iterations,
-            "translate_prob": self.translate_prob,
-            "step_frac": self.step_frac,
-            "restarts": self.restarts,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data) -> "SAParams":

@@ -137,7 +137,7 @@ def test_no_candidate_against_level_boundary():
     db = single_template_db()
     current = make_room(1, (40.0, 0.0), 10, 10, template="Box")
     state = _state(db, [current])
-    assert gen_candidate_room(current, "right", db, state, derive_rng(0)) is None
+    assert gen_candidate_room(current, "right", state, derive_rng(0)) is None
 
 
 def test_no_candidate_when_caps_exhausted():
@@ -158,7 +158,7 @@ def test_no_candidate_when_caps_exhausted():
     )
     current = make_room(1, (0.0, 0.0), 10, 10, template="Box")
     state = _state(db, [current])
-    assert gen_candidate_room(current, "right", db, state, derive_rng(0)) is None
+    assert gen_candidate_room(current, "right", state, derive_rng(0)) is None
 
 
 def test_candidate_selection_prefers_satisfied_adjacency():
@@ -202,7 +202,7 @@ def test_candidate_selection_prefers_satisfied_adjacency():
     far_target = make_room(2, (40.0, 40.0), 10, 10, template="Mythical")
     state = _state(db, [current, far_target])
     # Annex adjacent to Hub scores 0; Distant's target is far away -> positive
-    chosen = gen_candidate_room(current, "right", db, state, derive_rng(0))
+    chosen = gen_candidate_room(current, "right", state, derive_rng(0))
     assert chosen.template == "Annex"
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 
 import pytest
@@ -71,6 +72,28 @@ def test_unresolved_characteristic_facility_raises():
 def test_malformed_json_is_a_parse_error():
     with pytest.raises(ParseError):
         load_database(b"{not json")
+
+
+def test_bytes_that_are_not_utf8_are_a_parse_error():
+    with pytest.raises(ParseError):
+        load_database(b"\xff")
+
+
+@pytest.mark.parametrize("strength", [None, "high", True])
+def test_topo_strength_that_is_not_a_number_is_a_schema_error(strength):
+    source = doc(
+        mechanics=[
+            {
+                "name": "Key",
+                "dimensions": {"width": 0.3, "length": 0.3, "height": 0.3},
+                "topo_constraints": [
+                    {"type": "Precedes", "parameters": {"other": "Key", "strength": strength}}
+                ],
+            }
+        ]
+    )
+    with pytest.raises(SchemaError, match=r"mechanics\[0\]\.topo_constraints\[0\]\.parameters\.strength"):
+        load_database(source)
 
 
 @pytest.mark.parametrize(
@@ -259,14 +282,9 @@ def test_each_rule_trips_alone_with_its_message(minimal_db):
     (cell_crate,) = minimal_db.room("Cell").characteristic_facilities
     vault_pillar, vault_crate = minimal_db.room("Vault").characteristic_facilities
 
-    def facility(entity, **changes):
-        return _replace(minimal_db, "facilities", entity, **changes)
-
-    def room(entity, **changes):
-        return _replace(minimal_db, "rooms", entity, **changes)
-
-    def mechanic(entity, **changes):
-        return _replace(minimal_db, "mechanics", entity, **changes)
+    facility = functools.partial(_replace, minimal_db, "facilities")
+    room = functools.partial(_replace, minimal_db, "rooms")
+    mechanic = functools.partial(_replace, minimal_db, "mechanics")
 
     cases = [
         (

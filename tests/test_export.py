@@ -4,7 +4,7 @@ import pytest
 
 from levelforge import cli
 from levelforge.arrangement import LevelConfig, arrange_rooms
-from levelforge.errors import SchemaError
+from levelforge.errors import ParseError, SchemaError
 from levelforge.export import (
     DOOR_OPENING_HEIGHT,
     export_level_json,
@@ -408,7 +408,10 @@ world
             ]
         )
     ) + "\t}\n}\n"
-    from levelforge.errors import ParseError
-
     with pytest.raises(ParseError):
         read_vmf(bad)
+
+
+def test_bytes_that_are_not_utf8_are_a_parse_error():
+    with pytest.raises(ParseError):
+        import_level_json(b"\xff")
