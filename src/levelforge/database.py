@@ -13,6 +13,7 @@ All numeric parameters are SI: meters for distances, radians for angles.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -365,8 +366,10 @@ def _violations(db: Database) -> Iterator[Violation]:
                 )
             if spec.kind not in kinds:
                 yield Violation(name, "constraint-tier", f"{spec.kind} is not {tier}-tier")
-            if spec.weight is not None and spec.weight < 0:
-                yield Violation(name, "weight-non-negative", f"{spec.kind} weight {spec.weight} < 0")
+            w = spec.weight
+            if w is not None and not (math.isfinite(w) and w >= 0):
+                problem = "< 0" if math.isfinite(w) else "is not finite"
+                yield Violation(name, "weight-non-negative", f"{spec.kind} weight {w} {problem}")
 
     for f in db.facilities:
         yield from shared("facility", f, f.constraints, "facility")
@@ -398,6 +401,13 @@ def _violations(db: Database) -> Iterator[Violation]:
                         f"{cf.facility}: fixed facility needs {cf.count} authored "
                         f"position(s), got {len(cf.positions)}",
                     )
+                for p in cf.positions:
+                    if not all(map(math.isfinite, (p.x, p.y, p.yaw))):
+                        yield Violation(
+                            r.name,
+                            "fixed-positions",
+                            f"{cf.facility}: position ({p.x}, {p.y}, {p.yaw}) is not finite",
+                        )
             elif cf.positions:
                 yield Violation(
                     r.name,

@@ -2,14 +2,17 @@
 
 The level discretizes into unit cells per floor. Phase one fixes doorway
 blockages room by room with flood fill (`geometry.bfs` over the room's
-open cells) and minimal repositioning of adaptable facilities. Phase two
-walks the rooms in topological order with an A* agent, repositioning and
-then removing blockers until every consecutive pair connects or the
-simulated-time budget runs out. Both phases take their blockers from one
-in-bounds neighbour scan (`_around`) and their new poses from one
-relocation search (`_relocations`). The same agent then drives rerun
-validation and the objective (key-collection) simulation that produce
-the pacing metrics.
+open cells) and minimal repositioning of adaptable facilities. It lifts
+each blocker and floods once before trying its poses, and skips it when
+even its absence leaves the doorway blocked; the skip is exact because
+any pose only covers cells of the lifted grid, and covering cells never
+unblocks a doorway. Phase two walks the rooms in topological order with
+an A* agent, repositioning and then removing blockers until every
+consecutive pair connects or the simulated-time budget runs out. Both
+phases take their blockers from one in-bounds neighbour scan (`_around`)
+and their new poses from one relocation search (`_relocations`). The
+same agent then drives rerun validation and the objective
+(key-collection) simulation that produce the pacing metrics.
 
 All times are simulated seconds derived from path geometry and the agent
 constants; wall-clock never enters the metrics.
@@ -373,7 +376,10 @@ def _unblock_doorway(
 ) -> bool:
     """Move one adaptable facility on the doorway's cells or hugging its
     region off those cells, to the first of at most 64 clear poses that
-    frees the doorway without blocking another."""
+    frees the doorway without blocking another. A facility whose lifting
+    alone leaves the doorway blocked, or blocks another, is skipped
+    untried: every pose only adds cells to the lifted grid, and regions
+    only shrink as cells are added, so no pose of it could pass."""
     sources = set(result.sources[key])
     hugging = set(_around(grid, result.regions[key]))
     state, room_of = grid.state[room.floor], grid.room_of[room.floor]
@@ -384,6 +390,11 @@ def _unblock_doorway(
     doorway = sources | hugging
     before = set(result.blocked)
     for fac in _adaptable_occupants(level, grid, blockers):
+        _clear_facility(grid, level, fac)
+        lifted = set(flood_fill_room(level, grid, room).blocked)
+        _mark_facility(grid, level, fac)
+        if key in lifted or not lifted <= before:
+            continue
         home = fac.pose
         # the cells on the doorway or beside its region that it must vacate
         critical = doorway.intersection(_facility_cells(grid, level, fac))

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import math
 
 import pytest
 
@@ -268,6 +269,20 @@ def test_topo_constraint_references_must_resolve():
         load_database(source)
 
 
+def test_nan_read_from_json_trips_the_validator(minimal_db):
+    # json.loads accepts NaN, so it must be the rule pass that refuses it
+    base = json.loads(save_database(minimal_db))
+    beacon = next(f for f in base["facilities"] if f["name"] == "Beacon")
+    vault = next(r for r in base["rooms"] if r["name"] == "Vault")
+    beacon["constraints"][0]["weight"] = math.nan
+    vault["characteristic_facilities"][0]["positions"][0]["y"] = math.nan
+    violations = validate_database(load_database(json.dumps(base)))
+    assert [(v.entity, v.rule) for v in violations] == [
+        ("Beacon", "weight-non-negative"),
+        ("Vault", "fixed-positions"),
+    ]
+
+
 def _replace(db: Database, section: str, entity: str, **changes) -> Database:
     """`db` with entity `entity` of `section` rebuilt with `changes`."""
     rebuilt = tuple(
@@ -285,6 +300,12 @@ def test_each_rule_trips_alone_with_its_message(minimal_db):
     facility = functools.partial(_replace, minimal_db, "facilities")
     room = functools.partial(_replace, minimal_db, "rooms")
     mechanic = functools.partial(_replace, minimal_db, "mechanics")
+
+    def pillar_at(**changes):
+        (position,) = vault_pillar.positions
+        return dataclasses.replace(
+            vault_pillar, positions=(dataclasses.replace(position, **changes),)
+        )
 
     cases = [
         (
@@ -323,6 +344,14 @@ def test_each_rule_trips_alone_with_its_message(minimal_db):
             "Beacon", "weight-non-negative", "Near weight -1.0 < 0",
         ),
         (
+            facility("Beacon", constraints=(dataclasses.replace(near_crate, weight=math.nan),)),
+            "Beacon", "weight-non-negative", "Near weight nan is not finite",
+        ),
+        (
+            facility("Beacon", constraints=(dataclasses.replace(near_crate, weight=math.inf),)),
+            "Beacon", "weight-non-negative", "Near weight inf is not finite",
+        ),
+        (
             room("Cell", max_instances=0),
             "Cell", "max-instances", "max_instances 0 < 1",
         ),
@@ -347,6 +376,14 @@ def test_each_rule_trips_alone_with_its_message(minimal_db):
             ),
             "Vault", "fixed-positions",
             "Pillar: fixed facility needs 1 authored position(s), got 0",
+        ),
+        (
+            room("Vault", characteristic_facilities=(pillar_at(x=math.nan), vault_crate)),
+            "Vault", "fixed-positions", "Pillar: position (nan, 4.0, 0.0) is not finite",
+        ),
+        (
+            room("Vault", characteristic_facilities=(pillar_at(yaw=-math.inf), vault_crate)),
+            "Vault", "fixed-positions", "Pillar: position (3.0, 4.0, -inf) is not finite",
         ),
         (
             mechanic("KeyA", topo_constraints=(TopoConstraint("topo_near", "KeyB", -1),)),

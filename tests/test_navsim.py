@@ -1,11 +1,14 @@
 import heapq
 import math
 from collections import deque
+from itertools import islice
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from levelforge import navsim
 from levelforge.errors import UnreachableRoom
 from levelforge.geometry import Dimensions, Pose
 from levelforge.level import AdjacencyEdge, Door, Stair
@@ -205,6 +208,82 @@ def test_phase_one_never_increases_blockage_count():
         geometric_repair(level, grid)
         after = len(flood_fill_room(level, grid, room).blocked)
         assert after <= before
+
+
+def four_doorway_room():
+    """Room 1 (10x10) in the middle of a 30x30 level, one open edge and
+    three doors to its four neighbours."""
+    rooms = [
+        make_room(1, (10.0, 10.0), 10, 10, arch="open"),
+        make_room(2, (20.0, 10.0), 10, 10, arch="open"),
+        make_room(3, (0.0, 10.0), 10, 10),
+        make_room(4, (10.0, 20.0), 10, 10),
+        make_room(5, (10.0, 0.0), 10, 10),
+    ]
+    doors = [Door(1, 3, 10.0, 15.0), Door(1, 4, 15.0, 20.0), Door(1, 5, 15.0, 10.0)]
+    adjacency = [AdjacencyEdge(1, 2, "open")] + [
+        AdjacencyEdge(1, other, "door") for other in (3, 4, 5)
+    ]
+    return make_level(rooms, doors, adjacency, width=30, length=30)
+
+
+_boxes = st.lists(
+    st.tuples(
+        st.integers(1, 4), st.integers(1, 4),
+        st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(boxes=_boxes, pick=st.integers(0, 7))
+def test_blockage_is_monotone_in_one_facilitys_cells(boxes, pick):
+    # the phase-1 prune relies on this: lifting a facility never blocks a
+    # doorway, and putting it anywhere else never frees one that stayed blocked
+    level = four_doorway_room()
+    for k, (w, l, u, v) in enumerate(boxes):
+        level.facilities.append(
+            make_facility(f"f{k}", 1, w / 2 + u * (10 - w), l / 2 + v * (10 - l), w=w, l=l)
+        )
+    grid = build_nav_grid(level)
+    room = level.room_by_id(1)
+    fac = level.facilities[pick % len(boxes)]
+    full = set(flood_fill_room(level, grid, room).blocked)
+    navsim._clear_facility(grid, level, fac)
+    lifted = set(flood_fill_room(level, grid, room).blocked)
+    navsim._mark_facility(grid, level, fac)
+    assert lifted <= full
+    home = fac.pose
+    for pose in islice(navsim._relocations(level, grid, fac, room, lambda cells: True), 12):
+        navsim._move_facility(grid, level, fac, pose)
+        assert lifted <= set(flood_fill_room(level, grid, room).blocked)
+        navsim._move_facility(grid, level, fac, home)
+
+
+def test_hopeless_blocker_is_skipped_without_trying_poses(two_room_level, monkeypatch):
+    # the bystander shares the door cell with a fixed seal: lifting it
+    # leaves the doorway sealed, so none of its poses is worth a flood
+    level = two_room_level
+    level.facilities.append(make_facility("bystander", 1, 9.0, 5.0, w=2.0, l=2.0))
+    level.facilities.append(make_facility("seal", 1, 9.5, 5.5, fixed=True))
+    grid = build_nav_grid(level)
+    assert flood_fill_room(level, grid, level.room_by_id(1)).blocked == [(1, 2)]
+    state = [s.copy() for s in grid.state]
+    occupants = {cell: set(ids) for cell, ids in grid.occupants.items()}
+    tried = []
+    relocations = navsim._relocations
+
+    def counting(level, grid, fac, room, cells_ok):
+        tried.append(fac.id)
+        return relocations(level, grid, fac, room, cells_ok)
+
+    monkeypatch.setattr(navsim, "_relocations", counting)
+    assert geometric_repair(level, grid) == 0
+    assert "bystander" not in tried
+    assert all(np.array_equal(a, b) for a, b in zip(grid.state, state))
+    assert {cell: set(ids) for cell, ids in grid.occupants.items()} == occupants
 
 
 # -- phase 2 repair ------------------------------------------------------------------
