@@ -1,6 +1,7 @@
 """Golden-output pin: byte-level hashes of a fixed small experiment, of
-one paper-scale level per group, of both repair phases on seeded crowded
-levels and of how seeded mutated database documents read.
+one paper-scale level per group and of its rerun and simulation paths,
+reach set and VMF bytes, of both repair phases on seeded crowded levels
+and of how seeded mutated database documents read.
 
 A change that alters any pinned hash changes generated levels; it must say
 why and show the acceptance suite still passing before the pin moves.
@@ -14,16 +15,24 @@ from random import Random
 
 import pytest
 
-from levelforge import SAMPLE_DATABASES
+from levelforge import SAMPLE_DATABASES, navsim
 from levelforge.arrangement import LevelConfig
 from levelforge.constraints import ALL_KINDS
 from levelforge.database import load_database, save_database, validate_database
 from levelforge.errors import LevelforgeError
+from levelforge.export import export_vmf
 from levelforge.geometry import HALF_PI, Dimensions, Pose, clamp_into_room
 from levelforge.harness import GROUPS, ExperimentConfig, generate_level, level_seed, run_experiment
 from levelforge.layout import SAParams
 from levelforge.level import AdjacencyEdge, Door, FacilityInstance
-from levelforge.navsim import AgentParams, agent_repair, build_nav_grid, geometric_repair
+from levelforge.navsim import (
+    AgentParams,
+    agent_repair,
+    build_nav_grid,
+    geometric_repair,
+    rerun_validation,
+    simulate_objectives,
+)
 
 from conftest import make_level, make_room
 
@@ -39,6 +48,8 @@ PAPER_LEVEL_HASHES = {
     "A-Speedrun": "8b37c527a5ae50a2f470f4275653e469bd4b110ab0a363ade8827c959b365968",
     "DB-Speedrun": "9b0a8b686b0f63102961e7df3542a46b5c74e565ce54f56eb9b1111f8ef5bdc7",
 }
+
+PAPER_REPLAY_SHA256 = "b136c013ad50a55430b049a49a3949cda1a7d9b33f5fe5f995c2cb31c899f1cb"
 
 REPAIR_CASES = 150
 REPAIR_SHA256 = "1f35d9e84dd30f2bf907f6a0d668d27fede937cb093319a5b85bb9f78d15e4f7"
@@ -63,13 +74,57 @@ def test_small_experiment_records_csv_is_pinned(minimal_db, tmp_path, monkeypatc
     assert digest == RECORDS_SHA256
 
 
+@pytest.fixture(scope="module")
+def paper_levels(hospital_db):
+    """The paper-scale level and record of each group, generated once."""
+    return {
+        group: generate_level(LevelConfig(), hospital_db, group, level_seed(42, group, 0))
+        for group in GROUPS
+    }
+
+
 @pytest.mark.parametrize("group", GROUPS)
-def test_paper_scale_level_hash_is_pinned(hospital_db, group):
-    level, record = generate_level(LevelConfig(), hospital_db, group, level_seed(42, group, 0))
+def test_paper_scale_level_hash_is_pinned(paper_levels, group):
+    level, record = paper_levels[group]
     # the pin only guards the shared-wall and repair paths if they run
     assert any(e.kind == "open" for e in level.adjacency)
     assert level.doors and record.phase1_moves > 0
     assert record.level_hash == PAPER_LEVEL_HASHES[group]
+
+
+def test_paper_scale_replay_is_pinned(paper_levels, monkeypatch):
+    # the level hashes see paths only through times and cell counts; this
+    # pins every rerun and simulation path, the simulation's reach set and
+    # the VMF bytes of the six paper-scale levels
+    search, nearest = navsim.astar_path, navsim.target_cell
+    paths: list = []
+    reaches: list = []
+
+    def recorded_path(grid, start, goal):
+        path = search(grid, start, goal)
+        paths.append((start, goal, path))
+        return path
+
+    def recorded_target(grid, room, point=None, reachable=None):
+        if reachable is not None and not (reaches and reaches[-1] is reachable):
+            reaches.append(reachable)
+        return nearest(grid, room, point, reachable)
+
+    monkeypatch.setattr(navsim, "astar_path", recorded_path)
+    monkeypatch.setattr(navsim, "target_cell", recorded_target)
+    digest = hashlib.sha256()
+    for group in GROUPS:
+        level, _ = paper_levels[group]
+        paths.clear()
+        reaches.clear()
+        agent = AgentParams()
+        grid = build_nav_grid(level)
+        rerun_validation(level, agent, grid)
+        simulate_objectives(level, level.mechanics, agent, grid)
+        assert paths and len(reaches) == 1
+        row = (group, paths, sorted(reaches[0]))
+        digest.update(repr(row).encode() + b"\n" + export_vmf(level))
+    assert digest.hexdigest() == PAPER_REPLAY_SHA256
 
 
 def crowded_level(rng: Random):
