@@ -333,6 +333,20 @@ _REFERENCE_RULES = frozenset({"unresolved-target", "unresolved-facility", "unres
 _TIERS = {"facility": (FACILITY_KINDS, "facility"), "room": (ROOM_KINDS, "room template")}
 
 
+def _non_negative_problem(value: float) -> str | None:
+    """Why `value` is not a finite number >= 0, or None when it is one."""
+    if not math.isfinite(value):
+        return "is not finite"
+    return "< 0" if value < 0 else None
+
+
+def _is_finite_param(value) -> bool:
+    """False when a parameter value, or an item of a list value, is a
+    non-finite number."""
+    items = value if isinstance(value, list) else (value,)
+    return not any(isinstance(v, float) and not math.isfinite(v) for v in items)
+
+
 def _violations(db: Database) -> Iterator[Violation]:
     """Every broken rule, entity by entity in document order. Within an
     entity, names are checked in the order the document gives them, so the
@@ -366,10 +380,18 @@ def _violations(db: Database) -> Iterator[Violation]:
                 )
             if spec.kind not in kinds:
                 yield Violation(name, "constraint-tier", f"{spec.kind} is not {tier}-tier")
-            w = spec.weight
-            if w is not None and not (math.isfinite(w) and w >= 0):
-                problem = "< 0" if math.isfinite(w) else "is not finite"
-                yield Violation(name, "weight-non-negative", f"{spec.kind} weight {w} {problem}")
+            problem = None if spec.weight is None else _non_negative_problem(spec.weight)
+            if problem:
+                yield Violation(
+                    name, "weight-non-negative", f"{spec.kind} weight {spec.weight} {problem}"
+                )
+            for key, value in spec.params.items():
+                if not _is_finite_param(value):
+                    yield Violation(
+                        name,
+                        "parameter-finite",
+                        f"{spec.kind} parameter {key} {value} is not finite",
+                    )
 
     for f in db.facilities:
         yield from shared("facility", f, f.constraints, "facility")
@@ -429,8 +451,9 @@ def _violations(db: Database) -> Iterator[Violation]:
                     "unresolved-mechanic",
                     f"topological reference {tc.other!r} is not a known mechanic",
                 )
-            if tc.threshold is not None and tc.threshold < 0:
-                yield Violation(m.name, "threshold", f"{tc.kind} threshold {tc.threshold} < 0")
+            problem = None if tc.threshold is None else _non_negative_problem(tc.threshold)
+            if problem:
+                yield Violation(m.name, "threshold", f"{tc.kind} threshold {tc.threshold} {problem}")
 
 
 def load_database(data: bytes | str) -> Database:

@@ -73,3 +73,7 @@ class UnreachableKey(LevelforgeError):
 
 class GenerationFailed(LevelforgeError):
     """Level generation failed; wraps the underlying arrangement error."""
+
+
+class ConfigError(LevelforgeError):
+    """An environment setting does not hold a valid value."""

@@ -7,11 +7,14 @@ is asserted.
 
 The VMF emitter produces placeholder geometry: six axis-aligned brushes
 per room with door openings split out of the walls, and one point entity
-per facility, mechanic and stairwell.
+per facility, mechanic and stairwell. Each brush side is written from one
+template string (`_SIDE`): a face fills in its plane and texture axes
+once, and each box its side ids and corner coordinates.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -279,45 +282,54 @@ class _VmfWriter:
         return "\n".join(self.lines) + "\n"
 
 
-_FACE_MATERIAL = "DEV/DEV_MEASUREGENERIC01B"
+# One brush side. The face fills in its plane and texture axes once; each
+# box then fills in the side id and its corner coordinates.
+_SIDE = """\
+side
+{
+\t"id" "%(id)s"
+\t"plane" "%(plane)s"
+\t"material" "DEV/DEV_MEASUREGENERIC01B"
+\t"uaxis" "%(uaxis)s 0.25"
+\t"vaxis" "%(vaxis)s 0.25"
+\t"rotation" "0"
+\t"lightmapscale" "16"
+\t"smoothing_groups" "0"
+}"""
 
-# (plane point triples, uaxis, vaxis) per face; points wind counterclockwise
-# seen from outside so cross(B-A, C-A) is the outward normal.
-def _box_faces(x0, y0, z0, x1, y1, z1):
-    return [
-        # +z
-        (((x0, y0, z1), (x1, y0, z1), (x1, y1, z1)), "[1 0 0 0]", "[0 -1 0 0]"),
-        # -z
-        (((x0, y1, z0), (x1, y1, z0), (x1, y0, z0)), "[1 0 0 0]", "[0 -1 0 0]"),
-        # -x
-        (((x0, y0, z0), (x0, y0, z1), (x0, y1, z1)), "[0 1 0 0]", "[0 0 -1 0]"),
-        # +x
-        (((x1, y0, z0), (x1, y1, z0), (x1, y1, z1)), "[0 1 0 0]", "[0 0 -1 0]"),
-        # -y
-        (((x0, y0, z0), (x1, y0, z0), (x1, y0, z1)), "[1 0 0 0]", "[0 0 -1 0]"),
-        # +y
-        (((x0, y1, z0), (x0, y1, z1), (x1, y1, z1)), "[1 0 0 0]", "[0 0 -1 0]"),
-    ]
+# (plane point triple, uaxis, vaxis) per face, points named by box corner
+# coordinate; they wind counterclockwise seen from outside so
+# cross(B-A, C-A) is the outward normal.
+_FACES = (
+    (("x0 y0 z1", "x1 y0 z1", "x1 y1 z1"), "[1 0 0 0]", "[0 -1 0 0]"),  # +z
+    (("x0 y1 z0", "x1 y1 z0", "x1 y0 z0"), "[1 0 0 0]", "[0 -1 0 0]"),  # -z
+    (("x0 y0 z0", "x0 y0 z1", "x0 y1 z1"), "[0 1 0 0]", "[0 0 -1 0]"),  # -x
+    (("x1 y0 z0", "x1 y1 z0", "x1 y1 z1"), "[0 1 0 0]", "[0 0 -1 0]"),  # +x
+    (("x0 y0 z0", "x1 y0 z0", "x1 y0 z1"), "[1 0 0 0]", "[0 0 -1 0]"),  # -y
+    (("x0 y1 z0", "x0 y1 z1", "x1 y1 z1"), "[1 0 0 0]", "[0 0 -1 0]"),  # +y
+)
+_CORNERS = ("x0", "y0", "z0", "x1", "y1", "z1")
+
+
+@functools.cache
+def _side_templates(depth: int) -> tuple[str, ...]:
+    """`_SIDE` for each face, indented `depth` tabs, leaving the side id and
+    the box corners to fill in."""
+    out = []
+    for points, uaxis, vaxis in _FACES:
+        plane = " ".join("(" + " ".join(f"%({c})s" for c in p.split()) + ")" for p in points)
+        side = _SIDE % {"id": "%(id)s", "plane": plane, "uaxis": uaxis, "vaxis": vaxis}
+        out.append("\n".join("\t" * depth + line for line in side.split("\n")))
+    return tuple(out)
 
 
 def _emit_box(w: _VmfWriter, lo, hi, scale: float) -> None:
-    coords = [v * scale for v in (*lo, *hi)]
+    fields: dict[str, object] = dict(zip(_CORNERS, (_fmt(v * scale) for v in (*lo, *hi))))
     w.open("solid")
     w.kv("id", w.take_id())
-    for points, uaxis, vaxis in _box_faces(*coords):
-        w.open("side")
-        w.kv("id", w.take_id())
-        plane = " ".join(
-            "(" + " ".join(_fmt(c) for c in p) + ")" for p in points
-        )
-        w.kv("plane", plane)
-        w.kv("material", _FACE_MATERIAL)
-        w.kv("uaxis", f"{uaxis} 0.25")
-        w.kv("vaxis", f"{vaxis} 0.25")
-        w.kv("rotation", "0")
-        w.kv("lightmapscale", "16")
-        w.kv("smoothing_groups", "0")
-        w.close()
+    for side in _side_templates(w.depth):
+        fields["id"] = w.take_id()
+        w.lines.append(side % fields)
     w.close()
 
 

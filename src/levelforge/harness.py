@@ -21,7 +21,7 @@ from typing import Iterator
 
 from .arrangement import LevelConfig, arrange_rooms
 from .database import Database, load_database, save_database
-from .errors import ArrangementFailed, GenerationFailed, NoFreeSpace
+from .errors import ArrangementFailed, ConfigError, GenerationFailed, NoFreeSpace
 from .export import level_hash
 from .geometry import Pose
 from .layout import optimize_room_layout
@@ -397,7 +397,10 @@ def _generate_record(
 def worker_count() -> int:
     env = os.environ.get("LEVELFORGE_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"LEVELFORGE_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -14,6 +14,12 @@ and their new poses from one relocation search (`_relocations`). The
 same agent then drives rerun validation and the objective
 (key-collection) simulation that produce the pacing metrics.
 
+The agent searches (`astar_path`, `grid_reach`) run on one walkable view
+of the grid (`WalkView`): a flat byte array, one byte per cell, padded
+with an unwalkable border, plus stair links by flat index. The first
+search builds it from `state`; after that every cell write goes through
+`_set_cell`, which keeps both in step.
+
 All times are simulated seconds derived from path geometry and the agent
 constants; wall-clock never enters the metrics.
 """
@@ -115,6 +121,59 @@ class NavGrid:
     stair_cells: list[set[tuple[int, int]]] = field(default_factory=list)
     # room id -> doorway source cells on that room's side, keyed by room pair
     doorways: dict[int, dict[DoorwayKey, list[Cell]]] = field(default_factory=dict)
+    # built by the first search, kept in step by `_set_cell`
+    view: WalkView | None = field(default=None, repr=False)
+
+
+@dataclass
+class WalkView:
+    """Walkability of every cell as one flat byte array, one byte per cell,
+    padded with a one-cell unwalkable border so that the four planar
+    neighbours of an in-bounds cell are its index plus or minus `row` and 1.
+    `stairs` maps a stair cell to the cells it links, up before down."""
+
+    walk: bytearray
+    row: int  # index step of x: length + 2
+    plane: int  # index step of floor: (width + 2) * (length + 2)
+    stairs: dict[int, tuple[int, ...]]
+
+    def index(self, cell: Cell) -> int:
+        f, x, y = cell
+        return f * self.plane + (x + 1) * self.row + y + 1
+
+    def cell(self, n: int) -> Cell:
+        f, r = divmod(n, self.plane)
+        x, y = divmod(r, self.row)
+        return (f, x - 1, y - 1)
+
+
+def _walk_view(grid: NavGrid) -> WalkView:
+    """The grid's walkable view, built from `state` on first use."""
+    if grid.view is None:
+        padded = np.zeros((grid.floors, grid.width + 2, grid.length + 2), dtype=np.uint8)
+        for f, state in enumerate(grid.state):
+            padded[f, 1:-1, 1:-1] = np.isin(state, _WALKABLE)
+        row = grid.length + 2
+        view = WalkView(bytearray(padded.tobytes()), row, (grid.width + 2) * row, {})
+        up: dict[int, int] = {}
+        down: dict[int, int] = {}
+        for f, cells in enumerate(grid.stair_cells[: grid.floors - 1]):
+            for x, y in cells:
+                lower = view.index((f, x, y))
+                up[lower] = lower + view.plane
+                down[lower + view.plane] = lower
+        for n in up.keys() | down.keys():
+            view.stairs[n] = tuple(links[n] for links in (up, down) if n in links)
+        grid.view = view
+    return grid.view
+
+
+def _set_cell(grid: NavGrid, f: int, x: int, y: int, value: int) -> None:
+    """The one writer of `state` after the grid is built; keeps the
+    walkable view, when built, in step."""
+    grid.state[f][x, y] = value
+    if grid.view is not None:
+        grid.view.walk[grid.view.index((f, x, y))] = value in _WALKABLE
 
 
 def _cell_span(lo: float, hi: float, limit: int) -> range:
@@ -144,7 +203,7 @@ def _mark_facility(grid: NavGrid, level: Level, fac: FacilityInstance) -> None:
         f, x, y = cell
         if grid.base[f][x, y] in (FREE, DOOR):
             grid.occupants.setdefault(cell, []).append(fac.id)
-            grid.state[f][x, y] = FACILITY
+            _set_cell(grid, f, x, y, FACILITY)
 
 
 def _clear_facility(grid: NavGrid, level: Level, fac: FacilityInstance) -> None:
@@ -156,7 +215,7 @@ def _clear_facility(grid: NavGrid, level: Level, fac: FacilityInstance) -> None:
             if not occ:
                 del grid.occupants[cell]
                 f, x, y = cell
-                grid.state[f][x, y] = grid.base[f][x, y]
+                _set_cell(grid, f, x, y, grid.base[f][x, y])
 
 
 def _move_facility(grid: NavGrid, level: Level, fac: FacilityInstance, pose: Pose) -> None:
@@ -409,56 +468,79 @@ def _unblock_doorway(
 
 # -- pathfinding ---------------------------------------------------------------
 
-def _neighbors(grid: NavGrid, cell: Cell):
-    f, x, y = cell
-    state = grid.state[f]
-    if x + 1 < grid.width and state[x + 1, y] in _WALKABLE:
-        yield (f, x + 1, y)
-    if x - 1 >= 0 and state[x - 1, y] in _WALKABLE:
-        yield (f, x - 1, y)
-    if y + 1 < grid.length and state[x, y + 1] in _WALKABLE:
-        yield (f, x, y + 1)
-    if y - 1 >= 0 and state[x, y - 1] in _WALKABLE:
-        yield (f, x, y - 1)
-    if f < grid.floors - 1 and (x, y) in grid.stair_cells[f]:
-        yield (f + 1, x, y)
-    if f > 0 and (x, y) in grid.stair_cells[f - 1]:
-        yield (f - 1, x, y)
-
-
 def astar_path(grid: NavGrid, start: Cell, goal: Cell) -> list[Cell] | None:
-    """Optimal 4-connected path by cell count, Manhattan heuristic."""
+    """Optimal 4-connected path by cell count, Manhattan heuristic.
+
+    Neighbours go in the order +x, -x, +y, -y, up, down; a stair link is
+    followed without a walkability check on the linked cell, and the heap
+    breaks ties of f = g + h by push order."""
     if start == goal:
         return [start]
-
-    def h(c: Cell) -> int:
-        return abs(c[1] - goal[1]) + abs(c[2] - goal[2]) + abs(c[0] - goal[0])
-
+    view = _walk_view(grid)
+    walk, row, plane, stairs = view.walk, view.row, view.plane, view.stairs
+    gf, gx, gy = goal[0], goal[1] + 1, goal[2] + 1  # padded coordinates
+    steps = ((row, 1, 0), (-row, -1, 0), (1, 0, 1), (-1, 0, -1))
+    source, target = view.index(start), view.index(goal)
     counter = 0
-    open_heap: list[tuple[int, int, Cell]] = [(h(start), counter, start)]
-    g_score = {start: 0}
-    came: dict[Cell, Cell] = {}
-    closed: set[Cell] = set()
+    h = abs(start[1] - goal[1]) + abs(start[2] - goal[2]) + abs(start[0] - goal[0])
+    open_heap = [(h, counter, source)]
+    g_score = {source: 0}
+    came: dict[int, int] = {}
+    closed: set[int] = set()
     while open_heap:
-        _, _, cell = heappop(open_heap)
-        if cell == goal:
-            path = [cell]
-            while cell in came:
-                cell = came[cell]
-                path.append(cell)
+        n = heappop(open_heap)[2]
+        if n == target:
+            path = [n]
+            while n in came:
+                n = came[n]
+                path.append(n)
             path.reverse()
-            return path
-        if cell in closed:
+            return [view.cell(n) for n in path]
+        if n in closed:
             continue
-        closed.add(cell)
-        g_next = g_score[cell] + 1
-        for nxt in _neighbors(grid, cell):
-            if g_next < g_score.get(nxt, 1 << 30):
-                g_score[nxt] = g_next
-                came[nxt] = cell
+        closed.add(n)
+        g_next = g_score[n] + 1
+        f, r = divmod(n, plane)
+        x, y = divmod(r, row)
+        hf = abs(f - gf)
+        for step, dx, dy in steps:
+            m = n + step
+            if walk[m] and g_next < g_score.get(m, 1 << 30):
+                g_score[m] = g_next
+                came[m] = n
                 counter += 1
-                heappush(open_heap, (g_next + h(nxt), counter, nxt))
+                h = abs(x + dx - gx) + abs(y + dy - gy) + hf
+                heappush(open_heap, (g_next + h, counter, m))
+        for m in stairs.get(n, ()):
+            if g_next < g_score.get(m, 1 << 30):
+                g_score[m] = g_next
+                came[m] = n
+                counter += 1
+                h = abs(x - gx) + abs(y - gy) + abs(m // plane - gf)
+                heappush(open_heap, (g_next + h, counter, m))
     return None
+
+
+def grid_reach(grid: NavGrid, start: Cell) -> dict[Cell, int]:
+    """Hop count from `start` to every cell the agent can reach, in visiting
+    order, over the neighbours `astar_path` uses."""
+    view = _walk_view(grid)
+    walk, row, plane, stairs = view.walk, view.row, view.plane, view.stairs
+    source = view.index(start)
+    hops = {source: 0}
+    order = [source]
+    for n in order:
+        d = hops[n] + 1
+        for m in (n + row, n - row, n + 1, n - 1):
+            if walk[m] and m not in hops:
+                hops[m] = d
+                order.append(m)
+        for m in stairs.get(n, ()):
+            if m not in hops:
+                hops[m] = d
+                order.append(m)
+    # `WalkView.cell` inlined: `plane` is a multiple of `row`
+    return {(n // plane, n % plane // row - 1, n % row - 1): d for n, d in hops.items()}
 
 
 def iter_step_times(path: Sequence[Cell], agent: AgentParams, floor_height: float = 1.0):
@@ -573,7 +655,7 @@ def _repair_action(
             c for c in sorted(grid.occupants) if grid.room_of[c[0]][c[1], c[2]] == target_room.id
         ]
     else:
-        reach = bfs(pos, lambda c: _neighbors(grid, c))
+        reach = grid_reach(grid, pos)
         tx, ty = target_room.center()
         tf = target_room.floor
         span = grid.width + grid.length
@@ -694,7 +776,7 @@ def simulate_objectives(
 
     # keys are collected from the nearest open spot the agent can reach;
     # furniture may pocket interior cells of an otherwise connected room
-    reach = bfs(start, lambda c: _neighbors(grid, c))
+    reach = grid_reach(grid, start)
     ordered = sorted(keys, key=lambda k: (level.room_by_id(k.room_id).tau, k.id))
     targets: list[tuple[str, Cell | None]] = []
     for key in ordered:

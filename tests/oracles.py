@@ -5,6 +5,11 @@ and recomputes the room objective from the raw formulas (bounds, pairwise
 overlap, constraint rows, inverse-distance cluster sum, worst-case grid
 sparsity) without touching the annealer's evaluator.
 
+The grid-search oracles are the cell-tuple A* and reach BFS that the flat
+walkable-view search in `navsim` replaced, kept as they were: neighbours
+read from `grid.state` one cell at a time, in the order +x, -x, +y, -y,
+up, down.
+
 Two test-only helpers live here too: the facility-tier penalty sum of one
 placed facility, and the parser that reads `emit_table`'s CSV back.
 """
@@ -14,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from heapq import heappop, heappush
 from random import Random
 from typing import Sequence
 
@@ -26,10 +32,11 @@ from levelforge.constraints import (
     WeightConfig,
     eval_facility_penalty,
 )
-from levelforge.geometry import Dimensions, Pose
+from levelforge.geometry import Dimensions, Pose, bfs
 from levelforge.harness import AggregateStats, MetricStats
 from levelforge.layout import interior_grid_points
 from levelforge.level import FacilityInstance
+from levelforge.navsim import DOOR, FREE, STAIR, Cell, NavGrid
 from levelforge.seeding import derive_seed
 
 GRID_STEP = 0.5
@@ -294,3 +301,64 @@ def parse_stats_csv(text: str) -> AggregateStats:
     return AggregateStats(
         groups=tuple(groups), metrics=metrics, tallies=tallies, total_cells=total_cells
     )
+
+
+# -- grid search -------------------------------------------------------------------
+
+_WALKABLE = (FREE, DOOR, STAIR)
+
+
+def _neighbors(grid: NavGrid, cell: Cell):
+    f, x, y = cell
+    state = grid.state[f]
+    if x + 1 < grid.width and state[x + 1, y] in _WALKABLE:
+        yield (f, x + 1, y)
+    if x - 1 >= 0 and state[x - 1, y] in _WALKABLE:
+        yield (f, x - 1, y)
+    if y + 1 < grid.length and state[x, y + 1] in _WALKABLE:
+        yield (f, x, y + 1)
+    if y - 1 >= 0 and state[x, y - 1] in _WALKABLE:
+        yield (f, x, y - 1)
+    if f < grid.floors - 1 and (x, y) in grid.stair_cells[f]:
+        yield (f + 1, x, y)
+    if f > 0 and (x, y) in grid.stair_cells[f - 1]:
+        yield (f - 1, x, y)
+
+
+def astar_path(grid: NavGrid, start: Cell, goal: Cell) -> list[Cell] | None:
+    """Optimal 4-connected path by cell count, Manhattan heuristic."""
+    if start == goal:
+        return [start]
+
+    def h(c: Cell) -> int:
+        return abs(c[1] - goal[1]) + abs(c[2] - goal[2]) + abs(c[0] - goal[0])
+
+    counter = 0
+    open_heap: list[tuple[int, int, Cell]] = [(h(start), counter, start)]
+    g_score = {start: 0}
+    came: dict[Cell, Cell] = {}
+    closed: set[Cell] = set()
+    while open_heap:
+        _, _, cell = heappop(open_heap)
+        if cell == goal:
+            path = [cell]
+            while cell in came:
+                cell = came[cell]
+                path.append(cell)
+            path.reverse()
+            return path
+        if cell in closed:
+            continue
+        closed.add(cell)
+        g_next = g_score[cell] + 1
+        for nxt in _neighbors(grid, cell):
+            if g_next < g_score.get(nxt, 1 << 30):
+                g_score[nxt] = g_next
+                came[nxt] = cell
+                counter += 1
+                heappush(open_heap, (g_next + h(nxt), counter, nxt))
+    return None
+
+
+def grid_reach(grid: NavGrid, start: Cell) -> dict[Cell, int]:
+    return bfs(start, lambda c: _neighbors(grid, c))

@@ -294,6 +294,8 @@ def _replace(db: Database, section: str, entity: str, **changes) -> Database:
 
 def test_each_rule_trips_alone_with_its_message(minimal_db):
     near_crate = ConstraintSpec("Near", {"target": "Crate", "d_min": 3.0})
+    nan_d_min = {"target": "Crate", "d_min": math.nan}
+    infinite_range = ConstraintSpec("PlaceInRange", {"p1": [0, 0, 0], "p2": [math.inf, 1.0, 1.0]})
     (cell_crate,) = minimal_db.room("Cell").characteristic_facilities
     vault_pillar, vault_crate = minimal_db.room("Vault").characteristic_facilities
 
@@ -352,6 +354,14 @@ def test_each_rule_trips_alone_with_its_message(minimal_db):
             "Beacon", "weight-non-negative", "Near weight inf is not finite",
         ),
         (
+            facility("Beacon", constraints=(dataclasses.replace(near_crate, params=nan_d_min),)),
+            "Beacon", "parameter-finite", "Near parameter d_min nan is not finite",
+        ),
+        (
+            facility("Beacon", constraints=(infinite_range,)),
+            "Beacon", "parameter-finite", "PlaceInRange parameter p2 [inf, 1.0, 1.0] is not finite",
+        ),
+        (
             room("Cell", max_instances=0),
             "Cell", "max-instances", "max_instances 0 < 1",
         ),
@@ -388,6 +398,10 @@ def test_each_rule_trips_alone_with_its_message(minimal_db):
         (
             mechanic("KeyA", topo_constraints=(TopoConstraint("topo_near", "KeyB", -1),)),
             "KeyA", "threshold", "topo_near threshold -1 < 0",
+        ),
+        (
+            mechanic("KeyA", topo_constraints=(TopoConstraint("topo_near", "KeyB", math.nan),)),
+            "KeyA", "threshold", "topo_near threshold nan is not finite",
         ),
     ]
     assert validate_database(minimal_db) == []

@@ -17,7 +17,9 @@ from levelforge.harness import (
     level_seed,
     records_csv,
     run_experiment,
+    worker_count,
 )
+from levelforge.errors import ConfigError
 from levelforge.navsim import MetricsRecord
 
 from oracles import parse_stats_csv
@@ -203,6 +205,18 @@ def test_cli_validate_db_reports_violations(tmp_path, capsys):
     path.write_text(json.dumps(bad))
     assert cli.main(["validate-db", str(path)]) == 1
     assert "dimensions-positive" in capsys.readouterr().out
+
+
+def test_cli_experiment_refuses_a_non_integer_worker_count(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LEVELFORGE_THREADS", "abc")
+    with pytest.raises(ConfigError, match="LEVELFORGE_THREADS"):
+        worker_count()
+    args = ["experiment", "--db", str(_db_path(tmp_path)), "--levels-per-group", "1"]
+    args += ["--out", str(tmp_path / "out"), "--width", "24", "--length", "24"]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == (
+        "error: LEVELFORGE_THREADS must be an integer, got 'abc'\n"
+    )
 
 
 def test_cli_missing_file_is_io_error(tmp_path):

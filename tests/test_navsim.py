@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from levelforge import navsim
 from levelforge.errors import UnreachableRoom
 from levelforge.geometry import Dimensions, Pose
@@ -428,6 +429,64 @@ def test_astar_cost_equals_dijkstra_on_random_grids():
         else:
             assert path is not None and len(path) - 1 == steps
         checked += 1
+
+
+@st.composite
+def _search_cases(draw):
+    """A hand-built grid of 1-3 floors with free, wall, facility, door and
+    stair cells and random stair links, and a start and goal cell."""
+    floors, w, l = draw(st.integers(1, 3)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    kinds = st.sampled_from((FREE, FREE, FREE, WALL, FACILITY, DOOR, STAIR))
+    values = draw(st.lists(kinds, min_size=floors * w * l, max_size=floors * w * l))
+    state = np.array(values, dtype=np.uint8).reshape(floors, w, l)
+    spots = st.tuples(st.integers(0, w - 1), st.integers(0, l - 1))
+    cells = st.tuples(st.integers(0, floors - 1), st.integers(0, w - 1), st.integers(0, l - 1))
+    grid = NavGrid(
+        width=w,
+        length=l,
+        floors=floors,
+        floor_height=1.0,
+        base=list(state.copy()),
+        state=list(state),
+        room_of=[np.zeros((w, l), dtype=np.int32) for _ in range(floors)],
+        stair_cells=[draw(st.sets(spots, max_size=6)) for _ in range(floors - 1)],
+    )
+    return grid, draw(cells), draw(cells)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_search_cases())
+def test_flat_search_equals_cell_tuple_oracle(case):
+    grid, start, goal = case
+    assert astar_path(grid, start, goal) == oracles.astar_path(grid, start, goal)
+    reach = navsim.grid_reach(grid, start)
+    assert list(reach.items()) == list(oracles.grid_reach(grid, start).items())
+
+
+def test_facility_edits_after_a_search_are_seen_by_the_next(two_room_level):
+    # a 2 x 8 crate walls off the west of room 1; after each edit the grid
+    # searched before must answer as a freshly built one does
+    level = two_room_level
+    crate = make_facility("crate", 1, 5.0, 5.0, w=2.0, l=8.0)
+    level.facilities.append(crate)
+    grid = build_nav_grid(level)
+    start, goal = (0, 2, 5), (0, 15, 5)
+
+    def search():
+        fresh = build_nav_grid(level)
+        path = astar_path(grid, start, goal)
+        assert path == astar_path(fresh, start, goal)
+        assert path == oracles.astar_path(grid, start, goal)
+        assert navsim.grid_reach(grid, start) == navsim.grid_reach(fresh, start)
+        return path
+
+    assert search() is None
+    navsim._move_facility(grid, level, crate, make_facility("c", 1, 5.0, 6.0, w=2.0, l=8.0).pose)
+    detour = search()
+    assert detour is not None and len(detour) > 14
+    navsim._clear_facility(grid, level, crate)
+    level.facilities.remove(crate)
+    assert len(search()) == 14
 
 
 # -- traversal time ---------------------------------------------------------------------
