@@ -481,7 +481,7 @@ def test_facility_edits_after_a_search_are_seen_by_the_next(two_room_level):
         return path
 
     assert search() is None
-    navsim._move_facility(grid, level, crate, make_facility("c", 1, 5.0, 6.0, w=2.0, l=8.0).pose)
+    navsim._move_facility(grid, level, crate, crate.pose.moved(5.0, 6.0))
     detour = search()
     assert detour is not None and len(detour) > 14
     navsim._clear_facility(grid, level, crate)
