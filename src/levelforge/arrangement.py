@@ -20,6 +20,7 @@ from .errors import ArrangementFailed, DisconnectedFloor
 from .geometry import Dimensions, bfs, shared_segment
 from .layout import SAParams
 from .level import AdjacencyEdge, Door, Level, RoomInstance, Stair
+from .strategies import build_floor_graph
 
 DIRECTIONS = ("left", "right", "front", "back")
 
@@ -345,23 +346,14 @@ def place_doors(level: Level) -> Level:
                     door = Door(a.id, b.id, mid, boundary)
                 level.doors.append(door)
                 level.adjacency.append(AdjacencyEdge(a.id, b.id, "door"))
-        _check_floor_connected(rooms, level.adjacency, floor)
+        _check_floor_connected(level, floor)
     return level
 
 
-def _check_floor_connected(
-    rooms: Sequence[RoomInstance], edges: Sequence[AdjacencyEdge], floor: int
-) -> None:
-    if len(rooms) <= 1:
+def _check_floor_connected(level: Level, floor: int) -> None:
+    if len(level.rooms_on_floor(floor)) <= 1:
         return
-    ids = {r.id for r in rooms}
-    neighbors: dict[int, set[int]] = {rid: set() for rid in ids}
-    for e in edges:
-        if e.room_a in ids and e.room_b in ids:
-            neighbors[e.room_a].add(e.room_b)
-            neighbors[e.room_b].add(e.room_a)
-    seen = set(bfs(min(ids), neighbors.__getitem__))
-    if seen != ids:
-        raise DisconnectedFloor(
-            f"floor {floor}: rooms {sorted(ids - seen)} cannot be connected"
-        )
+    graph = build_floor_graph(level, floor)
+    unreached = set(graph.nodes) - set(bfs(min(graph.nodes), graph.neighbors.__getitem__))
+    if unreached:
+        raise DisconnectedFloor(f"floor {floor}: rooms {sorted(unreached)} cannot be connected")

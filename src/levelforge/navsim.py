@@ -2,7 +2,7 @@
 
 The level discretizes into unit cells per floor. Phase one fixes doorway
 blockages room by room with flood fill (`geometry.bfs` over the room's
-open cells) and minimal repositioning of adaptable facilities. It lifts
+walkable cells) and minimal repositioning of adaptable facilities. It lifts
 each blocker and floods once before trying its poses, and skips it when
 even its absence leaves the doorway blocked; the skip is exact because
 any pose only covers cells of the lifted grid, and covering cells never
@@ -14,11 +14,12 @@ and their new poses from one relocation search (`_relocations`). The
 same agent then drives rerun validation and the objective
 (key-collection) simulation that produce the pacing metrics.
 
-The agent searches (`astar_path`, `grid_reach`) run on one walkable view
-of the grid (`WalkView`): a flat byte array, one byte per cell, padded
-with an unwalkable border, plus stair links by flat index. The first
-search builds it from `state`; after that every cell write goes through
-`_set_cell`, which keeps both in step.
+Each grid fact has one source. Searches, flood fill and `target_cell`
+read walkability from one view (`WalkView`): a flat byte array, one byte
+per cell, padded with an unwalkable border, plus stair links by flat
+index. The first reader builds it from `state`; `_set_cell` keeps both in
+step. A room's cells are its footprint's cell span (`_room_span`), which
+no other room's on the floor overlaps; a cell's facilities are `occupants`.
 
 All times are simulated seconds derived from path geometry and the agent
 constants; wall-clock never enters the metrics.
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -115,13 +116,12 @@ class NavGrid:
     floors: int
     floor_height: float
     base: list[np.ndarray]
-    state: list[np.ndarray]
-    room_of: list[np.ndarray]
+    state: list[np.ndarray]  # base plus FACILITY on each cell listed in `occupants`
     occupants: dict[Cell, list[str]] = field(default_factory=dict)
     stair_cells: list[set[tuple[int, int]]] = field(default_factory=list)
     # room id -> doorway source cells on that room's side, keyed by room pair
     doorways: dict[int, dict[DoorwayKey, list[Cell]]] = field(default_factory=dict)
-    # built by the first search, kept in step by `_set_cell`
+    # built by the first reader, kept in step by `_set_cell`
     view: WalkView | None = field(default=None, repr=False)
 
 
@@ -181,6 +181,21 @@ def _cell_span(lo: float, hi: float, limit: int) -> range:
     start = max(0, math.ceil(lo - 0.5))
     stop = min(limit, math.ceil(hi - 0.5))
     return range(start, max(start, stop))
+
+
+def _room_span(grid: NavGrid, room: RoomInstance) -> tuple[range, range]:
+    """The room's cells on its floor: the cell spans of its footprint."""
+    x0, y0, x1, y1 = room.footprint()
+    return _cell_span(x0, x1, grid.width), _cell_span(y0, y1, grid.length)
+
+
+def _walkable_cells(grid: NavGrid, room: RoomInstance) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the room's walkable cells, read from the walkable view."""
+    view = _walk_view(grid)
+    xs, ys = _room_span(grid, room)
+    walk = np.frombuffer(view.walk, dtype=np.uint8).reshape(grid.floors, -1, view.row)
+    ix, iy = np.nonzero(walk[room.floor, xs.start + 1 : xs.stop + 1, ys.start + 1 : ys.stop + 1])
+    return ix + xs.start, iy + ys.start
 
 
 def _pose_cells(grid: NavGrid, room: RoomInstance, pose: Pose) -> list[Cell]:
@@ -259,16 +274,17 @@ def _open_edge_cells(level: Level, edge) -> list[tuple[Cell, Cell]]:
     return [((f, i, b - 1), (f, i, b)) for i in run]
 
 
-def _add_doorway(grid: NavGrid, link, pairs: list[tuple[Cell, Cell]]) -> None:
+def _add_doorway(grid: NavGrid, spans: dict, link, pairs: list[tuple[Cell, Cell]]) -> None:
     """Punch a door or open edge through the wall and record, for each of
-    its two rooms, the cell of every pair on that room's side."""
+    its two rooms, the cell of every pair inside that room's `spans`."""
     key = (min(link.room_a, link.room_b), max(link.room_a, link.room_b))
     for ca, cb in pairs:
         grid.base[ca[0]][ca[1], ca[2]] = DOOR
         grid.base[cb[0]][cb[1], cb[2]] = DOOR
     for rid in (link.room_a, link.room_b):
+        xs, ys = spans[rid]
         grid.doorways.setdefault(rid, {})[key] = [
-            ca if grid.room_of[ca[0]][ca[1], ca[2]] == rid else cb for ca, cb in pairs
+            ca if ca[1] in xs and ca[2] in ys else cb for ca, cb in pairs
         ]
 
 
@@ -283,25 +299,21 @@ def build_nav_grid(level: Level) -> NavGrid:
         floor_height=level.config.floor_height,
         base=[np.full((width, length), WALL, dtype=np.uint8) for _ in range(floors)],
         state=[],
-        room_of=[np.full((width, length), -1, dtype=np.int32) for _ in range(floors)],
         stair_cells=[set() for _ in range(max(0, floors - 1))],
     )
 
+    spans = {room.id: _room_span(grid, room) for room in level.rooms}
     for room in level.rooms:
-        x0, y0, x1, y1 = room.footprint()
-        xs = _cell_span(x0, x1, width)
-        ys = _cell_span(y0, y1, length)
-        base = grid.base[room.floor]
-        grid.room_of[room.floor][xs.start : xs.stop, ys.start : ys.stop] = room.id
+        xs, ys = spans[room.id]
         # perimeter ring stays wall; interior is walkable
-        if xs.stop - xs.start > 2 and ys.stop - ys.start > 2:
-            base[xs.start + 1 : xs.stop - 1, ys.start + 1 : ys.stop - 1] = FREE
+        if len(xs) > 2 and len(ys) > 2:
+            grid.base[room.floor][xs.start + 1 : xs.stop - 1, ys.start + 1 : ys.stop - 1] = FREE
 
     for door in level.doors:
-        _add_doorway(grid, door, [_door_cells(level, door)])
+        _add_doorway(grid, spans, door, [_door_cells(level, door)])
     for edge in level.adjacency:
         if edge.kind == "open":
-            _add_doorway(grid, edge, _open_edge_cells(level, edge))
+            _add_doorway(grid, spans, edge, _open_edge_cells(level, edge))
 
     for stair in level.stairs:
         lower = level.room_by_id(stair.room_id)
@@ -325,7 +337,6 @@ def build_nav_grid(level: Level) -> NavGrid:
 
 @dataclass
 class FloodResult:
-    sources: dict[DoorwayKey, tuple[Cell, ...]]
     regions: dict[DoorwayKey, frozenset[Cell]]
     blocked: list[DoorwayKey]
 
@@ -350,31 +361,32 @@ def flood_fill_room(level: Level, grid: NavGrid, room: RoomInstance) -> FloodRes
     its region fails to reach some other doorway of the room.
     """
     doorways = grid.doorways.get(room.id, {})
-    f = room.floor
-    # as nested lists: one cell at a time, they index faster than the array
-    is_open = ((grid.room_of[f] == room.id) & np.isin(grid.state[f], _WALKABLE)).tolist()
+    view = _walk_view(grid)
+    row = view.row
+    xs, ys = _walkable_cells(grid, room)
+    flat = room.floor * view.plane + (xs + 1) * row + ys + 1
+    open_cells = dict(zip(flat.tolist(), zip(repeat(room.floor), xs.tolist(), ys.tolist())))
 
-    def steps(cell: Cell) -> list[Cell]:
-        return [c for c in _around(grid, (cell,)) if is_open[c[1]][c[2]]]
+    def steps(n: int) -> list[int]:
+        return [m for m in (n + row, n - row, n + 1, n - 1) if m in open_cells]
 
-    sources = {k: tuple(v) for k, v in doorways.items()}
-    open_sources = {k: [c for c in v if is_open[c[1]][c[2]]] for k, v in doorways.items()}
-    component: dict[Cell, frozenset[Cell]] = {}
+    component: dict[int, frozenset[Cell]] = {}
     regions: dict[DoorwayKey, frozenset[Cell]] = {}
-    for key, cells in open_sources.items():
-        for c in cells:
-            if c not in component:
-                comp = frozenset(bfs(c, steps))
-                component.update(dict.fromkeys(comp, comp))
-        regions[key] = frozenset().union(*(component[c] for c in cells))
+    for key, cells in doorways.items():
+        starts = [n for n in map(view.index, cells) if n in open_cells]
+        for n in starts:
+            if n not in component:
+                reach = bfs(n, steps)
+                component.update(dict.fromkeys(reach, frozenset(map(open_cells.get, reach))))
+        regions[key] = frozenset().union(*(component[n] for n in starts))
 
     blocked = [
         key
         for key in sorted(doorways)
-        if not open_sources[key]
-        or any(o != key and regions[key].isdisjoint(sources[o]) for o in doorways)
+        if not regions[key]
+        or any(o != key and regions[key].isdisjoint(doorways[o]) for o in doorways)
     ]
-    return FloodResult(sources=sources, regions=regions, blocked=blocked)
+    return FloodResult(regions=regions, blocked=blocked)
 
 
 def _relocations(
@@ -439,13 +451,10 @@ def _unblock_doorway(
     alone leaves the doorway blocked, or blocks another, is skipped
     untried: every pose only adds cells to the lifted grid, and regions
     only shrink as cells are added, so no pose of it could pass."""
-    sources = set(result.sources[key])
+    sources = set(grid.doorways[room.id][key])
     hugging = set(_around(grid, result.regions[key]))
-    state, room_of = grid.state[room.floor], grid.room_of[room.floor]
-    blockers = {c for c in sources if state[c[1], c[2]] == FACILITY}
-    blockers.update(
-        c for c in hugging if room_of[c[1], c[2]] == room.id and state[c[1], c[2]] == FACILITY
-    )
+    xs, ys = _room_span(grid, room)
+    blockers = sources.union(c for c in hugging if c[1] in xs and c[2] in ys)
     doorway = sources | hugging
     before = set(result.blocked)
     for fac in _adaptable_occupants(level, grid, blockers):
@@ -584,9 +593,7 @@ def target_cell(
     when furniture pockets part of a room.
     """
     px, py = point if point is not None else room.center()
-    state = grid.state[room.floor]
-    mask = (grid.room_of[room.floor] == room.id) & np.isin(state, _WALKABLE)
-    xs, ys = np.nonzero(mask)
+    xs, ys = _walkable_cells(grid, room)
     d = (xs + 0.5 - px) ** 2 + (ys + 0.5 - py) ** 2
     for i in np.lexsort((ys, xs, d)):  # by d, then x, then y
         cell = (room.floor, int(xs[i]), int(ys[i]))
@@ -651,8 +658,10 @@ def _repair_action(
     facility blocking the frontier nearest the failed path's end."""
     if pos is None:
         # start room fully covered: attack any adaptable facility inside it
+        xs, ys = _room_span(grid, target_room)
         frontier = [
-            c for c in sorted(grid.occupants) if grid.room_of[c[0]][c[1], c[2]] == target_room.id
+            c for c in sorted(grid.occupants)
+            if c[0] == target_room.floor and c[1] in xs and c[2] in ys
         ]
     else:
         reach = grid_reach(grid, pos)
@@ -668,7 +677,7 @@ def _repair_action(
             ),
         )
         frontier = sorted(
-            {c for c in _around(grid, reach) if grid.state[c[0]][c[1], c[2]] == FACILITY},
+            {c for c in _around(grid, reach) if c in grid.occupants},
             key=lambda c: (
                 abs(c[0] - end[0]) * span + abs(c[1] - end[1]) + abs(c[2] - end[2]),
                 c,
@@ -766,7 +775,6 @@ def simulate_objectives(
     keys: Sequence[MechanicPlacement],
     agent: AgentParams,
     grid: NavGrid,
-    trace: list | None = None,
 ) -> SimResult:
     """Collect keys in ascending room order, then head to the level end."""
     rooms = sorted(level.rooms, key=lambda r: r.tau)
@@ -786,5 +794,5 @@ def simulate_objectives(
     end_room = rooms[-1]
     targets.append((f"room {end_room.id}", target_cell(grid, end_room)))
 
-    time, cells = _walk_targets(grid, agent, start, targets, UnreachableKey, trace)
+    time, cells = _walk_targets(grid, agent, start, targets, UnreachableKey)
     return SimResult(simulation_time=time, sim_grid_cells=cells)

@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 
 import levelforge
@@ -18,7 +20,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         status = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"ACCEPTANCE {number:2d} {status} {detail}")
 from levelforge.arrangement import LevelConfig
-from levelforge.geometry import Dimensions, Pose
+from levelforge.geometry import HALF_PI, Dimensions, Pose, clamp_into_room
 from levelforge.layout import SAParams
 from levelforge.level import (
     AdjacencyEdge,
@@ -89,3 +91,31 @@ def two_room_level():
 
 def fast_sa(iterations=150, restarts=1):
     return SAParams(iterations=iterations, restarts=restarts)
+
+
+def crowded_level(rng: Random):
+    """Four 10x10 rooms in a square (two enclosed, two open) joined by three
+    doors and one open edge, holding 2-25 random facilities of 1-4 x 1-6 m
+    at yaw 0 or 90 degrees, about 15% of them fixed."""
+    rooms = [
+        make_room(1, (0.0, 0.0), 10, 10),
+        make_room(2, (10.0, 0.0), 10, 10),
+        make_room(3, (0.0, 10.0), 10, 10, arch="open"),
+        make_room(4, (10.0, 10.0), 10, 10, arch="open"),
+    ]
+    doors = [
+        Door(1, 2, 10.0, rng.uniform(1.0, 9.0)),
+        Door(1, 3, rng.uniform(1.0, 9.0), 10.0),
+        Door(2, 4, rng.uniform(11.0, 19.0), 10.0),
+    ]
+    adjacency = [AdjacencyEdge(d.room_a, d.room_b, "door") for d in doors]
+    adjacency.append(AdjacencyEdge(3, 4, "open"))
+    level = make_level(rooms, doors, adjacency, width=20, length=20, height=3.0)
+    for k in range(rng.randint(2, 25)):
+        room = rng.choice(rooms)
+        dims = Dimensions(rng.uniform(1.0, 4.0), rng.uniform(1.0, 6.0), 1.0)
+        pose = Pose(0.0, 0.0, 0.5, rng.choice((0.0, HALF_PI)), dims)
+        pose = clamp_into_room(pose, rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0), room.dims)
+        fixed = rng.random() < 0.15
+        level.facilities.append(FacilityInstance(f"f{k}", "Crate", room.id, pose, fixed))
+    return level

@@ -8,7 +8,9 @@ sparsity) without touching the annealer's evaluator.
 The grid-search oracles are the cell-tuple A* and reach BFS that the flat
 walkable-view search in `navsim` replaced, kept as they were: neighbours
 read from `grid.state` one cell at a time, in the order +x, -x, +y, -y,
-up, down.
+up, down. The room oracles (doorway flood fill and nearest walkable
+cell) scan cell by cell too; a cell belongs to a room when its centre lies
+inside the room's footprint.
 
 Two test-only helpers live here too: the facility-tier penalty sum of one
 placed facility, and the parser that reads `emit_table`'s CSV back.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import deque
 from heapq import heappop, heappush
 from random import Random
 from typing import Sequence
@@ -35,8 +38,8 @@ from levelforge.constraints import (
 from levelforge.geometry import Dimensions, Pose, bfs
 from levelforge.harness import AggregateStats, MetricStats
 from levelforge.layout import interior_grid_points
-from levelforge.level import FacilityInstance
-from levelforge.navsim import DOOR, FREE, STAIR, Cell, NavGrid
+from levelforge.level import FacilityInstance, RoomInstance
+from levelforge.navsim import DOOR, FREE, STAIR, Cell, DoorwayKey, NavGrid
 from levelforge.seeding import derive_seed
 
 GRID_STEP = 0.5
@@ -362,3 +365,64 @@ def astar_path(grid: NavGrid, start: Cell, goal: Cell) -> list[Cell] | None:
 
 def grid_reach(grid: NavGrid, start: Cell) -> dict[Cell, int]:
     return bfs(start, lambda c: _neighbors(grid, c))
+
+
+# -- room cells ----------------------------------------------------------------------
+
+
+def _room_open(grid: NavGrid, room: RoomInstance, cell: Cell) -> bool:
+    """In bounds, centre inside the room's footprint, and walkable."""
+    f, x, y = cell
+    x0, y0, x1, y1 = room.footprint()
+    return (
+        f == room.floor
+        and 0 <= x < grid.width
+        and 0 <= y < grid.length
+        and x0 <= x + 0.5 < x1
+        and y0 <= y + 0.5 < y1
+        and grid.state[f][x, y] in _WALKABLE
+    )
+
+
+def flood_fill_room(
+    grid: NavGrid, room: RoomInstance
+) -> tuple[dict[DoorwayKey, set[Cell]], list[DoorwayKey]]:
+    """Per doorway of the room, the open room cells 4-connected to its open
+    cells; and, sorted, the doorways whose region is empty or misses every
+    cell of another doorway."""
+    doorways = grid.doorways.get(room.id, {})
+    regions = {}
+    for key, cells in doorways.items():
+        seen = {c for c in cells if _room_open(grid, room, c)}
+        queue = deque(seen)
+        while queue:
+            f, x, y = queue.popleft()
+            for cell in ((f, x + 1, y), (f, x - 1, y), (f, x, y + 1), (f, x, y - 1)):
+                if cell not in seen and _room_open(grid, room, cell):
+                    seen.add(cell)
+                    queue.append(cell)
+        regions[key] = seen
+    blocked = [
+        key
+        for key in sorted(doorways)
+        if not regions[key]
+        or any(o != key and not regions[key] & set(doorways[o]) for o in doorways)
+    ]
+    return regions, blocked
+
+
+def target_cell(grid: NavGrid, room: RoomInstance, point, reachable) -> Cell | None:
+    """Scan every cell of the floor for the minimum of (distance², x, y)."""
+    px, py = point if point is not None else room.center()
+    best = None
+    for x in range(grid.width):
+        for y in range(grid.length):
+            cell = (room.floor, x, y)
+            if not _room_open(grid, room, cell):
+                continue
+            if reachable is not None and cell not in reachable:
+                continue
+            key = ((x + 0.5 - px) ** 2 + (y + 0.5 - py) ** 2, x, y)
+            if best is None or key < best:
+                best = key
+    return None if best is None else (room.floor, best[1], best[2])

@@ -10,7 +10,7 @@ from levelforge.arrangement import (
     place_doors,
 )
 from levelforge.database import load_database
-from levelforge.errors import ArrangementFailed
+from levelforge.errors import ArrangementFailed, DisconnectedFloor
 from levelforge.seeding import derive_rng
 
 from conftest import make_level, make_room
@@ -230,3 +230,16 @@ def test_open_rooms_get_free_edge_not_door():
 def test_single_room_floor_has_no_doors():
     level = place_doors(make_level([make_room(1, (0.0, 0.0), 10, 10)], width=10, length=10))
     assert level.doors == [] and level.adjacency == []
+
+
+def test_rooms_sharing_no_wall_with_the_rest_are_named():
+    # rooms 1-2 touch, 3 stands alone and 4 touches only room 3; the floor's
+    # rooms that the lowest id cannot reach are named, sorted
+    rooms = [
+        make_room(1, (0.0, 0.0), 10, 10),
+        make_room(2, (10.0, 0.0), 10, 10),
+        make_room(4, (40.0, 20.0), 5, 5),
+        make_room(3, (30.0, 20.0), 10, 10),
+    ]
+    with pytest.raises(DisconnectedFloor, match=r"^floor 0: rooms \[3, 4\] cannot be connected$"):
+        place_doors(make_level(rooms))

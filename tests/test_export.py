@@ -236,11 +236,13 @@ def test_door_segment_nav_cells_and_vmf_openings_agree(hospital_db):
             room = level.room_by_id(rid)
             cells = grid.doorways[rid][key]
             assert len(cells) == (1 if door is not None else round(hi - lo))
+            x0, y0, x1, y1 = room.footprint()
             for f, x, y in cells:
-                assert grid.base[f][x, y] == DOOR and grid.room_of[f][x, y] == rid
+                assert grid.base[f][x, y] == DOOR and f == room.floor
+                assert x0 < x + 0.5 < x1 and y0 < y + 0.5 < y1
                 cross, run = (x, y) if axis == "x" else (y, x)
                 assert abs(cross + 0.5 - boundary) == 0.5 and lo < run + 0.5 < hi
-            low_wall = room.footprint()[0 if axis == "x" else 1]
+            low_wall = (x0, y0)[0 if axis == "x" else 1]
             side = ("-" if boundary == low_wall else "+") + axis
             openings = [(o.lo, o.hi, o.full_height) for o in wall_openings(level, room)[side]]
             if door is None:

@@ -21,10 +21,8 @@ from levelforge.constraints import ALL_KINDS
 from levelforge.database import load_database, save_database, validate_database
 from levelforge.errors import LevelforgeError
 from levelforge.export import export_vmf
-from levelforge.geometry import HALF_PI, Dimensions, Pose, clamp_into_room
 from levelforge.harness import GROUPS, ExperimentConfig, generate_level, level_seed, run_experiment
 from levelforge.layout import SAParams
-from levelforge.level import AdjacencyEdge, Door, FacilityInstance
 from levelforge.navsim import (
     AgentParams,
     agent_repair,
@@ -34,7 +32,7 @@ from levelforge.navsim import (
     simulate_objectives,
 )
 
-from conftest import make_level, make_room
+from conftest import crowded_level
 
 pytestmark = pytest.mark.golden
 
@@ -125,34 +123,6 @@ def test_paper_scale_replay_is_pinned(paper_levels, monkeypatch):
         row = (group, paths, sorted(reaches[0]))
         digest.update(repr(row).encode() + b"\n" + export_vmf(level))
     assert digest.hexdigest() == PAPER_REPLAY_SHA256
-
-
-def crowded_level(rng: Random):
-    """Four 10x10 rooms in a square (two enclosed, two open) joined by three
-    doors and one open edge, holding 2-25 random facilities of 1-4 x 1-6 m
-    at yaw 0 or 90 degrees, about 15% of them fixed."""
-    rooms = [
-        make_room(1, (0.0, 0.0), 10, 10),
-        make_room(2, (10.0, 0.0), 10, 10),
-        make_room(3, (0.0, 10.0), 10, 10, arch="open"),
-        make_room(4, (10.0, 10.0), 10, 10, arch="open"),
-    ]
-    doors = [
-        Door(1, 2, 10.0, rng.uniform(1.0, 9.0)),
-        Door(1, 3, rng.uniform(1.0, 9.0), 10.0),
-        Door(2, 4, rng.uniform(11.0, 19.0), 10.0),
-    ]
-    adjacency = [AdjacencyEdge(d.room_a, d.room_b, "door") for d in doors]
-    adjacency.append(AdjacencyEdge(3, 4, "open"))
-    level = make_level(rooms, doors, adjacency, width=20, length=20, height=3.0)
-    for k in range(rng.randint(2, 25)):
-        room = rng.choice(rooms)
-        dims = Dimensions(rng.uniform(1.0, 4.0), rng.uniform(1.0, 6.0), 1.0)
-        pose = Pose(0.0, 0.0, 0.5, rng.choice((0.0, HALF_PI)), dims)
-        pose = clamp_into_room(pose, rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0), room.dims)
-        fixed = rng.random() < 0.15
-        level.facilities.append(FacilityInstance(f"f{k}", "Crate", room.id, pose, fixed))
-    return level
 
 
 def test_repair_of_crowded_levels_is_pinned():

@@ -1,6 +1,5 @@
 import heapq
 import math
-from collections import deque
 from itertools import islice
 from random import Random
 
@@ -32,7 +31,7 @@ from levelforge.navsim import (
     traversal_time,
 )
 
-from conftest import make_facility, make_level, make_room
+from conftest import crowded_level, make_facility, make_level, make_room
 
 AGENT = AgentParams()
 
@@ -119,7 +118,7 @@ def test_empty_room_with_two_doors_has_no_blockage():
     grid = build_nav_grid(level)
     result = flood_fill_room(level, grid, level.room_by_id(1))
     assert result.blocked == []
-    assert len(result.sources) == 2
+    assert len(grid.doorways[1]) == 2
 
 
 def test_bisecting_wall_blocks_both_doorways():
@@ -147,26 +146,24 @@ def test_flood_region_matches_bfs_oracle():
         grid = build_nav_grid(level)
         room = level.room_by_id(1)
         result = flood_fill_room(level, grid, room)
-        for key, cells in result.regions.items():
-            sources = [
-                c for c in result.sources[key]
-                if grid.state[c[0]][c[1], c[2]] in (FREE, DOOR, STAIR)
-            ]
-            seen = set(sources)
-            queue = deque(sources)
-            while queue:
-                f, x, y = queue.popleft()
-                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    nx, ny = x + dx, y + dy
-                    cell = (f, nx, ny)
-                    if cell in seen or not (0 <= nx < 20 and 0 <= ny < 20):
-                        continue
-                    if grid.room_of[f][nx, ny] != 1:
-                        continue
-                    if grid.state[f][nx, ny] in (FREE, DOOR, STAIR):
-                        seen.add(cell)
-                        queue.append(cell)
-            assert seen == set(cells)
+        assert (result.regions, result.blocked) == oracles.flood_fill_room(grid, room)
+    for level, grid in _crowded_stages():
+        for room in level.rooms:
+            result = flood_fill_room(level, grid, room)
+            assert (result.regions, result.blocked) == oracles.flood_fill_room(grid, room)
+
+
+def _crowded_stages():
+    """Each of the 150 crowded levels as built and after each repair phase,
+    so that `_set_cell` edits made after a search of the grid are covered."""
+    for case in range(150):
+        level = crowded_level(Random(case))
+        grid = build_nav_grid(level)
+        yield level, grid
+        geometric_repair(level, grid)
+        yield level, grid
+        agent_repair(level, AGENT, grid)
+        yield level, grid
 
 
 # -- phase 1 repair -----------------------------------------------------------------
@@ -384,7 +381,6 @@ def _random_grid(rng) -> NavGrid:
         floor_height=1.0,
         base=[base],
         state=[base.copy()],
-        room_of=[np.zeros((w, l), dtype=np.int32)],
         stair_cells=[],
     )
 
@@ -448,7 +444,6 @@ def _search_cases(draw):
         floor_height=1.0,
         base=list(state.copy()),
         state=list(state),
-        room_of=[np.zeros((w, l), dtype=np.int32) for _ in range(floors)],
         stair_cells=[draw(st.sets(spots, max_size=6)) for _ in range(floors - 1)],
     )
     return grid, draw(cells), draw(cells)
@@ -613,32 +608,13 @@ def test_dead_end_key_detour_matches_path_length_oracle():
     assert expected_extra > 0.0
 
 
-def _target_cell_oracle(grid, room, point, reachable):
-    """Scan every cell of the floor for the minimum of (distance², x, y)."""
-    px, py = point if point is not None else room.center()
-    best = None
-    for x in range(grid.width):
-        for y in range(grid.length):
-            if grid.room_of[room.floor][x, y] != room.id:
-                continue
-            if grid.state[room.floor][x, y] not in (FREE, DOOR, STAIR):
-                continue
-            if reachable is not None and (room.floor, x, y) not in reachable:
-                continue
-            key = ((x + 0.5 - px) ** 2 + (y + 0.5 - py) ** 2, x, y)
-            if best is None or key < best:
-                best = key
-    return None if best is None else (room.floor, best[1], best[2])
-
-
 def test_target_cell_matches_a_brute_force_scan_with_ties():
     rooms = [make_room(1, (0.0, 0.0), 10, 10), make_room(2, (10.0, 0.0), 10, 10)]
     level = make_level(rooms, width=20, length=10, height=3.0)
     grid = build_nav_grid(level)
-    state = grid.state[0]
-    state[4, 4] = FACILITY  # one of the four cells tied nearest the centre
-    state[1, 1] = DOOR
-    state[8, 1] = STAIR
+    navsim._set_cell(grid, 0, 4, 4, FACILITY)  # one of the four cells tied nearest the centre
+    navsim._set_cell(grid, 0, 1, 1, DOOR)
+    navsim._set_cell(grid, 0, 8, 1, STAIR)
     room = level.room_by_id(1)
     cells = [(0, x, y) for x in range(20) for y in range(10)]
     rng = Random(5)
@@ -649,11 +625,20 @@ def test_target_cell_matches_a_brute_force_scan_with_ties():
     found = 0
     for point in points:
         for reachable in reachables:
-            want = _target_cell_oracle(grid, room, point, reachable)
+            want = oracles.target_cell(grid, room, point, reachable)
             assert target_cell(grid, room, point, reachable) == want
             found += want is not None
     assert target_cell(grid, room) == (0, 4, 5)
     assert found > len(points)
+    for level, grid in _crowded_stages():
+        start = oracles.target_cell(grid, level.room_by_id(1), None, None)
+        reach = None if start is None else oracles.grid_reach(grid, start)
+        for room in level.rooms:
+            x0, y0, x1, y1 = room.footprint()
+            for point in (None, (rng.uniform(x0, x1), rng.uniform(y0, y1))):
+                for reachable in (None, reach):
+                    want = oracles.target_cell(grid, room, point, reachable)
+                    assert target_cell(grid, room, point, reachable) == want
 
 
 def test_pocketed_key_collected_from_nearest_reachable_cell():
