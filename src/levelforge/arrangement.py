@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .constraints import WeightConfig, eval_room_penalty
 from .database import Database, RoomTemplate
-from .errors import ArrangementFailed, DisconnectedFloor
+from .errors import ArrangementFailed, ConfigError, DisconnectedFloor
 from .geometry import Dimensions, bfs, shared_segment
 from .layout import SAParams
 from .level import AdjacencyEdge, Door, Level, RoomInstance, Stair
@@ -46,6 +46,17 @@ class LevelConfig:
     @property
     def floor_height(self) -> float:
         return self.height / self.floors
+
+    def check(self) -> None:
+        """Raise ConfigError unless the level has a shape to build: an
+        integer floor count >= 1 and a finite width, length and height > 0."""
+        if isinstance(self.floors, bool) or not isinstance(self.floors, int) or self.floors < 1:
+            raise ConfigError(f"floors must be an integer >= 1, got {self.floors!r}")
+        if not Dimensions(self.width, self.length, self.height).is_valid():
+            raise ConfigError(
+                "width, length and height must be finite and > 0, got "
+                f"{self.width!r}, {self.length!r}, {self.height!r}"
+            )
 
     def grid_shape(self) -> tuple[int, int, int]:
         """Nav-grid cells along x and y (one per unit of level size), and floors."""

@@ -131,6 +131,13 @@ def _weight(spec: ConstraintSpec, table: Mapping[str, str], weights: WeightConfi
     return float(getattr(weights, table[spec.kind]))
 
 
+def facility_weight(spec: ConstraintSpec, weights: WeightConfig = DEFAULT_WEIGHTS) -> float:
+    """The weight of a facility-tier constraint: its own, or its kind's default."""
+    if spec.kind not in FACILITY_KINDS:
+        raise UnknownKind(f"{spec.kind!r} is not a facility-tier constraint")
+    return _weight(spec, _FACILITY_DEFAULT_WEIGHT, weights)
+
+
 # -- custom axis deviation registry -----------------------------------------
 #
 # Closed registry of named deviation functions; each maps a center point in
@@ -194,9 +201,7 @@ def eval_facility_penalty(
     Constraints whose named target has no placed instance score 0.
     """
     kind = spec.kind
-    if kind not in FACILITY_KINDS:
-        raise UnknownKind(f"{kind!r} is not a facility-tier constraint")
-    w = _weight(spec, _FACILITY_DEFAULT_WEIGHT, weights)
+    w = facility_weight(spec, weights)
 
     if kind == "AxisFunction":
         dev = _axis_deviation(

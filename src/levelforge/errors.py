@@ -76,4 +76,4 @@ class GenerationFailed(LevelforgeError):
 
 
 class ConfigError(LevelforgeError):
-    """An environment setting does not hold a valid value."""
+    """A level configuration or environment setting does not hold a valid value."""

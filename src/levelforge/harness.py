@@ -239,7 +239,9 @@ def generate_level(
     level_id: str | None = None,
 ) -> tuple[Level, MetricsRecord]:
     """Run the full pipeline for one seed; never raises in-level repair
-    failures, they land in the record's status."""
+    failures, they land in the record's status. A level shape that
+    `LevelConfig.check` refuses raises ConfigError."""
+    config.check()
     config = replace(config, seed=seed)
     group_label = group or "custom"
     level_id = level_id or f"{group_label}-{seed:x}"
@@ -430,6 +432,7 @@ def run_experiment(
     Writes records.csv, stats.md and stats.csv when an output directory is
     configured. Ordering and content are independent of the worker count.
     """
+    exp.level.check()
     tasks = [
         (group, index, level_seed(exp.base_seed, group, index))
         for group in exp.groups

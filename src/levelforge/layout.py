@@ -7,18 +7,38 @@ inverse-distance cluster term that discourages crowding, and a worst-case
 sparsity term measured over a unit grid of interior test points.
 
 The evaluator is incremental. An annealer state (`_Layout`) carries the
-poses and every term of their objective: per facility its footprint,
-out-of-bounds, stair-obstacle and constraint terms and its squared-distance
-column over the grid points; per pair the overlap and cluster terms. A move
-of facility k recomputes only k's own terms and column, the n-1 pairs that
-hold k, and the constraint terms that read k's pose (k's, those targeting
-k's definition, and every CanSee). Sparsity is the largest of min(k's
-column, the minimum of the other columns), memoised per k until another
-facility's move is accepted; a turn in place changes no column. Floating-
-point sums depend on their order, so the cached terms are re-summed in the
-order of a full evaluation (per facility: bounds, constraints, obstacles,
-its pairs with later facilities): a total is bit-identical to `objective()`
-of the same poses, whatever moves led there.
+poses and every term of their objective: the placement terms in one flat
+list, in the order they are summed (per facility: bounds, constraints,
+stair obstacles, the overlaps of its pairs with later facilities), the
+cluster terms of the pairs, and per facility its squared-distance column
+over the grid points. A move of facility k recomputes only k's column, its
+own terms, the n-1 pairs that hold k, and the constraint terms that read
+k's pose (k's, those targeting k's definition, and every CanSee). Sparsity
+is the largest of min(k's column, the minimum of the other columns),
+memoised per k until another facility's move is accepted; a turn in place
+changes no column. Floating-point sums depend on their order, so every
+total is re-summed left to right over the flat lists: it is bit-identical
+to `objective()` of the same poses, whatever moves led there.
+
+A move is evaluated in stages, each cheaper than the next, and each offers
+`anneal` a lower bound on the candidate's total before the next one runs:
+
+1. k's column and the exact sparsity (the one numpy step);
+2. k's own and pair terms, and the total re-summed with the constraint
+   terms of k's readers left out;
+3. the readers' constraint terms, the exact total and the new state.
+
+Every term is >= 0 while every weight is, and float `+` and `x` by a
+non-negative scale are monotone, so a partial sum in the fixed order never
+exceeds the full one. When a bound already exceeds the current total the
+move is uphill whatever the remaining terms are, and `anneal` draws its
+uniform variate u there -- the one draw the full test would make, in the
+same place after the move's own draws. Since `exp` is monotone too,
+u >= exp(-(bound - current) / T) implies u >= exp(-(total - current) / T),
+so the move is rejected exactly when the full evaluation would reject it;
+otherwise the full evaluation reuses u. States, draws and trace rows are
+those of a full evaluation. A room with a negative weight has no bound and
+evaluates every move in full.
 """
 
 from __future__ import annotations
@@ -28,7 +48,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property, reduce
 from operator import attrgetter
 from random import Random
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -37,6 +57,7 @@ from .constraints import (
     DEFAULT_WEIGHTS,
     WeightConfig,
     eval_facility_penalty,
+    facility_weight,
 )
 from .errors import InfeasibleRoom, NoAdaptableFacilities
 from .geometry import (
@@ -77,7 +98,7 @@ Energy = TypeVar("Energy")
 
 def anneal(
     init: Callable[[Random], State],
-    propose: Callable[[State, Random], State] | None,
+    propose: Callable[[State, Random, Callable[[float], bool]], State | None] | None,
     energy: Callable[[State], Energy],
     sa: SAParams,
     rng: Random,
@@ -87,15 +108,37 @@ def anneal(
     seen and its energy.
 
     Each of `sa.restarts` runs starts from `init(rng)` and tries
-    `sa.iterations` moves. `propose(state, rng)` returns a new state and
-    leaves its argument untouched; None means nothing can move, so only the
-    initial states are scored. `energy(state)` returns a breakdown whose
-    `.total` is minimised; the best changes only on a strictly lower total.
-    With `trace`, each iteration appends (iteration, temperature, current
-    total, best total).
+    `sa.iterations` moves. `propose(state, rng, rejects)` returns a new
+    state and leaves its argument untouched; a `propose` of None means
+    nothing can move, so only the initial states are scored.
+    `energy(state)` returns a breakdown whose `.total` is minimised; the
+    best changes only on a strictly lower total. With `trace`, each
+    iteration appends (iteration, temperature, current total, best total).
+
+    `rejects(bound)` lets a proposal stop early: given a lower bound on the
+    candidate's total, it is True when the candidate would surely be
+    rejected, and `propose` then returns None in place of the state. It
+    draws the move's uniform variate only where the exact test would (the
+    candidate is uphill and the temperature is > 0), at most once per move,
+    and the exact test reuses it; so the draws, states and trace rows are
+    those of a full evaluation. A proposal that cannot bound its candidate
+    never calls it.
     """
     best_state: State | None = None
     best: Energy | None = None
+    u: float | None = None  # this move's uniform variate, once drawn
+
+    def rejects(bound: float) -> bool:
+        # reads the current energy and temperature of the loop below
+        nonlocal u
+        if not bound > cur.total:
+            return False
+        if not temperature > 0:
+            return True
+        if u is None:
+            u = rng.random()
+        return u >= math.exp(-(bound - cur.total) / temperature)
+
     for _ in range(max(1, sa.restarts)):
         state = init(rng)
         cur = energy(state)
@@ -105,14 +148,16 @@ def anneal(
             continue
         temperature = sa.initial_temperature
         for it in range(sa.iterations):
-            cand_state = propose(state, rng)
-            cand = energy(cand_state)
-            delta = cand.total - cur.total
-            if delta <= 0 or (
-                temperature > 0
-                and rng.random() < math.exp(-delta / temperature)
-            ):
-                state, cur = cand_state, cand
+            u = None
+            cand_state = propose(state, rng, rejects)
+            if cand_state is not None:
+                cand = energy(cand_state)
+                delta = cand.total - cur.total
+                if delta <= 0 or (
+                    temperature > 0
+                    and (rng.random() if u is None else u) < math.exp(-delta / temperature)
+                ):
+                    state, cur = cand_state, cand
             if cur.total < best.total:
                 best_state, best = state, cur
             if trace is not None:
@@ -147,15 +192,22 @@ def interior_grid_points(room: Dimensions) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
+def _summed(terms: list[float]) -> float:
+    """Left-to-right float sum: the one order every total is summed in."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
 @dataclass
 class _Layout:
     """Annealer state: the poses plus every cached term of their objective."""
 
     poses: list[Pose]
-    own: list[tuple]  # per facility: footprint, bounds term, stair-obstacle terms
-    cons: list[list[float]]  # per facility: its constraint terms
-    overlap: list[float]  # per pair i < j, at i * n + j
-    cluster: list[float]
+    fps: list[tuple]  # per facility: its footprint
+    terms: list[float]  # every placement term, in summing order (`_RoomEval.__init__`)
+    cluster: list[float]  # per pair i < j, in summing order
     cols: list[np.ndarray | None]  # per facility: squared distance to each grid point
     # k -> min of the columns other than k's (None if none); it reads only
     # those columns, so it may be filled in on an otherwise unchanged state
@@ -182,6 +234,38 @@ class _RoomEval:
         grid = interior_grid_points(room)
         self._gx = np.ascontiguousarray(grid[:, 0]) if grid.size else None
         self._gy = np.ascontiguousarray(grid[:, 1]) if grid.size else None
+        # Every term is >= 0 only while every weight is, and only then is a
+        # partial sum a lower bound on the total (NaN fails the test too).
+        self.bounded = all(
+            v >= 0
+            for v in (
+                weights.penalty_scale,
+                weights.cluster_scale,
+                weights.sparsity_scale,
+                weights.w_overlap,
+                weights.w_bounds,
+                *(facility_weight(s, weights) for specs in self.constraints for s in specs),
+            )
+        )
+        # Slots of `_Layout.terms`, in summing order -- per facility i: bounds,
+        # constraints, obstacles, then the overlaps of the pairs (i, j > i).
+        # _pairs_of[k]: per j != k, in order, j and the pair's (overlap,
+        # cluster) slots.
+        n, slot, pair = len(facilities), 0, 0
+        self._bounds_at, self._cons_at, self._obstacles_at = [], [], []
+        self._pairs_of = [[] for _ in range(n)]
+        for i, specs in enumerate(self.constraints):
+            self._bounds_at.append(slot)
+            self._cons_at.append(slice(slot + 1, slot + 1 + len(specs)))
+            slot += 1 + len(specs)
+            self._obstacles_at.append(slot)
+            slot += len(obstacles)
+            for j in range(i + 1, n):
+                self._pairs_of[i].append((j, slot, pair))
+                self._pairs_of[j].append((i, slot, pair))
+                slot, pair = slot + 1, pair + 1
+        self._n_terms, self._n_pairs = slot, pair
+        self._no_cons = [[0.0] * len(specs) for specs in self.constraints]
 
     @cached_property
     def readers(self) -> list[list[int]]:
@@ -201,16 +285,17 @@ class _RoomEval:
             for k, name in enumerate(self.names)
         ]
 
-    def _own(self, pose: Pose) -> tuple:
+    def _set_own(self, k: int, pose: Pose, terms: list[float]) -> tuple:
+        """Write k's bounds and stair-obstacle terms; returns its footprint."""
         w = self.weights
         fp = pose.footprint()
         oob = out_of_bounds_depth(fp, self.room.width, self.room.length)
-        depths = [penetration_depth(fp, ob) for ob in self.obstacle_footprints]
-        return (
-            fp,
-            w.w_bounds * oob * oob if oob > 0.0 else 0.0,
-            [w.w_overlap * d * d if d > 0.0 else 0.0 for d in depths],
-        )
+        terms[self._bounds_at[k]] = w.w_bounds * oob * oob if oob > 0.0 else 0.0
+        at = self._obstacles_at[k]
+        for o, ob in enumerate(self.obstacle_footprints):
+            d = penetration_depth(fp, ob)
+            terms[at + o] = w.w_overlap * d * d if d > 0.0 else 0.0
+        return fp
 
     def _cons(self, i: int, poses: Sequence[Pose]) -> list[float]:
         others = [(self.names[j], poses[j]) for j in range(len(poses)) if j != i]
@@ -219,15 +304,12 @@ class _RoomEval:
             for spec in self.constraints[i]
         ]
 
-    def _set_pairs(self, k: int, js: Iterable[int], poses, own, overlap, cluster) -> None:
-        """Write the overlap and cluster terms of each pair (k, j), j in `js`."""
-        n = len(poses)
+    def _set_pairs(self, k: int, pairs, poses, fps, terms, cluster) -> None:
+        """Write the overlap and cluster terms of each pair (k, j) in `pairs`."""
         w_overlap = self.weights.w_overlap
-        for j in js:
-            if j == k:
-                continue
+        for j, ov_at, cl_at in pairs:
             i, j = (j, k) if j < k else (k, j)
-            fa, fb = own[i][0], own[j][0]
+            fa, fb = fps[i], fps[j]
             ov = 0.0
             ox = (fa[2] if fa[2] < fb[2] else fb[2]) - (fa[0] if fa[0] > fb[0] else fb[0])
             if ox > 0.0:
@@ -238,8 +320,8 @@ class _RoomEval:
                     ov = 2.0 * w_overlap * depth * depth
             pa, pb = poses[i], poses[j]
             dx, dy, dz = pa.x - pb.x, pa.y - pb.y, pa.z - pb.z
-            overlap[i * n + j] = ov
-            cluster[i * n + j] = 1.0 / (math.sqrt(dx * dx + dy * dy + dz * dz) + DISTANCE_EPS)
+            terms[ov_at] = ov
+            cluster[cl_at] = 1.0 / (math.sqrt(dx * dx + dy * dy + dz * dz) + DISTANCE_EPS)
 
     def _col(self, pose: Pose) -> np.ndarray | None:
         if self._gx is None:
@@ -250,70 +332,80 @@ class _RoomEval:
         d2 += dy * dy
         return d2
 
+    def _total(self, placement: float, clustered: float, sparsity: float) -> float:
+        w = self.weights
+        return (
+            w.penalty_scale * placement
+            + w.cluster_scale * clustered
+            + w.sparsity_scale * sparsity
+        )
+
     def fill(self, poses: Sequence[Pose]) -> _Layout:
         """Every term of `poses`, computed from scratch."""
         poses = list(poses)
         n = len(poses)
-        own = [self._own(p) for p in poses]
-        overlap, cluster = [0.0] * (n * n), [0.0] * (n * n)
+        terms, cluster = [0.0] * self._n_terms, [0.0] * self._n_pairs
+        fps = [self._set_own(k, p, terms) for k, p in enumerate(poses)]
         for k in range(n):
-            self._set_pairs(k, range(k + 1, n), poses, own, overlap, cluster)
+            # the pairs (k, j > k) come last in k's list
+            self._set_pairs(k, self._pairs_of[k][k:], poses, fps, terms, cluster)
+        for i in range(n):
+            terms[self._cons_at[i]] = self._cons(i, poses)
         cols = [self._col(p) for p in poses]
         sparsity = 0.0
         if n and self._gx is not None:
             sparsity = math.sqrt(float(reduce(np.minimum, cols).max()))
-        cons = [self._cons(i, poses) for i in range(n)]
-        return self._summed(poses, own, cons, overlap, cluster, cols, {}, sparsity)
+        return self._state(poses, fps, terms, cluster, cols, {}, _summed(cluster), sparsity)
 
-    def moved(self, s: _Layout, k: int, pose: Pose) -> _Layout:
-        """`s` with facility k at `pose`, recomputing only the terms that
-        read k's pose; `s` keeps its terms."""
-        n = len(s.poses)
-        poses, own, cons = s.poses.copy(), s.own.copy(), s.cons.copy()
-        poses[k], own[k] = pose, self._own(pose)
-        for i in self.readers[k]:
-            cons[i] = self._cons(i, poses)
-        overlap, cluster = s.overlap.copy(), s.cluster.copy()
-        self._set_pairs(k, range(n), poses, own, overlap, cluster)
-        cols = s.cols.copy()
+    def step(
+        self, s: _Layout, k: int, pose: Pose, rejects: Callable[[float], bool]
+    ) -> _Layout | None:
+        """`s` with facility k at `pose`, recomputing only the terms that read
+        k's pose; `s` keeps its terms.
+
+        On a bounded room each stage offers `rejects` a lower bound on the
+        total before the next, costlier stage runs, and a True answer ends
+        the move with None: first the exact sparsity; then the total without
+        the constraint terms of `readers[k]`; only then are those computed.
+        """
+        bounded = self.bounded
         old = s.poses[k]
-        sparsity = s.breakdown.sparsity  # a turn in place keeps every column
+        cols, sparsity = s.cols, s.breakdown.sparsity  # a turn in place keeps every column
         if self._gx is not None and (pose.x != old.x or pose.y != old.y):
-            cols[k] = col = self._col(pose)
+            col = self._col(pose)
             if k not in s.rest:
                 others = cols[:k] + cols[k + 1 :]
                 s.rest[k] = reduce(np.minimum, others) if others else None
             rest = s.rest[k]
             sparsity = math.sqrt(float((col if rest is None else np.minimum(rest, col)).max()))
+            if bounded and rejects(self.weights.sparsity_scale * sparsity):
+                return None
+            cols = cols.copy()
+            cols[k] = col
+        poses, fps = s.poses.copy(), s.fps.copy()
+        terms, cluster = s.terms.copy(), s.cluster.copy()
+        poses[k] = pose
+        fps[k] = self._set_own(k, pose, terms)
+        self._set_pairs(k, self._pairs_of[k], poses, fps, terms, cluster)
+        clustered = _summed(cluster)
+        readers = self.readers[k]
+        if bounded:
+            for i in readers:
+                terms[self._cons_at[i]] = self._no_cons[i]
+            if rejects(self._total(_summed(terms), clustered, sparsity)):
+                return None
+        for i in readers:
+            terms[self._cons_at[i]] = self._cons(i, poses)
         # no column but k's changed, so k's memo carries over
         memo = {k: s.rest[k]} if k in s.rest else {}
-        return self._summed(poses, own, cons, overlap, cluster, cols, memo, sparsity)
+        return self._state(poses, fps, terms, cluster, cols, memo, clustered, sparsity)
 
-    def _summed(self, poses, own, cons, overlap, cluster, cols, rest, sparsity) -> _Layout:
-        # Re-sum in one fixed order -- per facility i: bounds, constraints,
-        # obstacles, then the pairs (i, j > i) -- so a total is bit-identical
-        # however the layout was reached.
-        n = len(poses)
-        placement = 0.0
-        clustered = 0.0
-        for i in range(n):
-            _, bounds, obstacles = own[i]
-            placement += bounds
-            for t in cons[i]:
-                placement += t
-            for t in obstacles:
-                placement += t
-            for ij in range(i * n + i + 1, i * n + n):
-                placement += overlap[ij]
-                clustered += cluster[ij]
-        w = self.weights
-        total = (
-            w.penalty_scale * placement
-            + w.cluster_scale * clustered
-            + w.sparsity_scale * sparsity
+    def _state(self, poses, fps, terms, cluster, cols, rest, clustered, sparsity) -> _Layout:
+        placement = _summed(terms)
+        breakdown = ObjectiveBreakdown(
+            placement, clustered, sparsity, self._total(placement, clustered, sparsity)
         )
-        breakdown = ObjectiveBreakdown(placement, clustered, sparsity, total)
-        return _Layout(poses, own, cons, overlap, cluster, cols, rest, breakdown)
+        return _Layout(poses, fps, terms, cluster, cols, rest, breakdown)
 
 
 def objective(
@@ -394,8 +486,9 @@ def optimize_room_layout(
             [f.pose if f.fixed else random_pose(f.pose.dims, dims, rng) for f in facilities]
         )
 
-    def propose(state: _Layout, rng: Random) -> _Layout:
-        return ev.moved(state, *perturb(dims, movable, state.poses, rng, sigma, sa.translate_prob))
+    def propose(state: _Layout, rng: Random, rejects: Callable[[float], bool]) -> _Layout | None:
+        k, pose = perturb(dims, movable, state.poses, rng, sigma, sa.translate_prob)
+        return ev.step(state, k, pose, rejects)
 
     best_state, best = anneal(
         init, propose if movable else None, attrgetter("breakdown"), sa, rng, trace

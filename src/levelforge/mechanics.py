@@ -233,7 +233,7 @@ def assign_mechanics(
             for inst in mechanics
         }
 
-    def propose(assign: dict[str, int], rng: Random) -> dict[str, int]:
+    def propose(assign: dict[str, int], rng: Random, rejects) -> dict[str, int]:
         inst = free[rng.randrange(len(free))]
         cands = candidates[inst.id]
         return {**assign, inst.id: cands[rng.randrange(len(cands))]}

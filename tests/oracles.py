@@ -12,6 +12,11 @@ up, down. The room oracles (doorway flood fill and nearest walkable
 cell) scan cell by cell too; a cell belongs to a room when its centre lies
 inside the room's footprint.
 
+The reference annealer is room layout as a full evaluation: every
+candidate is scored by `_RoomEval.fill` from scratch and judged by the
+plain Metropolis test, which the staged annealer must reproduce draw for
+draw.
+
 Two test-only helpers live here too: the facility-tier penalty sum of one
 placed facility, and the parser that reads `emit_table`'s CSV back.
 """
@@ -35,9 +40,15 @@ from levelforge.constraints import (
     WeightConfig,
     eval_facility_penalty,
 )
-from levelforge.geometry import Dimensions, Pose, bfs
+from levelforge.geometry import Dimensions, Pose, bfs, random_pose
 from levelforge.harness import AggregateStats, MetricStats
-from levelforge.layout import interior_grid_points
+from levelforge.layout import (
+    ObjectiveBreakdown,
+    SAParams,
+    _RoomEval,
+    interior_grid_points,
+    perturb,
+)
 from levelforge.level import FacilityInstance, RoomInstance
 from levelforge.navsim import DOOR, FREE, STAIR, Cell, DoorwayKey, NavGrid
 from levelforge.seeding import derive_seed
@@ -255,6 +266,50 @@ def make_layout_instance(index: int):
             inst("buddy", 1, Dimensions(1.0, 2.0, 1.0), []),
         ]
     return geom, adaptable, [], weights
+
+
+def reference_room_layout(
+    room: RoomInstance,
+    facilities: Sequence[FacilityInstance],
+    weights: WeightConfig,
+    sa: SAParams,
+    rng: Random,
+    obstacles: Sequence[Pose] = (),
+    trace: list | None = None,
+) -> tuple[list[Pose], ObjectiveBreakdown]:
+    """`optimize_room_layout` with every candidate scored from scratch: the
+    best poses seen and their breakdown, drawing from `rng` in the same
+    order (initial poses, then per move the perturbation and, for an uphill
+    move at a temperature > 0, one uniform variate)."""
+    dims = room.dims
+    ev = _RoomEval(dims, facilities, weights, obstacles)
+    movable = [i for i, f in enumerate(facilities) if not f.fixed]
+    sigma = sa.step_frac * math.hypot(dims.width, dims.length)
+    best_poses, best = None, None
+    for _ in range(max(1, sa.restarts)):
+        poses = [f.pose if f.fixed else random_pose(f.pose.dims, dims, rng) for f in facilities]
+        cur = ev.fill(poses).breakdown
+        if best is None or cur.total < best.total:
+            best_poses, best = poses, cur
+        if not movable:
+            continue
+        temperature = sa.initial_temperature
+        for it in range(sa.iterations):
+            k, pose = perturb(dims, movable, poses, rng, sigma, sa.translate_prob)
+            cand_poses = list(poses)
+            cand_poses[k] = pose
+            cand = ev.fill(cand_poses).breakdown
+            delta = cand.total - cur.total
+            if delta <= 0 or (
+                temperature > 0 and rng.random() < math.exp(-delta / temperature)
+            ):
+                poses, cur = cand_poses, cand
+            if cur.total < best.total:
+                best_poses, best = poses, cur
+            if trace is not None:
+                trace.append((it, temperature, cur.total, best.total))
+            temperature *= sa.cooling_rate
+    return best_poses, best
 
 
 def total_constraint_penalty(

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -217,6 +218,46 @@ def test_cli_experiment_refuses_a_non_integer_worker_count(tmp_path, monkeypatch
     assert capsys.readouterr().err == (
         "error: LEVELFORGE_THREADS must be an integer, got 'abc'\n"
     )
+
+
+_BAD_SHAPES = [
+    {"floors": 0},
+    {"floors": -1},
+    {"floors": 1.5},
+    {"floors": True},
+    {"width": 0.0},
+    {"length": -3.0},
+    {"height": math.nan},
+    {"width": math.inf},
+]
+
+
+@pytest.mark.parametrize("shape", _BAD_SHAPES)
+def test_a_level_shape_that_cannot_be_built_is_a_config_error(minimal_db, shape):
+    config = replace(small_config(), **shape)
+    with pytest.raises(ConfigError):
+        config.check()
+    with pytest.raises(ConfigError):
+        generate_level(config, minimal_db, "A-Baseline", 3)
+    exp = ExperimentConfig(groups=("A-Baseline",), levels_per_group=1, base_seed=7, level=config)
+    with pytest.raises(ConfigError):
+        run_experiment(exp, minimal_db)
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--floors", "0", "floors must be an integer >= 1, got 0"),
+        ("--floors", "-1", "floors must be an integer >= 1, got -1"),
+        ("--height", "nan", "width, length and height must be finite and > 0"),
+    ],
+)
+def test_cli_refuses_a_level_shape_that_cannot_be_built(tmp_path, capsys, flag, value, message):
+    args = ["--db", str(_db_path(tmp_path)), "--out", str(tmp_path / "out"), flag, value]
+    assert cli.main(["generate", "--group", "A-Baseline", "--seed", "3", *args]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert cli.main(["experiment", "--levels-per-group", "1", *args]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_cli_missing_file_is_io_error(tmp_path):

@@ -13,7 +13,7 @@ from levelforge.constraints import (
 )
 from levelforge.errors import InfeasibleRoom, NoAdaptableFacilities
 from levelforge import layout as layout_module
-from levelforge.geometry import Dimensions, Pose, penetration_depth, random_pose
+from levelforge.geometry import Dimensions, Pose, fits, penetration_depth, random_pose
 from levelforge.layout import (
     SAParams,
     _RoomEval,
@@ -25,7 +25,12 @@ from levelforge.layout import (
 )
 
 from conftest import make_facility, make_room
-from oracles import make_layout_instance, oracle_layout_optimum, total_constraint_penalty
+from oracles import (
+    make_layout_instance,
+    oracle_layout_optimum,
+    reference_room_layout,
+    total_constraint_penalty,
+)
 
 ROOM = make_room(1, (0.0, 0.0), 10, 10)
 GEOM = ROOM.dims
@@ -249,8 +254,16 @@ def test_incremental_breakdown_equals_a_full_evaluation(data):
     state = ev.fill([f.pose for f in facilities])
     movable = list(range(n))
     for accept in draw(st.lists(st.booleans(), min_size=1, max_size=25)):
-        cand = ev.moved(state, *perturb(dims, movable, state.poses, rng, SIGMA))
-        assert cand.breakdown == objective(room, _posed(facilities, cand.poses), W, obstacles)
+        bounds: list = []
+
+        def offered(bound):
+            bounds.append(bound)
+            return False
+
+        cand = ev.step(state, *perturb(dims, movable, state.poses, rng, SIGMA), offered)
+        exact = objective(room, _posed(facilities, cand.poses), W, obstacles)
+        assert cand.breakdown == exact
+        assert bounds and all(b <= exact.total for b in bounds)
         if accept:
             state = cand
     assert state.breakdown == objective(room, _posed(facilities, state.poses), W, obstacles)
@@ -270,9 +283,9 @@ def test_every_trace_row_is_the_objective_of_the_accepted_poses(monkeypatch):
 
     def spy(init, propose, energy, sa, rng, trace=None):
         # propose is handed the state accepted at the previous iteration
-        def watched(state, rng):
+        def watched(state, rng, rejects):
             accepted.append(state.poses)
-            return propose(state, rng)
+            return propose(state, rng, rejects)
 
         return anneal(init, watched, energy, sa, rng, trace)
 
@@ -288,7 +301,112 @@ def test_every_trace_row_is_the_objective_of_the_accepted_poses(monkeypatch):
     assert result.breakdown == objective(ROOM, _posed(facs, best), W, obstacles)
 
 
+_STAGED_KINDS = ["CanSee", "Near", "Far", "Focus", "Alignment", "Orientation"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_staged_annealer_equals_a_full_evaluation(data):
+    draw = data.draw
+    rng = Random(draw(st.integers(0, 2**32)))
+    # a side <= 1 m leaves no interior grid point
+    width = draw(st.sampled_from([1.0, 4.0, 9.0, 14.0]))
+    length = draw(st.sampled_from([1.0, 3.0, 7.0, 12.0]))
+    room = make_room(1, (0.0, 0.0), width, length)
+    dims = room.dims
+    stair = Dimensions(2.0, 2.0, 3.0)
+    obstacles = [
+        Pose(rng.uniform(0, width), rng.uniform(0, length), 1.5, 0.0, stair)
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    n = draw(st.integers(1, 5))
+    names = [draw(st.sampled_from(["A", "B", "C"])) for _ in range(n)]
+    facilities = []
+    for i, name in enumerate(names):
+        specs = [
+            ConstraintSpec(kind, {"target": draw(st.sampled_from(names))})
+            for kind in draw(st.lists(st.sampled_from(_STAGED_KINDS), max_size=3))
+        ]
+        if i == 0 and draw(st.booleans()):
+            # a box as large as the room cannot move: a no-op move
+            w, l = width, length
+        else:
+            sizes = ((2.0, 1.0), (1.0, 0.5), (0.5, 0.5))
+            w, l = next(d for d in sizes if fits(Dimensions(*d, 1.0), dims))
+        facilities.append(
+            make_facility(f"f{i}", 1, w / 2, l / 2, w=w, l=l, def_name=name, constraints=specs)
+        )
+    if draw(st.booleans()):
+        # the fixed facility may poke out of the room and through the stairs
+        facilities[-1] = make_facility(
+            "anchor", 1, rng.uniform(-1, width + 1), rng.uniform(-1, length + 1),
+            w=min(2.0, width), l=min(1.0, length), fixed=True, def_name=names[-1],
+            constraints=facilities[-1].constraints,
+        )
+    if draw(st.booleans()):
+        # a negative weight drops the bound: every candidate is scored in full
+        f = facilities[0]
+        spec = ConstraintSpec("Near", {"target": names[-1]}, weight=-4.0)
+        facilities[0] = replace(f, constraints=f.constraints + (spec,))
+    sa = SAParams(
+        initial_temperature=draw(st.sampled_from([1000.0, 5.0, 0.0, math.nan])),
+        cooling_rate=draw(st.sampled_from([0.95, 0.5, 0.0])),
+        iterations=draw(st.integers(0, 60)),
+        restarts=draw(st.integers(1, 2)),
+    )
+    seed = draw(st.integers(0, 2**32))
+    staged_rng, reference_rng = Random(seed), Random(seed)
+    staged_trace: list = []
+    reference_trace: list = []
+    staged = optimize_room_layout(room, facilities, W, sa, staged_rng, obstacles, staged_trace)
+    poses, breakdown = reference_room_layout(
+        room, facilities, W, sa, reference_rng, obstacles, reference_trace
+    )
+    # repr tells floats apart bit for bit, and lets a NaN temperature equal itself
+    assert repr(staged_trace) == repr(reference_trace)
+    assert [staged.placements[f.id] for f in facilities] == poses
+    assert staged.breakdown == breakdown
+    assert staged_rng.getstate() == reference_rng.getstate()
+
+
 # -- annealing ------------------------------------------------------------------
+
+
+class _Energy:
+    def __init__(self, total):
+        self.total = total
+
+
+def test_anneal_with_an_exact_bound_ends_and_draws_as_without_one():
+    def start(rng):
+        return rng.uniform(-5.0, 5.0)
+
+    def energy(x):
+        return _Energy(abs(x) + math.sin(3.0 * x))
+
+    def proposer(bounded, rejected):
+        def propose(x, rng, rejects):
+            cand = x + rng.gauss(0.0, 1.0)
+            if bounded and rejects(energy(cand).total):
+                rejected.append(cand)
+                return None
+            return cand
+
+        return propose
+
+    for sa in (
+        SAParams(initial_temperature=2.0, iterations=400, restarts=2),
+        SAParams(initial_temperature=0.0, iterations=50),
+        SAParams(initial_temperature=math.nan, iterations=50),
+        SAParams(cooling_rate=0.0, iterations=50),
+    ):
+        runs = []
+        for bounded in (False, True):
+            rng, trace, rejected = Random(11), [], []
+            state, e = anneal(start, proposer(bounded, rejected), energy, sa, rng, trace)
+            runs.append((state, e.total, repr(trace), rng.getstate()))
+        assert runs[0] == runs[1]
+        assert rejected
 
 
 def test_sa_converges_to_zero_penalty_in_range_box():
@@ -374,13 +492,9 @@ def test_trace_rows_follow_the_cooling_schedule():
 
 
 def test_anneal_without_moves_keeps_first_of_equal_initial_states():
-    class Energy:
-        def __init__(self, total):
-            self.total = total
-
     starts = iter([(3, "a"), (1, "b"), (1, "c"), (2, "d")])
     state, energy = anneal(
-        lambda rng: next(starts), None, lambda s: Energy(s[0]), SAParams(restarts=4), Random(0)
+        lambda rng: next(starts), None, lambda s: _Energy(s[0]), SAParams(restarts=4), Random(0)
     )
     assert state == (1, "b") and energy.total == 1
 
