@@ -28,6 +28,25 @@ DIRECTIONS = ("left", "right", "front", "back")
 DEFAULT_STAIR_DIMS = Dimensions(2.0, 2.0, 3.0)
 
 
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# The annealing schedule's rules: field, what it must be, and the test.
+_SA_RULES = (
+    ("iterations", "an integer >= 0", lambda v: _integer(v) and v >= 0),
+    ("restarts", "an integer >= 1", lambda v: _integer(v) and v >= 1),
+    ("cooling_rate", "finite and in (0, 1]", lambda v: _finite(v) and 0 < v <= 1),
+    ("initial_temperature", "finite and >= 0", lambda v: _finite(v) and v >= 0),
+    ("translate_prob", "in [0, 1]", lambda v: _finite(v) and 0 <= v <= 1),
+    ("step_frac", "finite and >= 0", lambda v: _finite(v) and v >= 0),
+)
+
+
 @dataclass
 class LevelConfig:
     """Designer-facing generation parameters; the seed pins every choice."""
@@ -48,15 +67,24 @@ class LevelConfig:
         return self.height / self.floors
 
     def check(self) -> None:
-        """Raise ConfigError unless the level has a shape to build: an
-        integer floor count >= 1 and a finite width, length and height > 0."""
-        if isinstance(self.floors, bool) or not isinstance(self.floors, int) or self.floors < 1:
+        """Raise ConfigError unless the level has a shape to build and a
+        schedule to anneal by: an integer floor count >= 1, a finite width,
+        length and height > 0, the `_SA_RULES`, and finite weights (the
+        annealer's early rejection assumes them)."""
+        if not _integer(self.floors) or self.floors < 1:
             raise ConfigError(f"floors must be an integer >= 1, got {self.floors!r}")
         if not Dimensions(self.width, self.length, self.height).is_valid():
             raise ConfigError(
                 "width, length and height must be finite and > 0, got "
                 f"{self.width!r}, {self.length!r}, {self.height!r}"
             )
+        for name, rule, holds in _SA_RULES:
+            value = getattr(self.sa, name)
+            if not holds(value):
+                raise ConfigError(f"sa.{name} must be {rule}, got {value!r}")
+        for name, value in self.weights.to_dict().items():
+            if not _finite(value):
+                raise ConfigError(f"weights.{name} must be finite, got {value!r}")
 
     def grid_shape(self) -> tuple[int, int, int]:
         """Nav-grid cells along x and y (one per unit of level size), and floors."""

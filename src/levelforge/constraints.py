@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import UnknownKind
 from .geometry import (
@@ -163,28 +163,232 @@ AXIS_FUNCTIONS = {
 }
 
 
-def _axis_deviation(spec: ConstraintSpec, cx, cy, cz, frame_w, frame_l, subject_h) -> float:
+def _axis_function(spec: ConstraintSpec) -> Callable[..., float]:
     name = spec.params.get("function")
     fn = AXIS_FUNCTIONS.get(name)
     if fn is None:
         raise UnknownKind(f"unknown axis function {name!r}")
-    return fn(cx, cy, cz, frame_w, frame_l, subject_h)
+    return fn
 
 
 # -- facility tier -----------------------------------------------------------
+#
+# One compiler per kind binds a spec to facility i of a room: its weight,
+# parsed params and the indices of its targets (the other facilities of the
+# target definition, in room order). The compiled term reads the room's
+# poses and footprints, poses[i] being its subject; it scores 0 when no
+# target is placed.
 
-def _nearest(
-    subject: Pose, name: str, others: Sequence[tuple[str, Pose]]
-) -> tuple[Pose | None, float]:
-    """The nearest placed instance of definition `name` (the first on a
-    tie) and its centre distance; None when there is none."""
+Term = Callable[[Sequence[Pose], Sequence[tuple]], float]
+
+
+def _zero(poses: Sequence[Pose], fps: Sequence[tuple]) -> float:
+    return 0.0
+
+
+def _targets(spec: ConstraintSpec, i: int, names: Sequence[str]) -> list[int]:
+    name = spec.params["target"]
+    return [j for j, n in enumerate(names) if n == name and j != i]
+
+
+def _nearest(subject: Pose, poses: Sequence[Pose], targets: Sequence[int]) -> tuple[Pose, float]:
+    """The nearest of the target poses (the first on a tie) and its centre
+    distance; `targets` is not empty."""
     target, best = None, math.inf
-    for n, pose in others:
-        if n == name:
-            d = center_distance(subject, pose)
-            if target is None or d < best:
-                target, best = pose, d
+    for j in targets:
+        pose = poses[j]
+        d = center_distance(subject, pose)
+        if target is None or d < best:
+            target, best = pose, d
     return target, best
+
+
+def _axis_function_term(spec, w, i, names, room, weights) -> Term:
+    fn = _axis_function(spec)
+    width, length = room.width, room.length
+
+    def term(poses, fps):
+        s = poses[i]
+        dev = fn(s.x, s.y, s.z, width, length, s.dims.height)
+        return w * dev * dev
+
+    return term
+
+
+def _place_in_range_term(spec, w, i, names, room, weights) -> Term:
+    lo = tuple(float(v) for v in spec.params["p1"])
+    hi = tuple(float(v) for v in spec.params["p2"])
+
+    def term(poses, fps):
+        s = poses[i]
+        d = point_outside_box_distance((s.x, s.y, s.z), lo, hi)
+        return w * d * d
+
+    return term
+
+
+def _place_by_wall_term(spec, w, i, names, room, weights) -> Term:
+    width, length = room.width, room.length
+    facing = float(spec.params["orientation"]) if "orientation" in spec.params else None
+
+    def term(poses, fps):
+        x0, y0, x1, y1 = fps[i]
+        wall_dist = max(0.0, min(x0, y0, width - x1, length - y1))
+        ang = 0.0 if facing is None else angle_diff(poses[i].yaw, facing)
+        e = wall_dist + ang
+        return w * e * e
+
+    return term
+
+
+def _near_term(spec, w, i, names, room, weights) -> Term:
+    targets = _targets(spec, i, names)
+    if not targets:
+        return _zero
+    d_min = float(spec.params.get("d_min", weights.near_d_min))
+
+    def term(poses, fps):
+        _, d12 = _nearest(poses[i], poses, targets)
+        if d12 > d_min:
+            return w * (d_min - d12) ** 2
+        return 0.0
+
+    return term
+
+
+def _far_term(spec, w, i, names, room, weights) -> Term:
+    targets = _targets(spec, i, names)
+    if not targets:
+        return _zero
+    d_max = float(spec.params.get("d_max", weights.far_d_max))
+
+    def term(poses, fps):
+        _, d12 = _nearest(poses[i], poses, targets)
+        if d12 < d_max:
+            return w * (d12 - d_max) ** 2
+        return 0.0
+
+    return term
+
+
+def _can_see_term(spec, w, i, names, room, weights) -> Term:
+    targets = _targets(spec, i, names)
+    if not targets:
+        return _zero
+    blockers = [j for j in range(len(names)) if j != i]
+
+    def term(poses, fps):
+        s = poses[i]
+        target, _ = _nearest(s, poses, targets)
+        p0 = (s.x, s.y, s.z)
+        p1 = (target.x, target.y, target.z)
+        for j in blockers:
+            pose = poses[j]
+            if pose is not target and segment_intersects_box(p0, p1, pose.box3d(fps[j])):
+                return w
+        return 0.0
+
+    return term
+
+
+def _focus_term(spec, w, i, names, room, weights) -> Term:
+    if "point" in spec.params:
+        point = tuple(float(v) for v in spec.params["point"])
+        targets = None
+    else:
+        targets = _targets(spec, i, names)
+        if not targets:
+            return _zero
+    phi_th = float(spec.params.get("phi_th", math.radians(weights.focus_phi_th_deg)))
+
+    def term(poses, fps):
+        s = poses[i]
+        if targets is None:
+            px, py = point
+        else:
+            target, _ = _nearest(s, poses, targets)
+            px, py = target.x, target.y
+        dx, dy = px - s.x, py - s.y
+        if dx == 0.0 and dy == 0.0:
+            return 0.0
+        phi = angle_diff(math.atan2(dy, dx), s.yaw)
+        if phi > phi_th:
+            return w * (phi - phi_th) ** 2
+        return 0.0
+
+    return term
+
+
+def _alignment_term(spec, w, i, names, room, weights) -> Term:
+    targets = _targets(spec, i, names)
+    if not targets:
+        return _zero
+    along_x = spec.params.get("axis", "x") == "x"
+
+    def term(poses, fps):
+        s = poses[i]
+        target, _ = _nearest(s, poses, targets)
+        dx, dy = target.x - s.x, target.y - s.y
+        if dx == 0.0 and dy == 0.0:
+            return 0.0
+        if along_x:
+            theta = math.atan2(abs(dy), abs(dx))
+        else:
+            theta = math.atan2(abs(dx), abs(dy))
+        return w * theta * theta
+
+    return term
+
+
+def _orientation_term(spec, w, i, names, room, weights) -> Term:
+    targets = _targets(spec, i, names)
+    if not targets:
+        return _zero
+
+    def term(poses, fps):
+        s = poses[i]
+        target, _ = _nearest(s, poses, targets)
+        theta = angle_diff(s.yaw, target.yaw)
+        return w * theta * theta
+
+    return term
+
+
+_FACILITY_TERMS = {
+    "AxisFunction": _axis_function_term,
+    "PlaceInRange": _place_in_range_term,
+    "PlaceByWall": _place_by_wall_term,
+    "Near": _near_term,
+    "Far": _far_term,
+    "CanSee": _can_see_term,
+    "Focus": _focus_term,
+    "Alignment": _alignment_term,
+    "Orientation": _orientation_term,
+}
+
+
+def compile_facility_term(
+    spec: ConstraintSpec,
+    i: int,
+    names: Sequence[str],
+    room: Dimensions,
+    weights: WeightConfig = DEFAULT_WEIGHTS,
+) -> Term:
+    """The penalty of `spec` on facility i of a room whose facilities have
+    the definition names `names`, as a function of their poses and
+    footprints."""
+    w = facility_weight(spec, weights)
+    return _FACILITY_TERMS[spec.kind](spec, w, i, names, room, weights)
+
+
+class _Footprints:
+    """The footprints of `poses`, each computed when read."""
+
+    def __init__(self, poses: Sequence[Pose]):
+        self.poses = poses
+
+    def __getitem__(self, j: int) -> tuple:
+        return self.poses[j].footprint()
 
 
 def eval_facility_penalty(
@@ -200,96 +404,10 @@ def eval_facility_penalty(
     (definition name, pose) pairs; the subject itself must not be in it.
     Constraints whose named target has no placed instance score 0.
     """
-    kind = spec.kind
-    w = facility_weight(spec, weights)
-
-    if kind == "AxisFunction":
-        dev = _axis_deviation(
-            spec, subject.x, subject.y, subject.z,
-            room.width, room.length, subject.dims.height,
-        )
-        return w * dev * dev
-
-    if kind == "PlaceInRange":
-        lo = tuple(float(v) for v in spec.params["p1"])
-        hi = tuple(float(v) for v in spec.params["p2"])
-        d = point_outside_box_distance((subject.x, subject.y, subject.z), lo, hi)
-        return w * d * d
-
-    if kind == "PlaceByWall":
-        x0, y0, x1, y1 = subject.footprint()
-        wall_dist = max(0.0, min(x0, y0, room.width - x1, room.length - y1))
-        ang = 0.0
-        if "orientation" in spec.params:
-            ang = angle_diff(subject.yaw, float(spec.params["orientation"]))
-        e = wall_dist + ang
-        return w * e * e
-
-    if kind in ("Near", "Far"):
-        target, d12 = _nearest(subject, spec.params["target"], others)
-        if target is None:
-            return 0.0
-        if kind == "Near":
-            d_min = float(spec.params.get("d_min", weights.near_d_min))
-            if d12 > d_min:
-                return w * (d_min - d12) ** 2
-            return 0.0
-        d_max = float(spec.params.get("d_max", weights.far_d_max))
-        if d12 < d_max:
-            return w * (d12 - d_max) ** 2
-        return 0.0
-
-    if kind == "CanSee":
-        target, _ = _nearest(subject, spec.params["target"], others)
-        if target is None:
-            return 0.0
-        p0 = (subject.x, subject.y, subject.z)
-        p1 = (target.x, target.y, target.z)
-        for _, pose in others:
-            if pose is target:
-                continue
-            if segment_intersects_box(p0, p1, pose.box3d()):
-                return w
-        return 0.0
-
-    if kind == "Focus":
-        if "point" in spec.params:
-            px, py = (float(v) for v in spec.params["point"])
-        else:
-            target, _ = _nearest(subject, spec.params["target"], others)
-            if target is None:
-                return 0.0
-            px, py = target.x, target.y
-        dx, dy = px - subject.x, py - subject.y
-        if dx == 0.0 and dy == 0.0:
-            return 0.0
-        phi = angle_diff(math.atan2(dy, dx), subject.yaw)
-        phi_th = float(
-            spec.params.get("phi_th", math.radians(weights.focus_phi_th_deg))
-        )
-        if phi > phi_th:
-            return w * (phi - phi_th) ** 2
-        return 0.0
-
-    if kind == "Alignment":
-        target, _ = _nearest(subject, spec.params["target"], others)
-        if target is None:
-            return 0.0
-        dx, dy = target.x - subject.x, target.y - subject.y
-        if dx == 0.0 and dy == 0.0:
-            return 0.0
-        if spec.params.get("axis", "x") == "x":
-            theta = math.atan2(abs(dy), abs(dx))
-        else:
-            theta = math.atan2(abs(dx), abs(dy))
-        return w * theta * theta
-
-    # Orientation
-    target, _ = _nearest(subject, spec.params["target"], others)
-    if target is None:
-        return 0.0
-    theta = angle_diff(subject.yaw, target.yaw)
-    return w * theta * theta
+    # the subject is facility 0; a term never targets its own facility
+    names = [None] + [name for name, _ in others]
+    poses = [subject] + [pose for _, pose in others]
+    return compile_facility_term(spec, 0, names, room, weights)(poses, _Footprints(poses))
 
 
 # -- room tier ---------------------------------------------------------------
@@ -320,7 +438,7 @@ def eval_room_penalty(
 
     if kind == "AxisFunction":
         cx, cy = subject.center()
-        dev = _axis_deviation(spec, cx, cy, 0.0, level_dims[0], level_dims[1], 0.0)
+        dev = _axis_function(spec)(cx, cy, 0.0, level_dims[0], level_dims[1], 0.0)
         return w * dev * dev
 
     target_name = spec.params["target"]

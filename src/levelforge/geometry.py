@@ -52,18 +52,17 @@ class Pose:
     dims: Dimensions
 
     def half_extents(self) -> tuple[float, float]:
-        # yaw snaps to the nearest 90-degree step for footprint purposes
-        quarter = round(self.yaw / HALF_PI) % 4
-        if quarter % 2 == 1:
-            return self.dims.length / 2.0, self.dims.width / 2.0
-        return self.dims.width / 2.0, self.dims.length / 2.0
+        return half_extents(self.dims, self.yaw)
 
     def footprint(self) -> tuple[float, float, float, float]:
-        hx, hy = self.half_extents()
+        hx, hy = half_extents(self.dims, self.yaw)
         return (self.x - hx, self.y - hy, self.x + hx, self.y + hy)
 
-    def box3d(self) -> tuple[float, float, float, float, float, float]:
-        x0, y0, x1, y1 = self.footprint()
+    def box3d(
+        self, fp: tuple[float, float, float, float] | None = None
+    ) -> tuple[float, float, float, float, float, float]:
+        """The box in 3D; `fp` is its footprint, when already known."""
+        x0, y0, x1, y1 = fp or self.footprint()
         hz = self.dims.height / 2.0
         return (x0, y0, self.z - hz, x1, y1, self.z + hz)
 
@@ -72,6 +71,15 @@ class Pose:
 
     def rotated(self, yaw: float) -> "Pose":
         return Pose(self.x, self.y, self.z, wrap_angle(yaw), self.dims)
+
+
+def half_extents(dims: Dimensions, yaw: float) -> tuple[float, float]:
+    """Half the footprint's size along x and y of a box at `yaw`."""
+    # yaw snaps to the nearest 90-degree step for footprint purposes; an
+    # odd number of quarter turns swaps width and length
+    if round(yaw / HALF_PI) % 2:
+        return dims.length / 2.0, dims.width / 2.0
+    return dims.width / 2.0, dims.length / 2.0
 
 
 def wrap_angle(a: float) -> float:
@@ -206,14 +214,26 @@ def fits(dims: Dimensions, room: Dimensions) -> bool:
     )
 
 
+def clamp_center(
+    x: float, y: float, hx: float, hy: float, room: Dimensions
+) -> tuple[float, float] | None:
+    """The point nearest (x, y) at which a footprint of half extents (hx, hy)
+    lies in the [0,W]x[0,L] room; None when it is wider or longer than the
+    room."""
+    width, length = room.width, room.length
+    if 2 * hx > width or 2 * hy > length:
+        return None
+    # min(max(x, hx), width - hx) per axis, without the builtins' call cost
+    x = hx if hx > x else x
+    y = hy if hy > y else y
+    return (width - hx if width - hx < x else x), (length - hy if length - hy < y else y)
+
+
 def clamp_into_room(pose: Pose, x: float, y: float, room: Dimensions) -> Pose | None:
     """`pose` centred at the point nearest (x, y) where its footprint lies in
-    the [0,W]x[0,L] room; None when, at its yaw, the footprint is wider or
-    longer than the room."""
-    hx, hy = pose.half_extents()
-    if 2 * hx > room.width or 2 * hy > room.length:
-        return None
-    return pose.moved(min(max(x, hx), room.width - hx), min(max(y, hy), room.length - hy))
+    the room (`clamp_center`); None when, at its yaw, it does not fit."""
+    at = clamp_center(x, y, *pose.half_extents(), room)
+    return None if at is None else pose.moved(*at)
 
 
 def random_pose(dims: Dimensions, room: Dimensions, rng: Random) -> Pose | None:

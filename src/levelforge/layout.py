@@ -39,6 +39,16 @@ so the move is rejected exactly when the full evaluation would reject it;
 otherwise the full evaluation reuses u. States, draws and trace rows are
 those of a full evaluation. A room with a negative weight has no bound and
 evaluates every move in full.
+
+What a move builds: `perturb` clamps on the half extents of the current
+and the turned yaw, each computed once, and builds one `Pose`, the
+candidate. The room's constraint terms were compiled once
+(`constraints.compile_facility_term`): each has its weight, params and
+target indices bound and reads the poses and the state's footprints. Stage
+1 builds k's column; stage 2 copies the poses, footprints and term lists
+and writes k's terms into them; only stage 3 builds a `_Layout`, which
+carries its objective's parts as floats. An `ObjectiveBreakdown` is built
+only when read, once per room for the best state.
 """
 
 from __future__ import annotations
@@ -46,7 +56,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property, reduce
-from operator import attrgetter
 from random import Random
 from typing import Callable, Sequence, TypeVar
 
@@ -56,7 +65,7 @@ from .constraints import (
     DISTANCE_EPS,
     DEFAULT_WEIGHTS,
     WeightConfig,
-    eval_facility_penalty,
+    compile_facility_term,
     facility_weight,
 )
 from .errors import InfeasibleRoom, NoAdaptableFacilities
@@ -64,11 +73,13 @@ from .geometry import (
     HALF_PI,
     Dimensions,
     Pose,
-    clamp_into_room,
+    clamp_center,
     fits,
+    half_extents,
     out_of_bounds_depth,
     penetration_depth,
     random_pose,
+    wrap_angle,
 )
 from .level import FacilityInstance, RoomInstance
 
@@ -111,9 +122,10 @@ def anneal(
     `sa.iterations` moves. `propose(state, rng, rejects)` returns a new
     state and leaves its argument untouched; a `propose` of None means
     nothing can move, so only the initial states are scored.
-    `energy(state)` returns a breakdown whose `.total` is minimised; the
-    best changes only on a strictly lower total. With `trace`, each
-    iteration appends (iteration, temperature, current total, best total).
+    `energy(state)` returns an object whose `.total` is minimised (it may
+    be the state itself); the best changes only on a strictly lower total.
+    With `trace`, each iteration appends (iteration, temperature, current
+    total, best total).
 
     `rejects(bound)` lets a proposal stop early: given a lower bound on the
     candidate's total, it is True when the candidate would surely be
@@ -200,9 +212,10 @@ def _summed(terms: list[float]) -> float:
     return total
 
 
-@dataclass
+@dataclass(slots=True)
 class _Layout:
-    """Annealer state: the poses plus every cached term of their objective."""
+    """Annealer state: the poses plus every cached term of their objective,
+    and the objective's parts as floats."""
 
     poses: list[Pose]
     fps: list[tuple]  # per facility: its footprint
@@ -212,7 +225,14 @@ class _Layout:
     # k -> min of the columns other than k's (None if none); it reads only
     # those columns, so it may be filled in on an otherwise unchanged state
     rest: dict[int, np.ndarray | None]
-    breakdown: ObjectiveBreakdown
+    placement: float
+    clustered: float
+    sparsity: float
+    total: float
+
+    @property
+    def breakdown(self) -> ObjectiveBreakdown:
+        return ObjectiveBreakdown(self.placement, self.clustered, self.sparsity, self.total)
 
 
 class _RoomEval:
@@ -230,10 +250,16 @@ class _RoomEval:
         self.weights = weights
         self.names = [f.def_name for f in facilities]
         self.constraints = [f.constraints for f in facilities]
+        # per facility: its constraint terms, compiled against this room
+        self.cons_terms = [
+            [compile_facility_term(spec, i, self.names, room, weights) for spec in specs]
+            for i, specs in enumerate(self.constraints)
+        ]
         self.obstacle_footprints = [o.footprint() for o in obstacles]
         grid = interior_grid_points(room)
         self._gx = np.ascontiguousarray(grid[:, 0]) if grid.size else None
         self._gy = np.ascontiguousarray(grid[:, 1]) if grid.size else None
+        self._low = np.empty_like(self._gx) if grid.size else None  # stage 1's scratch
         # Every term is >= 0 only while every weight is, and only then is a
         # partial sum a lower bound on the total (NaN fails the test too).
         self.bounded = all(
@@ -297,12 +323,8 @@ class _RoomEval:
             terms[at + o] = w.w_overlap * d * d if d > 0.0 else 0.0
         return fp
 
-    def _cons(self, i: int, poses: Sequence[Pose]) -> list[float]:
-        others = [(self.names[j], poses[j]) for j in range(len(poses)) if j != i]
-        return [
-            eval_facility_penalty(spec, poses[i], self.room, others, self.weights)
-            for spec in self.constraints[i]
-        ]
+    def _cons(self, i: int, poses: Sequence[Pose], fps: Sequence[tuple]) -> list[float]:
+        return [term(poses, fps) for term in self.cons_terms[i]]
 
     def _set_pairs(self, k: int, pairs, poses, fps, terms, cluster) -> None:
         """Write the overlap and cluster terms of each pair (k, j) in `pairs`."""
@@ -326,10 +348,11 @@ class _RoomEval:
     def _col(self, pose: Pose) -> np.ndarray | None:
         if self._gx is None:
             return None
-        dx = self._gx - pose.x
+        d2 = self._gx - pose.x
+        d2 *= d2
         dy = self._gy - pose.y
-        d2 = dx * dx
-        d2 += dy * dy
+        dy *= dy
+        d2 += dy
         return d2
 
     def _total(self, placement: float, clustered: float, sparsity: float) -> float:
@@ -350,11 +373,11 @@ class _RoomEval:
             # the pairs (k, j > k) come last in k's list
             self._set_pairs(k, self._pairs_of[k][k:], poses, fps, terms, cluster)
         for i in range(n):
-            terms[self._cons_at[i]] = self._cons(i, poses)
+            terms[self._cons_at[i]] = self._cons(i, poses, fps)
         cols = [self._col(p) for p in poses]
         sparsity = 0.0
         if n and self._gx is not None:
-            sparsity = math.sqrt(float(reduce(np.minimum, cols).max()))
+            sparsity = math.sqrt(np.maximum.reduce(reduce(np.minimum, cols)))
         return self._state(poses, fps, terms, cluster, cols, {}, _summed(cluster), sparsity)
 
     def step(
@@ -370,14 +393,16 @@ class _RoomEval:
         """
         bounded = self.bounded
         old = s.poses[k]
-        cols, sparsity = s.cols, s.breakdown.sparsity  # a turn in place keeps every column
+        cols, sparsity = s.cols, s.sparsity  # a turn in place keeps every column
         if self._gx is not None and (pose.x != old.x or pose.y != old.y):
             col = self._col(pose)
             if k not in s.rest:
                 others = cols[:k] + cols[k + 1 :]
                 s.rest[k] = reduce(np.minimum, others) if others else None
             rest = s.rest[k]
-            sparsity = math.sqrt(float((col if rest is None else np.minimum(rest, col)).max()))
+            low = col if rest is None else np.minimum(rest, col, out=self._low)
+            # the ufunc's reduce: ndarray.max adds a Python-level call per move
+            sparsity = math.sqrt(np.maximum.reduce(low))
             if bounded and rejects(self.weights.sparsity_scale * sparsity):
                 return None
             cols = cols.copy()
@@ -395,17 +420,21 @@ class _RoomEval:
             if rejects(self._total(_summed(terms), clustered, sparsity)):
                 return None
         for i in readers:
-            terms[self._cons_at[i]] = self._cons(i, poses)
+            terms[self._cons_at[i]] = self._cons(i, poses, fps)
         # no column but k's changed, so k's memo carries over
         memo = {k: s.rest[k]} if k in s.rest else {}
         return self._state(poses, fps, terms, cluster, cols, memo, clustered, sparsity)
 
     def _state(self, poses, fps, terms, cluster, cols, rest, clustered, sparsity) -> _Layout:
         placement = _summed(terms)
-        breakdown = ObjectiveBreakdown(
-            placement, clustered, sparsity, self._total(placement, clustered, sparsity)
+        total = self._total(placement, clustered, sparsity)
+        return _Layout(
+            poses, fps, terms, cluster, cols, rest, placement, clustered, sparsity, total
         )
-        return _Layout(poses, fps, terms, cluster, cols, rest, breakdown)
+
+
+def _itself(state: _Layout) -> _Layout:
+    return state
 
 
 def objective(
@@ -432,25 +461,31 @@ def perturb(
 
     With probability `translate_prob` the facility takes a gaussian step of
     `sigma` per axis (clamped into the room); otherwise it rotates to the
-    next 90-degree yaw.
+    next 90-degree yaw, or translates when the turn cannot fit. Up to 8
+    tries are drawn until one moves it. The tries clamp on the half extents
+    of the current and the turned yaw, each computed once, and only the
+    returned pose is built.
     """
     if not movable:
         raise NoAdaptableFacilities("room has no adaptable facilities")
     idx = movable[rng.randrange(len(movable))]
     cur = poses[idx]
+    x, y, yaw = cur.x, cur.y, cur.yaw
+    hx, hy = half_extents(cur.dims, yaw)
+    turn = None  # (turned yaw, where the turned box lands or None), once computed
     for _ in range(8):
-        cand = None
+        at = None
         if rng.random() >= translate_prob:
-            turned = cur.rotated(cur.yaw + HALF_PI)
-            # None when the turn cannot fit; translate instead
-            cand = clamp_into_room(turned, turned.x, turned.y, room)
-        if cand is None:
-            cand = clamp_into_room(
-                cur, cur.x + rng.gauss(0.0, sigma), cur.y + rng.gauss(0.0, sigma), room
-            )
-        if cand.x != cur.x or cand.y != cur.y or cand.yaw != cur.yaw:
-            return idx, cand
-    return idx, cand
+            if turn is None:
+                turned = wrap_angle(yaw + HALF_PI)
+                turn = turned, clamp_center(x, y, *half_extents(cur.dims, turned), room)
+            new_yaw, at = turn
+        if at is None:
+            new_yaw = yaw
+            at = clamp_center(x + rng.gauss(0.0, sigma), y + rng.gauss(0.0, sigma), hx, hy, room)
+        if at[0] != x or at[1] != y or new_yaw != yaw:
+            break
+    return idx, Pose(at[0], at[1], cur.z, new_yaw, cur.dims)
 
 
 def optimize_room_layout(
@@ -490,8 +525,7 @@ def optimize_room_layout(
         k, pose = perturb(dims, movable, state.poses, rng, sigma, sa.translate_prob)
         return ev.step(state, k, pose, rejects)
 
-    best_state, best = anneal(
-        init, propose if movable else None, attrgetter("breakdown"), sa, rng, trace
-    )
-    placements = {f.id: p for f, p in zip(facilities, best_state.poses)}
-    return RoomLayout(placements, best)
+    # a state carries its own total, so it is its own energy
+    best, _ = anneal(init, propose if movable else None, _itself, sa, rng, trace)
+    placements = {f.id: p for f, p in zip(facilities, best.poses)}
+    return RoomLayout(placements, best.breakdown)

@@ -107,12 +107,18 @@ class Level:
     stairs: list[Stair] = field(default_factory=list)
     facilities: list[FacilityInstance] = field(default_factory=list)
     mechanics: list[MechanicPlacement] = field(default_factory=list)
+    # id -> room, the first of an id; rebuilt on a miss, so rooms appended
+    # to `rooms` are found
+    _room_index: dict[int, RoomInstance] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def room_by_id(self, room_id: int) -> RoomInstance:
-        for r in self.rooms:
-            if r.id == room_id:
-                return r
-        raise KeyError(room_id)
+        room = self._room_index.get(room_id)
+        if room is None:
+            self._room_index = {r.id: r for r in reversed(self.rooms)}
+            room = self._room_index[room_id]
+        return room
 
     def rooms_on_floor(self, floor: int) -> list[RoomInstance]:
         return [r for r in self.rooms if r.floor == floor]

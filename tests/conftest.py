@@ -1,8 +1,16 @@
+import os
 from random import Random
 
 import pytest
+from hypothesis import settings
 
 import levelforge
+
+# `HYPOTHESIS_PROFILE=ci` draws the same examples on every run, so a failing
+# bit-exactness property reproduces from the run's log. It is loaded here,
+# before the test modules build their own settings on top of it.
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # acceptance criteria outcomes, printed as one line each at session end
 ACCEPTANCE_RESULTS: list[tuple[int, bool, str]] = []

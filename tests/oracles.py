@@ -17,6 +17,13 @@ candidate is scored by `_RoomEval.fill` from scratch and judged by the
 plain Metropolis test, which the staged annealer must reproduce draw for
 draw.
 
+The reference penalty and perturbation are the facility-tier formulas and
+the one-facility move as they were written before the layout evaluator
+compiled its constraint terms and clamped on cached half extents: each
+penalty re-reads its spec and scans (name, pose) pairs, and each move try
+builds its poses through `clamp_into_room`. The compiled terms and
+`perturb` must reproduce them bit for bit.
+
 Two test-only helpers live here too: the facility-tier penalty sum of one
 placed facility, and the parser that reads `emit_table`'s CSV back.
 """
@@ -34,20 +41,33 @@ from typing import Sequence
 import numpy as np
 
 from levelforge.constraints import (
+    AXIS_FUNCTIONS,
     DEFAULT_WEIGHTS,
     DISTANCE_EPS,
     ConstraintSpec,
     WeightConfig,
     eval_facility_penalty,
+    facility_weight,
 )
-from levelforge.geometry import Dimensions, Pose, bfs, random_pose
+from levelforge.errors import NoAdaptableFacilities, UnknownKind
+from levelforge.geometry import (
+    HALF_PI,
+    Dimensions,
+    Pose,
+    angle_diff,
+    bfs,
+    center_distance,
+    clamp_into_room,
+    point_outside_box_distance,
+    random_pose,
+    segment_intersects_box,
+)
 from levelforge.harness import AggregateStats, MetricStats
 from levelforge.layout import (
     ObjectiveBreakdown,
     SAParams,
     _RoomEval,
     interior_grid_points,
-    perturb,
 )
 from levelforge.level import FacilityInstance, RoomInstance
 from levelforge.navsim import DOOR, FREE, STAIR, Cell, DoorwayKey, NavGrid
@@ -295,7 +315,7 @@ def reference_room_layout(
             continue
         temperature = sa.initial_temperature
         for it in range(sa.iterations):
-            k, pose = perturb(dims, movable, poses, rng, sigma, sa.translate_prob)
+            k, pose = reference_perturb(dims, movable, poses, rng, sigma, sa.translate_prob)
             cand_poses = list(poses)
             cand_poses[k] = pose
             cand = ev.fill(cand_poses).breakdown
@@ -310,6 +330,146 @@ def reference_room_layout(
                 trace.append((it, temperature, cur.total, best.total))
             temperature *= sa.cooling_rate
     return best_poses, best
+
+
+def _reference_nearest(
+    subject: Pose, name: str, others: Sequence[tuple[str, Pose]]
+) -> tuple[Pose | None, float]:
+    target, best = None, math.inf
+    for n, pose in others:
+        if n == name:
+            d = center_distance(subject, pose)
+            if target is None or d < best:
+                target, best = pose, d
+    return target, best
+
+
+def reference_facility_penalty(
+    spec: ConstraintSpec,
+    subject: Pose,
+    room: Dimensions,
+    others: Sequence[tuple[str, Pose]] = (),
+    weights: WeightConfig = DEFAULT_WEIGHTS,
+) -> float:
+    """One facility-tier penalty from the raw formulas; `others` holds the
+    room's other facilities as (definition name, pose) pairs."""
+    kind = spec.kind
+    w = facility_weight(spec, weights)
+
+    if kind == "AxisFunction":
+        fn = AXIS_FUNCTIONS.get(spec.params.get("function"))
+        if fn is None:
+            raise UnknownKind(f"unknown axis function {spec.params.get('function')!r}")
+        dev = fn(subject.x, subject.y, subject.z, room.width, room.length, subject.dims.height)
+        return w * dev * dev
+
+    if kind == "PlaceInRange":
+        lo = tuple(float(v) for v in spec.params["p1"])
+        hi = tuple(float(v) for v in spec.params["p2"])
+        d = point_outside_box_distance((subject.x, subject.y, subject.z), lo, hi)
+        return w * d * d
+
+    if kind == "PlaceByWall":
+        x0, y0, x1, y1 = subject.footprint()
+        wall_dist = max(0.0, min(x0, y0, room.width - x1, room.length - y1))
+        ang = 0.0
+        if "orientation" in spec.params:
+            ang = angle_diff(subject.yaw, float(spec.params["orientation"]))
+        e = wall_dist + ang
+        return w * e * e
+
+    if kind in ("Near", "Far"):
+        target, d12 = _reference_nearest(subject, spec.params["target"], others)
+        if target is None:
+            return 0.0
+        if kind == "Near":
+            d_min = float(spec.params.get("d_min", weights.near_d_min))
+            if d12 > d_min:
+                return w * (d_min - d12) ** 2
+            return 0.0
+        d_max = float(spec.params.get("d_max", weights.far_d_max))
+        if d12 < d_max:
+            return w * (d12 - d_max) ** 2
+        return 0.0
+
+    if kind == "CanSee":
+        target, _ = _reference_nearest(subject, spec.params["target"], others)
+        if target is None:
+            return 0.0
+        p0 = (subject.x, subject.y, subject.z)
+        p1 = (target.x, target.y, target.z)
+        for _, pose in others:
+            if pose is target:
+                continue
+            if segment_intersects_box(p0, p1, pose.box3d()):
+                return w
+        return 0.0
+
+    if kind == "Focus":
+        if "point" in spec.params:
+            px, py = (float(v) for v in spec.params["point"])
+        else:
+            target, _ = _reference_nearest(subject, spec.params["target"], others)
+            if target is None:
+                return 0.0
+            px, py = target.x, target.y
+        dx, dy = px - subject.x, py - subject.y
+        if dx == 0.0 and dy == 0.0:
+            return 0.0
+        phi = angle_diff(math.atan2(dy, dx), subject.yaw)
+        phi_th = float(spec.params.get("phi_th", math.radians(weights.focus_phi_th_deg)))
+        if phi > phi_th:
+            return w * (phi - phi_th) ** 2
+        return 0.0
+
+    if kind == "Alignment":
+        target, _ = _reference_nearest(subject, spec.params["target"], others)
+        if target is None:
+            return 0.0
+        dx, dy = target.x - subject.x, target.y - subject.y
+        if dx == 0.0 and dy == 0.0:
+            return 0.0
+        if spec.params.get("axis", "x") == "x":
+            theta = math.atan2(abs(dy), abs(dx))
+        else:
+            theta = math.atan2(abs(dx), abs(dy))
+        return w * theta * theta
+
+    # Orientation
+    target, _ = _reference_nearest(subject, spec.params["target"], others)
+    if target is None:
+        return 0.0
+    theta = angle_diff(subject.yaw, target.yaw)
+    return w * theta * theta
+
+
+def reference_perturb(
+    room: Dimensions,
+    movable: Sequence[int],
+    poses: Sequence[Pose],
+    rng: Random,
+    sigma: float,
+    translate_prob: float = SAParams.translate_prob,
+) -> tuple[int, Pose]:
+    """One facility's move: a gaussian step of `sigma` per axis clamped into
+    the room with probability `translate_prob`, else a quarter turn (a
+    translation when the turn cannot fit), up to 8 tries until it moves."""
+    if not movable:
+        raise NoAdaptableFacilities("room has no adaptable facilities")
+    idx = movable[rng.randrange(len(movable))]
+    cur = poses[idx]
+    for _ in range(8):
+        cand = None
+        if rng.random() >= translate_prob:
+            turned = cur.rotated(cur.yaw + HALF_PI)
+            cand = clamp_into_room(turned, turned.x, turned.y, room)
+        if cand is None:
+            cand = clamp_into_room(
+                cur, cur.x + rng.gauss(0.0, sigma), cur.y + rng.gauss(0.0, sigma), room
+            )
+        if cand.x != cur.x or cand.y != cur.y or cand.yaw != cur.yaw:
+            return idx, cand
+    return idx, cand
 
 
 def total_constraint_penalty(

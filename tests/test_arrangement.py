@@ -243,3 +243,18 @@ def test_rooms_sharing_no_wall_with_the_rest_are_named():
     ]
     with pytest.raises(DisconnectedFloor, match=r"^floor 0: rooms \[3, 4\] cannot be connected$"):
         place_doors(make_level(rooms))
+
+
+def test_room_by_id_finds_rooms_appended_after_a_lookup(hospital_db):
+    level = make_level([make_room(1, (0.0, 0.0), 5, 5)])
+    assert level.room_by_id(1) is level.rooms[0]
+    with pytest.raises(KeyError):
+        level.room_by_id(2)
+    level.rooms.append(make_room(2, (5.0, 0.0), 5, 5))
+    assert level.room_by_id(2) is level.rooms[1]
+    assert level.room_by_id(1) is level.rooms[0]
+    with pytest.raises(KeyError):
+        level.room_by_id(3)
+    # arrangement looks rooms up while it appends them
+    level = arrange_rooms(LevelConfig(), hospital_db, derive_rng(3))
+    assert all(level.room_by_id(r.id) is r for r in level.rooms)

@@ -5,15 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelforge.constraints import (
+    AXIS_FUNCTIONS,
+    FACILITY_KINDS,
     ConstraintSpec,
+    compile_facility_term,
     eval_facility_penalty,
     eval_room_penalty,
 )
 from levelforge.errors import UnknownKind
-from levelforge.geometry import Dimensions, Pose, penetration_depth
+from levelforge.geometry import HALF_PI, Dimensions, Pose, penetration_depth
 
 from conftest import make_facility, make_room
-from oracles import total_constraint_penalty
+from oracles import reference_facility_penalty, total_constraint_penalty
 
 ROOM = Dimensions(20.0, 20.0, 3.0)
 REL = 1e-9
@@ -302,3 +305,73 @@ def test_every_kind_is_finite_and_non_negative_on_a_pose_sweep(spec, others):
             for yaw in (0.0, math.pi / 2):
                 v = eval_facility_penalty(spec, pose(x, y, yaw=yaw), ROOM, others)
                 assert v >= 0.0 and math.isfinite(v)
+
+
+# -- facility tier: compiled terms against the reference formulas ---------------
+
+# a coarse grid makes equal distances (ties for the nearest target), shared
+# centres (Focus and Alignment at zero offset) and boxes on a line of sight
+_COORDS = st.sampled_from([0.0, 1.0, 2.5, 4.0])
+_YAWS = st.one_of(st.sampled_from([0.0, HALF_PI, math.pi, 3 * HALF_PI]), st.floats(-7.0, 7.0))
+_NAMES = ["A", "B", "C"]
+
+
+@st.composite
+def _spec(draw):
+    kind = draw(st.sampled_from(sorted(FACILITY_KINDS)))
+    target = draw(st.sampled_from(_NAMES))
+    opt = st.floats(0.0, 8.0)
+    if kind == "AxisFunction":
+        params = {"function": draw(st.sampled_from(sorted(AXIS_FUNCTIONS)))}
+    elif kind == "PlaceInRange":
+        params = {"p1": [draw(_COORDS) for _ in range(3)], "p2": [draw(_COORDS) for _ in range(3)]}
+    elif kind == "PlaceByWall":
+        params = draw(st.sampled_from([{}, {"orientation": draw(_YAWS)}]))
+    elif kind == "Near":
+        params = draw(st.sampled_from([{"target": target}, {"target": target, "d_min": draw(opt)}]))
+    elif kind == "Far":
+        params = draw(st.sampled_from([{"target": target}, {"target": target, "d_max": draw(opt)}]))
+    elif kind == "Focus":
+        params = draw(
+            st.sampled_from(
+                [
+                    {"target": target},
+                    {"target": target, "phi_th": draw(st.floats(0.0, 3.0))},
+                    {"point": [draw(_COORDS), draw(_COORDS)]},
+                ]
+            )
+        )
+    elif kind == "Alignment":
+        params = draw(st.sampled_from([{"target": target}, {"target": target, "axis": "y"}]))
+    else:  # CanSee, Orientation
+        params = {"target": target}
+    weight = draw(st.sampled_from([None, 0.0, 3.5, -4.0]))
+    return ConstraintSpec(kind, params, weight)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_compiled_terms_equal_the_reference_formulas(data):
+    draw = data.draw
+    room = Dimensions(draw(st.sampled_from([4, 6.0, 9.5])), draw(st.sampled_from([5, 8.0])), 3.0)
+    n = draw(st.integers(1, 6))
+    names = [draw(st.sampled_from(_NAMES)) for _ in range(n)]
+    poses = []
+    for i in range(n):
+        x, y = draw(_COORDS), draw(_COORDS)
+        if i and draw(st.booleans()):
+            # on the previous centre: a tie, or a target at zero offset
+            x, y = poses[-1].x, poses[-1].y
+        dims = Dimensions(
+            draw(st.sampled_from([0.5, 1.0, 3.0])), draw(st.sampled_from([1.0, 2.0])), 1.0
+        )
+        poses.append(Pose(x, y, draw(st.sampled_from([0.5, 1.0])), draw(_YAWS), dims))
+    fps = [p.footprint() for p in poses]
+    for i in range(n):
+        others = [(names[j], poses[j]) for j in range(n) if j != i]
+        for spec in draw(st.lists(_spec(), min_size=1, max_size=4)):
+            expected = reference_facility_penalty(spec, poses[i], room, others)
+            compiled = compile_facility_term(spec, i, names, room)(poses, fps)
+            # repr tells floats apart bit for bit, -0.0 from 0.0 too
+            assert repr(compiled) == repr(expected)
+            assert repr(eval_facility_penalty(spec, poses[i], room, others)) == repr(expected)

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from levelforge import cli
+from levelforge.arrangement import LevelConfig
 from levelforge.harness import (
     AggregateStats,
     ExperimentConfig,
@@ -258,6 +259,72 @@ def test_cli_refuses_a_level_shape_that_cannot_be_built(tmp_path, capsys, flag, 
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert cli.main(["experiment", "--levels-per-group", "1", *args]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+# one value per rule of `LevelConfig.check` on the annealing schedule and weights
+_BAD_SCHEDULES = [
+    ("sa", "iterations", -1),
+    ("sa", "iterations", 2.5),
+    ("sa", "restarts", 0),
+    ("sa", "restarts", True),
+    ("sa", "cooling_rate", 1.5),
+    ("sa", "cooling_rate", 0.0),
+    ("sa", "cooling_rate", math.nan),
+    ("sa", "initial_temperature", -1.0),
+    ("sa", "initial_temperature", math.inf),
+    ("sa", "translate_prob", 1.5),
+    ("sa", "translate_prob", -0.1),
+    ("sa", "translate_prob", math.nan),
+    ("sa", "step_frac", -0.1),
+    ("sa", "step_frac", math.inf),
+    ("weights", "w_near", math.nan),
+    ("weights", "sparsity_scale", -math.inf),
+    ("weights", "topo_far_dmin", "3"),
+]
+
+
+def _with(config, part, name, value):
+    return replace(config, **{part: replace(getattr(config, part), **{name: value})})
+
+
+@pytest.mark.parametrize("part, name, value", _BAD_SCHEDULES)
+def test_a_schedule_or_weight_that_cannot_anneal_is_a_config_error(minimal_db, part, name, value):
+    config = _with(small_config(), part, name, value)
+    with pytest.raises(ConfigError, match=f"^{part}.{name} must be"):
+        config.check()
+    with pytest.raises(ConfigError):
+        generate_level(config, minimal_db, "A-Baseline", 3)
+    exp = ExperimentConfig(groups=("A-Baseline",), levels_per_group=1, base_seed=7, level=config)
+    with pytest.raises(ConfigError):
+        run_experiment(exp, minimal_db)
+
+
+def test_the_edges_of_each_schedule_rule_and_the_pinned_configs_pass_the_check():
+    edges = [
+        ("iterations", 0),
+        ("restarts", 1),
+        ("cooling_rate", 1.0),
+        ("initial_temperature", 0.0),
+        ("translate_prob", 0.0),
+        ("translate_prob", 1),
+        ("step_frac", 0.0),
+    ]
+    for name, value in edges:
+        _with(LevelConfig(), "sa", name, value).check()
+    _with(LevelConfig(), "weights", "w_near", -4.0).check()  # finite, if negative
+    LevelConfig().check()
+    small_config().check()
+
+
+def test_cli_refuses_a_schedule_that_cannot_anneal(tmp_path, capsys, monkeypatch):
+    bad = _with(small_config(), "sa", "cooling_rate", 1.5)
+    monkeypatch.setattr(cli, "_level_config", lambda args: bad)
+    args = ["--db", str(_db_path(tmp_path)), "--out", str(tmp_path / "out")]
+    message = "error: sa.cooling_rate must be finite and in (0, 1], got 1.5\n"
+    assert cli.main(["generate", "--group", "A-Baseline", "--seed", "3", *args]) == 1
+    assert capsys.readouterr().err == message
+    assert cli.main(["experiment", "--levels-per-group", "1", *args]) == 1
+    assert capsys.readouterr().err == message
 
 
 def test_cli_missing_file_is_io_error(tmp_path):

@@ -3,7 +3,7 @@ from dataclasses import replace
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from levelforge.constraints import (
     DISTANCE_EPS,
@@ -13,7 +13,15 @@ from levelforge.constraints import (
 )
 from levelforge.errors import InfeasibleRoom, NoAdaptableFacilities
 from levelforge import layout as layout_module
-from levelforge.geometry import Dimensions, Pose, fits, penetration_depth, random_pose
+from levelforge.geometry import (
+    HALF_PI,
+    Dimensions,
+    Pose,
+    clamp_into_room,
+    fits,
+    penetration_depth,
+    random_pose,
+)
 from levelforge.layout import (
     SAParams,
     _RoomEval,
@@ -28,6 +36,7 @@ from conftest import make_facility, make_room
 from oracles import (
     make_layout_instance,
     oracle_layout_optimum,
+    reference_perturb,
     reference_room_layout,
     total_constraint_penalty,
 )
@@ -204,6 +213,43 @@ def test_perturb_translate_rotate_mixture():
             rotations += 1
         pose = new
     assert rotations / trials == pytest.approx(0.2, abs=0.03)
+
+
+_SIDES = st.sampled_from([0.5, 1.0, 3.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_perturb_equals_the_reference_move(data):
+    draw = data.draw
+    width, length = draw(st.sampled_from([3.0, 7.5, 10])), draw(st.sampled_from([1.0, 3.0, 6]))
+    room = Dimensions(width, length, 3.0)
+    poses = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            # as large as the room: no step moves it, and a turn fits only in a
+            # square room, so all 8 tries may fail
+            dims = Dimensions(width, length, 1.0)
+        else:
+            # a 3 m box in a 1 m wide room cannot turn
+            dims = Dimensions(draw(_SIDES), draw(_SIDES), 1.0)
+        yaw = draw(st.one_of(st.sampled_from([0.0, HALF_PI, 3 * HALF_PI]), st.floats(-7.0, 7.0)))
+        probe = Pose(0.0, 0.0, 0.5, yaw, dims)
+        pose = clamp_into_room(probe, draw(st.floats(-1.0, 11.0)), draw(st.floats(-1.0, 7.0)), room)
+        assume(pose is not None)
+        poses.append(pose)
+    movable = draw(st.lists(st.integers(0, len(poses) - 1), min_size=1, max_size=3))
+    sigma = draw(st.sampled_from([0.0, 0.3, 2.0]))
+    translate_prob = draw(st.sampled_from([0.0, 0.2, 0.8, 1.0]))
+    seed = draw(st.integers(0, 2**32))
+    rng, reference_rng = Random(seed), Random(seed)
+    for _ in range(draw(st.integers(1, 10))):
+        got = perturb(room, movable, poses, rng, sigma, translate_prob)
+        expected = reference_perturb(room, movable, poses, reference_rng, sigma, translate_prob)
+        # repr tells floats apart bit for bit
+        assert repr(got) == repr(expected)
+        assert rng.getstate() == reference_rng.getstate()
+        k, poses[k] = got
 
 
 # -- incremental evaluation ----------------------------------------------------
