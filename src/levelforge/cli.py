@@ -186,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
-    except (LevelforgeError, ValueError) as exc:
+    except LevelforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

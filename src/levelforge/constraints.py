@@ -410,6 +410,28 @@ def eval_facility_penalty(
     return compile_facility_term(spec, 0, names, room, weights)(poses, _Footprints(poses))
 
 
+def compile_facility_penalty(
+    specs: Sequence[ConstraintSpec],
+    room: Dimensions,
+    others: Sequence[tuple[str, Pose]] = (),
+    weights: WeightConfig = DEFAULT_WEIGHTS,
+) -> Callable[[Pose], float]:
+    """The summed penalty of `specs` as a function of the subject's pose,
+    against `others` as in `eval_facility_penalty`. Each spec is compiled
+    once; the function sums the terms in spec order, so it equals the sum
+    of `eval_facility_penalty` over `specs` bit for bit."""
+    names = [None] + [name for name, _ in others]
+    terms = [compile_facility_term(spec, 0, names, room, weights) for spec in specs]
+    rest = [pose for _, pose in others]
+
+    def penalty(subject: Pose) -> float:
+        poses = [subject, *rest]
+        fps = _Footprints(poses)
+        return sum(term(poses, fps) for term in terms)
+
+    return penalty
+
+
 # -- room tier ---------------------------------------------------------------
 
 def _room_plane_distance(a, b) -> float:

@@ -2,9 +2,12 @@
 
 A level runs through: room arrangement, per-room facility annealing,
 group-specific key placement, two-phase repair, rerun validation and the
-objective simulation. The experiment runner fans levels out over worker
-processes; per-level seeds are pre-derived so results are byte-identical
-regardless of worker count.
+objective simulation. Work fans out over worker processes at two levels:
+`generate_level` anneals a level's rooms in parallel, and the experiment
+runner generates its levels in parallel (its workers then lay their rooms
+out one after another, so pools never nest). Each room and each level draws
+from its own pre-derived seed, so results are byte-identical regardless of
+worker count.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import csv
 import io
 import logging
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -64,7 +68,7 @@ def canonical_group(name: str) -> str:
     for g in GROUPS:
         if g.lower() == name.lower():
             return g
-    raise ValueError(f"unknown group {name!r}; expected one of {', '.join(GROUPS)}")
+    raise ConfigError(f"unknown group {name!r}; expected one of {', '.join(GROUPS)}")
 
 
 @dataclass
@@ -231,6 +235,31 @@ def _place_mechanics(
     level.mechanics = placed
 
 
+def _layout_room(job: tuple) -> dict[str, Pose]:
+    """Anneal one room's facilities from the room's own seed; their poses by id."""
+    room, facilities, weights, sa, seed, obstacles = job
+    layout = optimize_room_layout(
+        room,
+        facilities,
+        weights,
+        sa,
+        derive_rng(seed, "layout", room.id),
+        obstacles=obstacles,
+    )
+    return layout.placements
+
+
+def _layout_rooms(jobs: list[tuple]) -> list[dict[str, Pose]]:
+    """`_layout_room` over `jobs` in order: in a pool of up to
+    `worker_count()` processes opened for this call, or in this process when
+    one worker is available or this process is itself a worker."""
+    workers = min(worker_count(), len(jobs))
+    if workers <= 1 or multiprocessing.parent_process() is not None:
+        return list(map(_layout_room, jobs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_layout_room, jobs, chunksize=1))
+
+
 def generate_level(
     config: LevelConfig,
     db: Database,
@@ -250,20 +279,17 @@ def generate_level(
     except ArrangementFailed as exc:
         raise GenerationFailed(str(exc)) from exc
 
-    for room in level.rooms:
-        facilities = _instantiate_room_facilities(db, room)
-        if facilities:
-            layout = optimize_room_layout(
-                room,
-                facilities,
-                config.weights,
-                config.sa,
-                derive_rng(seed, "layout", room.id),
-                obstacles=level.stair_obstacles(room.id),
-            )
-            for inst in facilities:
-                inst.pose = layout.placements[inst.id]
-        level.facilities.extend(facilities)
+    facilities = [_instantiate_room_facilities(db, room) for room in level.rooms]
+    jobs = [
+        (room, fs, config.weights, config.sa, seed, level.stair_obstacles(room.id))
+        for room, fs in zip(level.rooms, facilities)
+        if fs
+    ]
+    for (_, fs, *_), placements in zip(jobs, _layout_rooms(jobs)):
+        for inst in fs:
+            inst.pose = placements[inst.id]
+    for fs in facilities:
+        level.facilities.extend(fs)
 
     instances, assignment = _mechanic_instances(level, db, group, seed)
     _place_mechanics(level, instances, assignment, seed)
@@ -397,12 +423,15 @@ def _generate_record(
 
 
 def worker_count() -> int:
+    """`LEVELFORGE_THREADS` when set, else the CPUs this process may run on."""
     env = os.environ.get("LEVELFORGE_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise ConfigError(f"LEVELFORGE_THREADS must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -17,7 +17,7 @@ from .constraints import (
     DEFAULT_WEIGHTS,
     ConstraintSpec,
     WeightConfig,
-    eval_facility_penalty,
+    compile_facility_penalty,
 )
 from .database import Database, MechanicDef
 from .errors import NoFreeSpace, NoRooms, UnboundMechanic, UnresolvedReferenceError
@@ -123,16 +123,14 @@ def make_cstd_evaluator(
             return cache[key]
         dims = level.room_by_id(room_id).dims
         others = [(f.def_name, f.pose) for f in level.facilities_in_room(room_id)]
+        penalty = compile_facility_penalty(inst.standard_constraints, dims, others, weights)
         rng = derive_rng(seed, "cstd", inst.id, room_id)
         best = math.inf
         for _ in range(CSTD_SAMPLES):
             pose = random_pose(inst.dims, dims, rng)
             if pose is None:
                 break
-            cost = sum(
-                eval_facility_penalty(spec, pose, dims, others, weights)
-                for spec in inst.standard_constraints
-            )
+            cost = penalty(pose)
             if cost < best:
                 best = cost
         if not math.isfinite(best):
@@ -261,6 +259,7 @@ def place_mechanic_in_room(
     """
     dims = room.dims
     occupied = [p.footprint() for _, p in others] + [o.footprint() for o in obstacles]
+    penalty = compile_facility_penalty(mechanic.standard_constraints, dims, others, weights)
 
     best: tuple[float, Pose] | None = None
     any_clear = False
@@ -280,10 +279,7 @@ def place_mechanic_in_room(
                 if depth > 0.0:
                     clear = False
                     overlap += weights.w_overlap * depth * depth
-            score = overlap + sum(
-                eval_facility_penalty(spec, pose, dims, others, weights)
-                for spec in mechanic.standard_constraints
-            )
+            score = overlap + penalty(pose)
             any_clear = any_clear or clear
             if best is None or score < best[0]:
                 best = (score, pose)

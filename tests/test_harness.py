@@ -2,13 +2,18 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 
-from levelforge import cli
+from levelforge import cli, harness
 from levelforge.arrangement import LevelConfig
+from levelforge.database import load_database
+from levelforge.export import export_level_json, level_hash
 from levelforge.harness import (
     AggregateStats,
     ExperimentConfig,
@@ -21,7 +26,7 @@ from levelforge.harness import (
     run_experiment,
     worker_count,
 )
-from levelforge.errors import ConfigError
+from levelforge.errors import ConfigError, InfeasibleRoom
 from levelforge.navsim import MetricsRecord
 
 from oracles import parse_stats_csv
@@ -40,7 +45,7 @@ def small_experiment(groups, levels=2, base_seed=7, out=None):
 
 def test_group_canonicalization():
     assert canonical_group("db-baseline") == "DB-Baseline"
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         canonical_group("Z-Baseline")
 
 
@@ -138,6 +143,68 @@ def test_records_csv_is_worker_count_independent(minimal_db, tmp_path):
     assert csv_serial == csv_parallel
 
 
+# -- room-layout workers ----------------------------------------------------------
+
+
+def test_worker_count_defaults_to_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.delenv("LEVELFORGE_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+    assert worker_count() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_count() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert worker_count() == 2
+    monkeypatch.setenv("LEVELFORGE_THREADS", "1")
+    assert worker_count() == 1
+
+
+@pytest.fixture
+def pool_widths(monkeypatch):
+    """The max_workers of every pool `harness` opens while the test runs."""
+    widths = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            widths.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+    return widths
+
+
+@pytest.mark.parametrize(
+    "group, seed", [("A-Baseline", 3), ("DB-Exploration", 4), ("A-Speedrun", 5), ("DB-Baseline", 6)]
+)
+def test_rooms_laid_out_in_workers_give_the_same_level(
+    hospital_db, monkeypatch, pool_widths, group, seed
+):
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LEVELFORGE_THREADS", threads)
+        level, record = generate_level(LevelConfig(), hospital_db, group, seed)
+        assert multiprocessing.active_children() == []
+        outputs.append((record, level_hash(level), export_level_json(level)))
+    assert pool_widths == [2]  # one pool, for the two-worker level only
+    assert outputs[0] == outputs[1]
+
+
+def test_an_error_in_a_room_worker_reaches_the_caller(monkeypatch, pool_widths):
+    doc = json.loads(
+        resources.files("levelforge.data").joinpath("test_minimal.json").read_text()
+    )
+    beacon = next(f for f in doc["facilities"] if f["name"] == "Beacon")
+    beacon["dimensions"].update(width=7.0, length=9.0)  # fits no Hall, either way round
+    db = load_database(json.dumps(doc).encode())
+    monkeypatch.setenv("LEVELFORGE_THREADS", "2")
+    with pytest.raises(InfeasibleRoom, match="Beacon"):
+        generate_level(small_config(), db, "A-Baseline", 0)
+    assert pool_widths == [2]
+    assert multiprocessing.active_children() == []
+
+
 # -- table emission -------------------------------------------------------------
 
 
@@ -219,6 +286,17 @@ def test_cli_experiment_refuses_a_non_integer_worker_count(tmp_path, monkeypatch
     assert capsys.readouterr().err == (
         "error: LEVELFORGE_THREADS must be an integer, got 'abc'\n"
     )
+
+
+def test_cli_unknown_group_is_an_error(tmp_path, capsys):
+    db = str(_db_path(tmp_path))
+    args = ["generate", "--db", db, "--group", "nope", "--seed", "1", "--out", str(tmp_path / "g")]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith("error: unknown group 'nope'")
+    args = ["experiment", "--db", db, "--groups", "A-Baseline,nope", "--out", str(tmp_path / "e")]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith("error: unknown group 'nope'")
+    assert not (tmp_path / "e").exists()
 
 
 _BAD_SHAPES = [

@@ -1,15 +1,30 @@
 import itertools
+import json
 import math
+from importlib import resources
 from random import Random
 
 import pytest
 
-from levelforge.constraints import ConstraintSpec, WeightConfig
+from levelforge.arrangement import LevelConfig
+from levelforge.constraints import ConstraintSpec, WeightConfig, eval_facility_penalty
+from levelforge.database import load_database
 from levelforge.errors import NoFreeSpace, NoRooms, UnboundMechanic
-from levelforge.geometry import Dimensions, Pose
+from levelforge.geometry import (
+    HALF_PI,
+    Dimensions,
+    Pose,
+    clamp_into_room,
+    penetration_depth,
+    random_pose,
+)
+from levelforge.harness import generate_level
 from levelforge.layout import SAParams
 from levelforge.level import Stair, TopoRule
 from levelforge.mechanics import (
+    CSTD_SAMPLES,
+    PLACEMENT_POSITIONS,
+    PLACEMENT_YAWS,
     MechanicInstance,
     assign_mechanics,
     db_group_mechanics,
@@ -18,6 +33,8 @@ from levelforge.mechanics import (
     place_mechanic_in_room,
     zero_cstd,
 )
+
+from levelforge.seeding import derive_rng
 
 from conftest import make_facility, make_level, make_room
 
@@ -224,6 +241,87 @@ def test_fully_tiled_room_raises_no_free_space():
     ]
     with pytest.raises(NoFreeSpace):
         place_mechanic_in_room(mech("key"), room, others, Random(0), W)
+
+
+# -- compiled standard constraints against the per-call penalty --------------------
+
+# every facility-tier kind, aimed at the hospital's facilities
+_STANDARD_CONSTRAINTS = [
+    {"type": "Near", "parameters": {"target": "Locker", "d_min": 2.0}},
+    {"type": "Far", "parameters": {"target": "Hospital Bed", "d_max": 6.0}},
+    {"type": "PlaceByWall", "parameters": {}},
+    {"type": "AxisFunction", "parameters": {"function": "centered_xy"}},
+    {"type": "PlaceInRange", "parameters": {"p1": [0, 0, 0], "p2": [3, 3, 1]}},
+    {"type": "CanSee", "parameters": {"target": "Reception Desk"}},
+    {"type": "Focus", "parameters": {"target": "Hospital Bed", "phi_th": 0.2}, "weight": 3.0},
+    {"type": "Alignment", "parameters": {"target": "Desk", "axis": "y"}},
+    {"type": "Orientation", "parameters": {"target": "Medical Shelf"}},
+]
+
+
+def _per_call_cost(specs, pose, dims, others):
+    return sum(eval_facility_penalty(spec, pose, dims, others, W) for spec in specs)
+
+
+def _per_call_cstd(level, inst, room_id, seed):
+    """`make_cstd_evaluator`'s estimate with every spec evaluated per pose."""
+    dims = level.room_by_id(room_id).dims
+    others = [(f.def_name, f.pose) for f in level.facilities_in_room(room_id)]
+    rng = derive_rng(seed, "cstd", inst.id, room_id)
+    best = math.inf
+    for _ in range(CSTD_SAMPLES):
+        pose = random_pose(inst.dims, dims, rng)
+        if pose is None:
+            break
+        best = min(best, _per_call_cost(inst.standard_constraints, pose, dims, others))
+    return best if math.isfinite(best) else 1e9
+
+
+def _per_call_placement(inst, room, others, rng, obstacles):
+    """`place_mechanic_in_room`'s chosen pose with every spec evaluated per pose."""
+    dims = room.dims
+    occupied = [p.footprint() for _, p in others] + [o.footprint() for o in obstacles]
+    best = None
+    for _ in range(PLACEMENT_POSITIONS):
+        px = rng.random() * dims.width
+        py = rng.random() * dims.length
+        for k in range(PLACEMENT_YAWS):
+            pose = Pose(0.0, 0.0, inst.dims.height / 2.0, k * HALF_PI, inst.dims)
+            pose = clamp_into_room(pose, px, py, dims)
+            if pose is None:
+                continue
+            fp = pose.footprint()
+            overlap = sum(
+                W.w_overlap * d * d for d in (penetration_depth(fp, o) for o in occupied) if d > 0.0
+            )
+            score = overlap + _per_call_cost(inst.standard_constraints, pose, dims, others)
+            if best is None or score < best[0]:
+                best = (score, pose)
+    return best[1]
+
+
+def test_compiled_standard_constraints_equal_the_per_call_penalty():
+    doc = json.loads(
+        resources.files("levelforge.data").joinpath("sh_hospital.json").read_text()
+    )
+    for mdef in doc["mechanics"]:
+        mdef["standard_constraints"] = mdef["standard_constraints"] + _STANDARD_CONSTRAINTS
+    db = load_database(json.dumps(doc).encode())
+    level, _ = generate_level(LevelConfig(sa=SAParams(iterations=200)), db, "A-Baseline", 3)
+    insts = [MechanicInstance.of(mdef, f"{mdef.name}#0") for mdef in db.mechanics]
+    assert all(len(i.standard_constraints) >= len(_STANDARD_CONSTRAINTS) for i in insts)
+    cstd = make_cstd_evaluator(level, W, seed=5)
+    for room in level.rooms:
+        others = [(f.def_name, f.pose) for f in level.facilities_in_room(room.id)]
+        obstacles = level.stair_obstacles(room.id)
+        for inst in insts:
+            assert repr(cstd(inst, room.id)) == repr(_per_call_cstd(level, inst, room.id, 5))
+            try:
+                placed = place_mechanic_in_room(inst, room, others, Random(room.id), W, obstacles)
+            except NoFreeSpace:
+                continue
+            expected = _per_call_placement(inst, room, others, Random(room.id), obstacles)
+            assert repr(placed.pose) == repr(expected)
 
 
 # -- experiment-group parameterizations ---------------------------------------------
