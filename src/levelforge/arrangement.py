@@ -10,14 +10,14 @@ highest-order room and the next floor is seeded directly above it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from random import Random
 from typing import Sequence
 
 from .constraints import WeightConfig, eval_room_penalty
 from .database import Database, RoomTemplate
 from .errors import ArrangementFailed, ConfigError, DisconnectedFloor
-from .geometry import Dimensions, bfs, shared_segment
+from .geometry import Dimensions, bfs, is_finite, is_integer, shared_segment
 from .layout import SAParams
 from .level import AdjacencyEdge, Door, Level, RoomInstance, Stair
 from .strategies import build_floor_graph
@@ -28,22 +28,14 @@ DIRECTIONS = ("left", "right", "front", "back")
 DEFAULT_STAIR_DIMS = Dimensions(2.0, 2.0, 3.0)
 
 
-def _integer(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _finite(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
 # The annealing schedule's rules: field, what it must be, and the test.
 _SA_RULES = (
-    ("iterations", "an integer >= 0", lambda v: _integer(v) and v >= 0),
-    ("restarts", "an integer >= 1", lambda v: _integer(v) and v >= 1),
-    ("cooling_rate", "finite and in (0, 1]", lambda v: _finite(v) and 0 < v <= 1),
-    ("initial_temperature", "finite and >= 0", lambda v: _finite(v) and v >= 0),
-    ("translate_prob", "in [0, 1]", lambda v: _finite(v) and 0 <= v <= 1),
-    ("step_frac", "finite and >= 0", lambda v: _finite(v) and v >= 0),
+    ("iterations", "an integer >= 0", lambda v: is_integer(v) and v >= 0),
+    ("restarts", "an integer >= 1", lambda v: is_integer(v) and v >= 1),
+    ("cooling_rate", "finite and in (0, 1]", lambda v: is_finite(v) and 0 < v <= 1),
+    ("initial_temperature", "finite and >= 0", lambda v: is_finite(v) and v >= 0),
+    ("translate_prob", "in [0, 1]", lambda v: is_finite(v) and 0 <= v <= 1),
+    ("step_frac", "finite and >= 0", lambda v: is_finite(v) and v >= 0),
 )
 
 
@@ -71,7 +63,7 @@ class LevelConfig:
         schedule to anneal by: an integer floor count >= 1, a finite width,
         length and height > 0, the `_SA_RULES`, and finite weights (the
         annealer's early rejection assumes them)."""
-        if not _integer(self.floors) or self.floors < 1:
+        if not is_integer(self.floors) or self.floors < 1:
             raise ConfigError(f"floors must be an integer >= 1, got {self.floors!r}")
         if not Dimensions(self.width, self.length, self.height).is_valid():
             raise ConfigError(
@@ -82,8 +74,8 @@ class LevelConfig:
             value = getattr(self.sa, name)
             if not holds(value):
                 raise ConfigError(f"sa.{name} must be {rule}, got {value!r}")
-        for name, value in self.weights.to_dict().items():
-            if not _finite(value):
+        for name, value in asdict(self.weights).items():
+            if not is_finite(value):
                 raise ConfigError(f"weights.{name} must be finite, got {value!r}")
 
     def grid_shape(self) -> tuple[int, int, int]:
@@ -91,37 +83,18 @@ class LevelConfig:
         return math.ceil(self.width - 1e-9), math.ceil(self.length - 1e-9), self.floors
 
     def to_dict(self) -> dict:
-        return {
-            "width": self.width,
-            "length": self.length,
-            "height": self.height,
-            "floors": self.floors,
-            "selected_templates": [list(t) for t in self.selected_templates],
-            "selected_mechanics": [list(t) for t in self.selected_mechanics],
-            "initial_template": self.initial_template,
-            "seed": self.seed,
-            "weights": self.weights.to_dict(),
-            "sa": self.sa.to_dict(),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data) -> "LevelConfig":
-        return cls(
-            width=data["width"],
-            length=data["length"],
-            height=data["height"],
-            floors=data["floors"],
-            selected_templates=tuple(
-                (name, cap) for name, cap in data.get("selected_templates", [])
-            ),
-            selected_mechanics=tuple(
-                (name, count) for name, count in data.get("selected_mechanics", [])
-            ),
-            initial_template=data.get("initial_template"),
-            seed=data["seed"],
-            weights=WeightConfig.from_dict(data["weights"]),
-            sa=SAParams.from_dict(data["sa"]),
-        )
+        """The config that `to_dict` wrote; every field is read, so a
+        missing one is a KeyError."""
+        values = {f.name: data[f.name] for f in fields(cls)}
+        for name in ("selected_templates", "selected_mechanics"):
+            values[name] = tuple((key, n) for key, n in values[name])
+        values["weights"] = WeightConfig(**values["weights"])
+        values["sa"] = SAParams(**values["sa"])
+        return cls(**values)
 
 
 @dataclass
@@ -179,6 +152,20 @@ def _candidate_origins(
     return out
 
 
+def _new_room(template: RoomTemplate, floor: int, origin: tuple[float, float]) -> RoomInstance:
+    """A room of `template` that is not yet in the level; `commit` sets its
+    id and tau."""
+    return RoomInstance(
+        id=0,
+        template=template.name,
+        floor=floor,
+        origin=origin,
+        dims=template.dims,
+        tau=0,
+        arch_type=template.arch_type,
+    )
+
+
 def _room_penalty(candidate: RoomInstance, template: RoomTemplate, state: ArrangeState) -> float:
     total = 0.0
     config = state.level.config
@@ -212,15 +199,7 @@ def gen_candidate_room(
             x1, y1 = ox + template.dims.width, oy + template.dims.length
             if _overlaps_any(current.floor, ox, oy, x1, y1, state.level.rooms):
                 continue
-            candidate = RoomInstance(
-                id=0,
-                template=template.name,
-                floor=current.floor,
-                origin=(ox, oy),
-                dims=template.dims,
-                tau=0,
-                arch_type=template.arch_type,
-            )
+            candidate = _new_room(template, current.floor, (ox, oy))
             if shared_segment(current.footprint(), candidate.footprint()) is None:
                 continue
             penalty = _room_penalty(candidate, template, state)
@@ -282,36 +261,23 @@ def arrange_rooms(config: LevelConfig, db: Database, rng: Random) -> Level:
 
     tau = 1
 
-    def commit(template_name: str, room: RoomInstance) -> RoomInstance:
+    def commit(room: RoomInstance) -> RoomInstance:
         nonlocal tau
         room.id = tau
         room.tau = tau
         tau += 1
-        state.usage[template_name] += 1
+        state.usage[room.template] += 1
         level.rooms.append(room)
         return room
 
-    seed_room = commit(
-        initial.name,
-        RoomInstance(
-            id=0,
-            template=initial.name,
-            floor=0,
-            origin=(0.0, 0.0),
-            dims=initial.dims,
-            tau=0,
-            arch_type=initial.arch_type,
-        ),
-    )
-
-    stack = [seed_room]
+    stack = [commit(_new_room(initial, 0, (0.0, 0.0)))]
     for floor in range(config.floors):
         while stack:
             current = stack.pop()
             for direction in DIRECTIONS:
                 candidate = gen_candidate_room(current, direction, state, rng)
                 if candidate is not None:
-                    commit(candidate.template, candidate)
+                    commit(candidate)
                     stack.append(candidate)
 
         floor_rooms = level.rooms_on_floor(floor)
@@ -325,7 +291,7 @@ def arrange_rooms(config: LevelConfig, db: Database, rng: Random) -> Level:
         if seed is None:
             break  # instance caps exhausted; upper floors stay empty
         level.stairs.append(Stair(room_id=last.id, x=sx, y=sy, dims=stair_dims))
-        stack = [commit(seed.template, seed)]
+        stack = [commit(seed)]
 
     if not level.rooms_on_floor(0):
         raise ArrangementFailed("no rooms placed on floor 0")
@@ -345,15 +311,7 @@ def _seed_next_floor(
         oy = min(max(round(sy - tl / 2.0), 0.0), config.length - tl)
         if not (ox <= sx <= ox + tw and oy <= sy <= oy + tl):
             continue
-        candidate = RoomInstance(
-            id=0,
-            template=template.name,
-            floor=floor,
-            origin=(ox, oy),
-            dims=template.dims,
-            tau=0,
-            arch_type=template.arch_type,
-        )
+        candidate = _new_room(template, floor, (ox, oy))
         penalty = _room_penalty(candidate, template, state)
         key = (penalty, template.name)
         if best is None or key < (best[0], best[1]):

@@ -18,7 +18,6 @@ from .export import export_level_json, export_vmf, import_level_json
 from .harness import (
     GROUPS,
     ExperimentConfig,
-    canonical_group,
     generate_level,
     run_experiment,
 )
@@ -65,8 +64,7 @@ def _level_config(args) -> LevelConfig:
 def cmd_generate(args) -> int:
     db = _load_db(args.db)
     config = _level_config(args)
-    group = canonical_group(args.group)
-    level, record = generate_level(db=db, config=config, group=group, seed=args.seed)
+    level, record = generate_level(db=db, config=config, group=args.group, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "level.json").write_bytes(export_level_json(level))
@@ -88,7 +86,7 @@ def cmd_experiment(args) -> int:
     if args.groups == "all":
         groups = GROUPS
     else:
-        groups = tuple(canonical_group(g.strip()) for g in args.groups.split(","))
+        groups = tuple(g.strip() for g in args.groups.split(","))
     exp = ExperimentConfig(
         groups=groups,
         levels_per_group=args.levels_per_group,

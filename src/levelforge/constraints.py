@@ -8,7 +8,7 @@ stand in for hard constraints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import UnknownKind
@@ -95,13 +95,6 @@ class WeightConfig:
     topo_near_dmax: int = 4
     w_topo_far: float = 15.0
     topo_far_dmin: int = 3
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "WeightConfig":
-        return cls(**dict(data))
 
 
 DEFAULT_WEIGHTS = WeightConfig()
@@ -391,35 +384,20 @@ class _Footprints:
         return self.poses[j].footprint()
 
 
-def eval_facility_penalty(
-    spec: ConstraintSpec,
-    subject: Pose,
-    room: Dimensions,
-    others: Sequence[tuple[str, Pose]] = (),
-    weights: WeightConfig = DEFAULT_WEIGHTS,
-) -> float:
-    """Penalty of one facility-tier constraint for a candidate pose.
-
-    `others` holds the already-placed facilities of the room as
-    (definition name, pose) pairs; the subject itself must not be in it.
-    Constraints whose named target has no placed instance score 0.
-    """
-    # the subject is facility 0; a term never targets its own facility
-    names = [None] + [name for name, _ in others]
-    poses = [subject] + [pose for _, pose in others]
-    return compile_facility_term(spec, 0, names, room, weights)(poses, _Footprints(poses))
-
-
 def compile_facility_penalty(
     specs: Sequence[ConstraintSpec],
     room: Dimensions,
     others: Sequence[tuple[str, Pose]] = (),
     weights: WeightConfig = DEFAULT_WEIGHTS,
 ) -> Callable[[Pose], float]:
-    """The summed penalty of `specs` as a function of the subject's pose,
-    against `others` as in `eval_facility_penalty`. Each spec is compiled
-    once; the function sums the terms in spec order, so it equals the sum
-    of `eval_facility_penalty` over `specs` bit for bit."""
+    """The summed penalty of `specs` as a function of the subject's pose.
+
+    `others` holds the already-placed facilities of the room as
+    (definition name, pose) pairs; the subject itself must not be in it.
+    Constraints whose named target has no placed instance score 0. Each
+    spec is compiled once, and the terms are summed in spec order.
+    """
+    # the subject is facility 0; a term never targets its own facility
     names = [None] + [name for name, _ in others]
     terms = [compile_facility_term(spec, 0, names, room, weights) for spec in specs]
     rest = [pose for _, pose in others]

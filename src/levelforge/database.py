@@ -13,7 +13,6 @@ All numeric parameters are SI: meters for distances, radians for angles.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -26,7 +25,7 @@ from .constraints import (
     ConstraintSpec,
 )
 from .errors import ParseError, SchemaError, UnresolvedReferenceError
-from .geometry import Dimensions, fits
+from .geometry import Dimensions, fits, is_finite, is_integer, is_number
 
 SCHEMA_VERSION = 1
 
@@ -166,13 +165,13 @@ def _array(obj: Mapping, key: str, where: str, parse: Callable[[object, str], ob
 
 
 def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_number(value):
         raise SchemaError(f"{where}: expected a number")
     return float(value)
 
 
 def _integer(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_integer(value):
         raise SchemaError(f"{where}: expected an integer")
     return value
 
@@ -335,7 +334,7 @@ _TIERS = {"facility": (FACILITY_KINDS, "facility"), "room": (ROOM_KINDS, "room t
 
 def _non_negative_problem(value: float) -> str | None:
     """Why `value` is not a finite number >= 0, or None when it is one."""
-    if not math.isfinite(value):
+    if not is_finite(value):
         return "is not finite"
     return "< 0" if value < 0 else None
 
@@ -344,7 +343,7 @@ def _is_finite_param(value) -> bool:
     """False when a parameter value, or an item of a list value, is a
     non-finite number."""
     items = value if isinstance(value, list) else (value,)
-    return not any(isinstance(v, float) and not math.isfinite(v) for v in items)
+    return not any(is_number(v) and not is_finite(v) for v in items)
 
 
 def _violations(db: Database) -> Iterator[Violation]:
@@ -424,7 +423,7 @@ def _violations(db: Database) -> Iterator[Violation]:
                         f"position(s), got {len(cf.positions)}",
                     )
                 for p in cf.positions:
-                    if not all(map(math.isfinite, (p.x, p.y, p.yaw))):
+                    if not all(map(is_finite, (p.x, p.y, p.yaw))):
                         yield Violation(
                             r.name,
                             "fixed-positions",

@@ -22,8 +22,8 @@ from typing import Sequence
 
 from .arrangement import LevelConfig, _overlaps_any
 from .database import _constraint_to_json, _parse_constraint, read_json, write_json
-from .errors import SchemaError
-from .geometry import DOOR_WIDTH, Dimensions, Pose, out_of_bounds_depth
+from .errors import ConfigError, SchemaError
+from .geometry import DOOR_WIDTH, Dimensions, Pose, is_finite, is_integer, out_of_bounds_depth
 from .level import (
     AdjacencyEdge,
     Door,
@@ -152,7 +152,7 @@ def _check_rooms(level: Level) -> None:
         earlier = level.rooms[:i]
         if any(r.id == room.id for r in earlier):
             raise SchemaError(f"duplicate room id {room.id}")
-        if type(room.floor) is not int or not 0 <= room.floor < config.floors:
+        if not is_integer(room.floor) or not 0 <= room.floor < config.floors:
             raise SchemaError(
                 f"room {room.id} floor {room.floor!r} is not in [0, {config.floors})"
             )
@@ -164,11 +164,16 @@ def _check_rooms(level: Level) -> None:
 
 
 def import_level_json(data: bytes | str) -> Level:
+    """The level a level document holds. ParseError unless it is UTF-8 JSON,
+    ConfigError when its config fails `LevelConfig.check`, and SchemaError
+    for any other document whose level cannot exist."""
     doc = read_json(data)
     if not isinstance(doc, dict):
         raise SchemaError("level document must be an object")
     try:
-        level = Level(config=LevelConfig.from_dict(doc["config"]))
+        config = LevelConfig.from_dict(doc["config"])
+        config.check()
+        level = Level(config=config)
         for r in doc["rooms"]:
             level.rooms.append(
                 RoomInstance(
@@ -427,7 +432,10 @@ def _emit_room(w: _VmfWriter, level: Level, room: RoomInstance, scale: float) ->
 
 def export_vmf(level: Level, scale: float = DEFAULT_VMF_SCALE) -> bytes:
     """Emit the level as VMF text with placeholder geometry; every facility,
-    mechanic and stairwell is a `prop_dynamic` point entity."""
+    mechanic and stairwell is a `prop_dynamic` point entity. A `scale` (map
+    units per meter) that is not finite and > 0 is a ConfigError."""
+    if not (is_finite(scale) and scale > 0):
+        raise ConfigError(f"scale must be finite and > 0, got {scale!r}")
     w = _VmfWriter()
     w.open("versioninfo")
     w.kv("editorversion", "400")

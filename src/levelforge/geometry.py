@@ -1,6 +1,7 @@
 """Axis-aligned box geometry, the shared-wall segment of two rooms, the
-box-in-room rule (fit, clamp and pose sampling in a room's local frame)
-and breadth-first hop counts, shared by every subsystem.
+box-in-room rule (fit, clamp and pose sampling in a room's local frame),
+breadth-first hop counts and the number predicates, shared by every
+subsystem.
 
 All footprints are axis-aligned rectangles on the floor plane; yaw only
 matters in 90-degree steps (it swaps width/length) and in the angular
@@ -22,6 +23,23 @@ HALF_PI = 0.5 * math.pi
 DOOR_WIDTH = 1.0
 
 
+# The value rules every input boundary shares: a bool is not a number.
+
+
+def is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_finite(v) -> bool:
+    """A number that is neither infinite nor NaN; every int is finite (and
+    may be too large for `math.isfinite`)."""
+    return is_number(v) and (isinstance(v, int) or math.isfinite(v))
+
+
 @dataclass(frozen=True)
 class Dimensions:
     """Bounding-box size in meters. A room's dims are also its local frame,
@@ -32,10 +50,7 @@ class Dimensions:
     height: float
 
     def is_valid(self) -> bool:
-        return all(
-            isinstance(v, (int, float)) and math.isfinite(v) and v > 0
-            for v in (self.width, self.length, self.height)
-        )
+        return all(is_finite(v) and v > 0 for v in (self.width, self.length, self.height))
 
     def footprint_area(self) -> float:
         return self.width * self.length

@@ -25,9 +25,9 @@ from typing import Iterator
 
 from .arrangement import LevelConfig, arrange_rooms
 from .database import Database, load_database, save_database
-from .errors import ArrangementFailed, ConfigError, GenerationFailed, NoFreeSpace
+from .errors import ArrangementFailed, ConfigError, GenerationFailed, LevelforgeError, NoFreeSpace
 from .export import level_hash
-from .geometry import Pose
+from .geometry import Dimensions, Pose
 from .layout import optimize_room_layout
 from .level import FacilityInstance, Level, MechanicPlacement, TopoRule
 from .mechanics import (
@@ -86,6 +86,11 @@ def level_seed(base_seed: int, group: str, index: int) -> int:
 
 # -- single level pipeline -----------------------------------------------------
 
+def _room_centre_pose(room, dims: Dimensions) -> Pose:
+    """An unturned box of `dims` standing on the floor at the room's centre."""
+    return Pose(room.dims.width / 2.0, room.dims.length / 2.0, dims.height / 2.0, 0.0, dims)
+
+
 def _instantiate_room_facilities(db: Database, room) -> list[FacilityInstance]:
     template = db.room(room.template)
     out: list[FacilityInstance] = []
@@ -98,13 +103,7 @@ def _instantiate_room_facilities(db: Database, room) -> list[FacilityInstance]:
                 pose = Pose(p.x, p.y, fdef.dims.height / 2.0, p.yaw, fdef.dims)
             else:
                 # placeholder; the annealer samples the real initial pose
-                pose = Pose(
-                    room.dims.width / 2.0,
-                    room.dims.length / 2.0,
-                    fdef.dims.height / 2.0,
-                    0.0,
-                    fdef.dims,
-                )
+                pose = _room_centre_pose(room, fdef.dims)
             out.append(
                 FacilityInstance(
                     id=f"r{room.id}.{fdef.name}.{k}",
@@ -149,8 +148,6 @@ def _algorithmic_instances(
 ) -> tuple[list[MechanicInstance], dict[str, int]]:
     """A family: a graph algorithm picks each floor's key rooms and pins one
     key instance to each."""
-    if strategy not in PACING_KEYS:
-        raise GenerationFailed(f"unknown strategy {strategy!r}")
     def_name, keys = PACING_KEYS[strategy]
     mdef = mechanic_def(db, def_name)
     instances: list[MechanicInstance] = []
@@ -221,16 +218,7 @@ def _place_mechanics(
         except NoFreeSpace:
             # fully tiled room: drop the key at the room center and let the
             # repair phase clear a path to it
-            placement = inst.placed(
-                room.id,
-                Pose(
-                    room.dims.width / 2.0,
-                    room.dims.length / 2.0,
-                    inst.dims.height / 2.0,
-                    0.0,
-                    inst.dims,
-                ),
-            )
+            placement = inst.placed(room.id, _room_centre_pose(room, inst.dims))
         placed.append(placement)
     level.mechanics = placed
 
@@ -269,8 +257,11 @@ def generate_level(
 ) -> tuple[Level, MetricsRecord]:
     """Run the full pipeline for one seed; never raises in-level repair
     failures, they land in the record's status. A level shape that
-    `LevelConfig.check` refuses raises ConfigError."""
+    `LevelConfig.check` refuses, or a group that `canonical_group` does not
+    know, raises ConfigError."""
     config.check()
+    if group is not None:
+        group = canonical_group(group)
     config = replace(config, seed=seed)
     group_label = group or "custom"
     level_id = level_id or f"{group_label}-{seed:x}"
@@ -399,9 +390,9 @@ def compute_stats(
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(db_bytes: bytes, config_dict: dict) -> None:
+def _init_worker(db_bytes: bytes, config: LevelConfig) -> None:
     _WORKER_STATE["db"] = load_database(db_bytes)
-    _WORKER_STATE["config"] = LevelConfig.from_dict(config_dict)
+    _WORKER_STATE["config"] = config
 
 
 def _run_task(task: tuple[str, int, int]) -> MetricsRecord:
@@ -416,7 +407,8 @@ def _generate_record(
             config, db, group, seed, level_id=f"{group}-{index:04d}"
         )
         return record
-    except GenerationFailed:
+    except LevelforgeError:
+        # one level that cannot be built must not end the batch
         return MetricsRecord(
             level_id=f"{group}-{index:04d}", group=group, seed=seed, status="failed"
         )
@@ -448,7 +440,7 @@ def _generate_records(
     with ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_worker,
-        initargs=(save_database(db), exp.level.to_dict()),
+        initargs=(save_database(db), exp.level),
     ) as pool:
         yield from pool.map(_run_task, tasks, chunksize=1)
 
@@ -460,8 +452,11 @@ def run_experiment(
 
     Writes records.csv, stats.md and stats.csv when an output directory is
     configured. Ordering and content are independent of the worker count.
+    A bad config or group raises ConfigError before any level starts; a
+    level that raises another LevelforgeError is recorded as failed.
     """
     exp.level.check()
+    exp = replace(exp, groups=tuple(map(canonical_group, exp.groups)))
     tasks = [
         (group, index, level_seed(exp.base_seed, group, index))
         for group in exp.groups

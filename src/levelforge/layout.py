@@ -54,7 +54,7 @@ only when read, once per room for the best state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from random import Random
 from typing import Callable, Sequence, TypeVar
@@ -94,13 +94,6 @@ class SAParams:
     translate_prob: float = 0.8   # remainder of moves rotate by a 90-degree step
     step_frac: float = 0.1        # gaussian step sigma as a fraction of the room diagonal
     restarts: int = 1
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data) -> "SAParams":
-        return cls(**dict(data))
 
 
 State = TypeVar("State")

@@ -327,8 +327,6 @@ def db_group_mechanics(
     rooms = level.rooms_on_floor(floor)
     if not rooms:
         return []
-    if group not in PACING_KEYS:
-        raise ValueError(f"unknown pacing group {group!r}")
     def_name, keys = PACING_KEYS[group]
     mdef = mechanic_def(db, def_name)
     taus = [r.tau for r in rooms]

@@ -24,6 +24,10 @@ penalty re-reads its spec and scans (name, pose) pairs, and each move try
 builds its poses through `clamp_into_room`. The compiled terms and
 `perturb` must reproduce them bit for bit.
 
+The per-call penalty compiles one spec's term for a single evaluation and
+returns that term's own value: a `-0.0` stays `-0.0`, which the sum in
+`compile_facility_penalty` (started at the int 0) would turn into `0.0`.
+
 Two test-only helpers live here too: the facility-tier penalty sum of one
 placed facility, and the parser that reads `emit_table`'s CSV back.
 """
@@ -46,7 +50,8 @@ from levelforge.constraints import (
     DISTANCE_EPS,
     ConstraintSpec,
     WeightConfig,
-    eval_facility_penalty,
+    _Footprints,
+    compile_facility_term,
     facility_weight,
 )
 from levelforge.errors import NoAdaptableFacilities, UnknownKind
@@ -470,6 +475,26 @@ def reference_perturb(
         if cand.x != cur.x or cand.y != cur.y or cand.yaw != cur.yaw:
             return idx, cand
     return idx, cand
+
+
+def eval_facility_penalty(
+    spec: ConstraintSpec,
+    subject: Pose,
+    room: Dimensions,
+    others: Sequence[tuple[str, Pose]] = (),
+    weights: WeightConfig = DEFAULT_WEIGHTS,
+) -> float:
+    """Penalty of one facility-tier constraint for a candidate pose: the
+    compiled term, compiled for this one call.
+
+    `others` holds the already-placed facilities of the room as
+    (definition name, pose) pairs; the subject itself must not be in it.
+    Constraints whose named target has no placed instance score 0.
+    """
+    # the subject is facility 0; a term never targets its own facility
+    names = [None] + [name for name, _ in others]
+    poses = [subject] + [pose for _, pose in others]
+    return compile_facility_term(spec, 0, names, room, weights)(poses, _Footprints(poses))
 
 
 def total_constraint_penalty(

@@ -14,7 +14,7 @@ from random import Random
 import pytest
 
 from levelforge.arrangement import LevelConfig
-from levelforge.constraints import ConstraintSpec, eval_facility_penalty
+from levelforge.constraints import ConstraintSpec
 from levelforge.export import export_level_json, export_vmf, import_level_json, level_hash
 from levelforge.geometry import Dimensions, Pose
 from levelforge.harness import (
@@ -29,7 +29,7 @@ from levelforge.mechanics import MechanicInstance, assign_mechanics, fitness
 from levelforge.seeding import derive_seed
 
 from conftest import make_level, make_room, record_criterion
-from oracles import make_layout_instance, oracle_layout_optimum
+from oracles import eval_facility_penalty, make_layout_instance, oracle_layout_optimum
 from test_export import expected_brush_count, small_config
 from vmf_reader import read_vmf
 

@@ -9,14 +9,17 @@ from levelforge.constraints import (
     FACILITY_KINDS,
     ConstraintSpec,
     compile_facility_term,
-    eval_facility_penalty,
     eval_room_penalty,
 )
 from levelforge.errors import UnknownKind
 from levelforge.geometry import HALF_PI, Dimensions, Pose, penetration_depth
 
 from conftest import make_facility, make_room
-from oracles import reference_facility_penalty, total_constraint_penalty
+from oracles import (
+    eval_facility_penalty,
+    reference_facility_penalty,
+    total_constraint_penalty,
+)
 
 ROOM = Dimensions(20.0, 20.0, 3.0)
 REL = 1e-9

@@ -283,6 +283,18 @@ def test_nan_read_from_json_trips_the_validator(minimal_db):
     ]
 
 
+def test_a_topo_threshold_too_large_for_a_float_loads(hospital_db):
+    # an int of any size is finite; the rule pass must not convert it
+    base = json.loads(save_database(hospital_db))
+    key = next(m for m in base["mechanics"] if m["topo_constraints"])
+    key["topo_constraints"].append(
+        {"type": "TopologicalNear", "parameters": {"other": key["name"], "d_max": 10**400}}
+    )
+    db = load_database(json.dumps(base))
+    assert db.mechanic(key["name"]).topo_constraints[-1].threshold == 10**400
+    assert validate_database(db) == []
+
+
 def _replace(db: Database, section: str, entity: str, **changes) -> Database:
     """`db` with entity `entity` of `section` rebuilt with `changes`."""
     rebuilt = tuple(

@@ -1,10 +1,12 @@
 import json
+import math
+from dataclasses import fields
 
 import pytest
 
 from levelforge import cli
 from levelforge.arrangement import LevelConfig, arrange_rooms
-from levelforge.errors import ParseError, SchemaError
+from levelforge.errors import ConfigError, ParseError, SchemaError
 from levelforge.export import (
     DOOR_OPENING_HEIGHT,
     export_level_json,
@@ -14,6 +16,7 @@ from levelforge.export import (
     wall_openings,
 )
 from levelforge.harness import generate_level
+from levelforge.constraints import WeightConfig
 from levelforge.layout import SAParams
 from levelforge.geometry import DOOR_WIDTH, shared_segment
 from levelforge.navsim import DOOR, build_nav_grid
@@ -99,6 +102,55 @@ def test_cli_rejects_rooms_that_cannot_exist(tmp_path, capsys):
         path.write_text(_rooms_doc(rooms))
         assert cli.main(["simulate", "--level", str(path)]) == 1, name
         assert capsys.readouterr().err.startswith("error: "), name
+
+
+def test_every_config_field_round_trips_through_the_level_document():
+    config = LevelConfig(
+        width=31.5,
+        length=27.0,
+        height=9.0,
+        floors=2,
+        selected_templates=(("Hall", 2), ("Cell", None)),
+        selected_mechanics=(("FloorKey", 1),),
+        initial_template="Hall",
+        seed=12,
+        weights=WeightConfig(w_near=3.5, topo_far_dmin=5),
+        sa=SAParams(iterations=77, cooling_rate=0.5),
+    )
+    doc = json.loads(_rooms_doc([(1, 0, (0.0, 0.0), (10.0, 10.0))]))
+    doc["config"] = config.to_dict()
+    level = import_level_json(json.dumps(doc))
+    assert level.config == config
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(LevelConfig)])
+def test_a_config_missing_a_field_is_a_schema_error(name):
+    doc = json.loads(_rooms_doc([(1, 0, (0.0, 0.0), (10.0, 10.0))]))
+    del doc["config"][name]
+    with pytest.raises(SchemaError, match=repr(name)):
+        import_level_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "part, name, value, message",
+    [
+        (None, "width", math.nan, "width, length and height must be finite and > 0"),
+        (None, "floors", 1.5, "floors must be an integer >= 1, got 1.5"),
+        ("sa", "iterations", -1, "sa.iterations must be an integer >= 0, got -1"),
+    ],
+    ids=["width-nan", "floors-1.5", "sa.iterations--1"],
+)
+def test_a_stored_config_that_fails_the_check_is_refused(
+    tmp_path, capsys, part, name, value, message
+):
+    doc = json.loads(_rooms_doc([(1, 0, (0.0, 0.0), (10.0, 10.0))]))
+    (doc["config"] if part is None else doc["config"][part])[name] = value
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        import_level_json(json.dumps(doc))
+    path = tmp_path / "level.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--level", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 _POSE = {"center": [5.0, 5.0, 0.5], "yaw": 0.0, "dims": [1.0, 1.0, 1.0]}
@@ -377,6 +429,19 @@ def test_vmf_scale_linearity(minimal_db):
     for a, b in zip(base.entity_origins, double.entity_origins):
         for i in range(3):
             assert b[i] == pytest.approx(2 * a[i])
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_cli_refuses_a_vmf_scale_that_is_not_finite_and_positive(tmp_path, capsys, scale):
+    path = tmp_path / "level.json"
+    path.write_text(_rooms_doc([(1, 0, (0.0, 0.0), (10.0, 10.0))]))
+    out = tmp_path / "level.vmf"
+    args = ["export-vmf", "--level", str(path), "--out", str(out), f"--scale={scale}"]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == f"error: scale must be finite and > 0, got {float(scale)!r}\n"
+    assert not out.exists()
+    with pytest.raises(ConfigError):
+        export_vmf(import_level_json(path.read_bytes()), scale=float(scale))
 
 
 def test_reader_rejects_inward_winding():

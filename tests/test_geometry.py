@@ -1,3 +1,4 @@
+import math
 from random import Random
 
 import pytest
@@ -11,9 +12,38 @@ from levelforge.geometry import (
     Pose,
     clamp_into_room,
     fits,
+    is_finite,
+    is_integer,
+    is_number,
     random_pose,
     shared_segment,
 )
+
+
+@pytest.mark.parametrize(
+    "value, number, integer, finite",
+    [
+        (3, True, True, True),
+        (-2.5, True, False, True),
+        (10**400, True, True, True),  # too large for math.isfinite, yet finite
+        (math.nan, True, False, False),
+        (-math.inf, True, False, False),
+        (True, False, False, False),  # a bool is not a number
+        ("3", False, False, False),
+        (None, False, False, False),
+        ([1.0], False, False, False),
+    ],
+)
+def test_value_predicates(value, number, integer, finite):
+    assert (is_number(value), is_integer(value), is_finite(value)) == (number, integer, finite)
+
+
+@pytest.mark.parametrize(
+    "width, valid",
+    [(2.0, True), (2, True), (0.0, False), (-1.0, False), (math.inf, False), (True, False)],
+)
+def test_dimensions_are_valid_when_each_is_a_finite_number_above_zero(width, valid):
+    assert Dimensions(width, 1.0, 1.0).is_valid() is valid
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from importlib import resources
@@ -47,6 +48,24 @@ def test_group_canonicalization():
     assert canonical_group("db-baseline") == "DB-Baseline"
     with pytest.raises(ConfigError):
         canonical_group("Z-Baseline")
+
+
+@pytest.mark.parametrize("group", ["Foo-baseline", "DB-nope", "nodash", "A-nope"])
+def test_a_group_outside_the_six_is_refused_before_any_level_starts(
+    minimal_db, monkeypatch, group
+):
+    message = f"^unknown group {re.escape(repr(group))}"
+    with pytest.raises(ConfigError, match=message):
+        generate_level(small_config(), minimal_db, group, 3)
+
+    def no_level(*args):
+        raise AssertionError("a level started")
+
+    monkeypatch.setenv("LEVELFORGE_THREADS", "1")
+    monkeypatch.setattr(harness, "arrange_rooms", no_level)
+    exp = small_experiment(("A-Baseline", group), levels=1)
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(exp, minimal_db)
 
 
 def test_level_seed_is_stable_across_runs():
@@ -191,18 +210,41 @@ def test_rooms_laid_out_in_workers_give_the_same_level(
     assert outputs[0] == outputs[1]
 
 
-def test_an_error_in_a_room_worker_reaches_the_caller(monkeypatch, pool_widths):
+def _beacon_fits_no_hall():
+    """test_minimal with a 7x9 m Beacon, which fits no Hall either way round."""
     doc = json.loads(
         resources.files("levelforge.data").joinpath("test_minimal.json").read_text()
     )
     beacon = next(f for f in doc["facilities"] if f["name"] == "Beacon")
-    beacon["dimensions"].update(width=7.0, length=9.0)  # fits no Hall, either way round
-    db = load_database(json.dumps(doc).encode())
+    beacon["dimensions"].update(width=7.0, length=9.0)
+    return load_database(json.dumps(doc).encode())
+
+
+def test_an_error_in_a_room_worker_reaches_the_caller(monkeypatch, pool_widths):
+    db = _beacon_fits_no_hall()
     monkeypatch.setenv("LEVELFORGE_THREADS", "2")
     with pytest.raises(InfeasibleRoom, match="Beacon"):
         generate_level(small_config(), db, "A-Baseline", 0)
     assert pool_widths == [2]
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_level_that_cannot_be_built_is_a_failed_row(monkeypatch, threads):
+    monkeypatch.setenv("LEVELFORGE_THREADS", threads)
+    exp = small_experiment(("A-Baseline", "DB-Speedrun"), levels=2)
+    records, stats = run_experiment(exp, _beacon_fits_no_hall())
+    assert records == [
+        MetricsRecord(
+            level_id=f"{group}-{index:04d}",
+            group=group,
+            seed=level_seed(exp.base_seed, group, index),
+            status="failed",
+        )
+        for group in exp.groups
+        for index in range(2)
+    ]
+    assert stats.tallies["A-Baseline"]["failed"] == stats.tallies["DB-Speedrun"]["failed"] == 2
 
 
 # -- table emission -------------------------------------------------------------

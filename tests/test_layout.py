@@ -9,7 +9,6 @@ from levelforge.constraints import (
     DISTANCE_EPS,
     ConstraintSpec,
     WeightConfig,
-    eval_facility_penalty,
 )
 from levelforge.errors import InfeasibleRoom, NoAdaptableFacilities
 from levelforge import layout as layout_module
@@ -34,6 +33,7 @@ from levelforge.layout import (
 
 from conftest import make_facility, make_room
 from oracles import (
+    eval_facility_penalty,
     make_layout_instance,
     oracle_layout_optimum,
     reference_perturb,

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from levelforge.arrangement import LevelConfig
-from levelforge.constraints import ConstraintSpec, WeightConfig, eval_facility_penalty
+from levelforge.constraints import ConstraintSpec, WeightConfig
 from levelforge.database import load_database
 from levelforge.errors import NoFreeSpace, NoRooms, UnboundMechanic
 from levelforge.geometry import (
@@ -37,6 +37,7 @@ from levelforge.mechanics import (
 from levelforge.seeding import derive_rng
 
 from conftest import make_facility, make_level, make_room
+from oracles import eval_facility_penalty
 
 W = WeightConfig()
 
