@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter
 from random import Random
 from typing import Sequence
 
@@ -28,14 +29,32 @@ DIRECTIONS = ("left", "right", "front", "back")
 DEFAULT_STAIR_DIMS = Dimensions(2.0, 2.0, 3.0)
 
 
-# The annealing schedule's rules: field, what it must be, and the test.
-_SA_RULES = (
-    ("iterations", "an integer >= 0", lambda v: is_integer(v) and v >= 0),
-    ("restarts", "an integer >= 1", lambda v: is_integer(v) and v >= 1),
-    ("cooling_rate", "finite and in (0, 1]", lambda v: is_finite(v) and 0 < v <= 1),
-    ("initial_temperature", "finite and >= 0", lambda v: is_finite(v) and v >= 0),
-    ("translate_prob", "in [0, 1]", lambda v: is_finite(v) and 0 <= v <= 1),
-    ("step_frac", "finite and >= 0", lambda v: is_finite(v) and v >= 0),
+# The most nav-grid cells (width x length x floors); paper scale is 7,500.
+MAX_GRID_CELLS = 10**7
+
+
+def _pairs(value, none_ok: bool) -> bool:
+    """(name, integer >= 0) pairs; with `none_ok`, a count may also be None."""
+    return isinstance(value, (tuple, list)) and all(
+        isinstance(p, (tuple, list)) and len(p) == 2 and isinstance(p[0], str)
+        and (p[1] is None and none_ok or is_integer(p[1]) and p[1] >= 0)
+        for p in value
+    )
+
+
+# The selection's, annealing schedule's and weights' rules: field, what it
+# must be, and the test.
+_RULES = (
+    ("selected_templates", "(name, integer >= 0 or None) pairs", lambda v: _pairs(v, True)),
+    ("selected_mechanics", "(name, integer >= 0) pairs", lambda v: _pairs(v, False)),
+    ("initial_template", "a name or None", lambda v: v is None or isinstance(v, str)),
+    ("sa.iterations", "an integer >= 0", lambda v: is_integer(v) and v >= 0),
+    ("sa.restarts", "an integer >= 1", lambda v: is_integer(v) and v >= 1),
+    ("sa.cooling_rate", "finite and in (0, 1]", lambda v: is_finite(v) and 0 < v <= 1),
+    ("sa.initial_temperature", "finite and >= 0", lambda v: is_finite(v) and v >= 0),
+    ("sa.translate_prob", "in [0, 1]", lambda v: is_finite(v) and 0 <= v <= 1),
+    ("sa.step_frac", "finite and >= 0", lambda v: is_finite(v) and v >= 0),
+    *((f"weights.{f.name}", "finite", is_finite) for f in fields(WeightConfig)),
 )
 
 
@@ -59,10 +78,11 @@ class LevelConfig:
         return self.height / self.floors
 
     def check(self) -> None:
-        """Raise ConfigError unless the level has a shape to build and a
-        schedule to anneal by: an integer floor count >= 1, a finite width,
-        length and height > 0, the `_SA_RULES`, and finite weights (the
-        annealer's early rejection assumes them)."""
+        """Raise ConfigError unless the level has a shape to build: an
+        integer floor count >= 1, a finite width, length and height > 0 and
+        a nav grid of at most `MAX_GRID_CELLS`; and unless every field
+        passes its `_RULES` (the annealer's early rejection assumes finite
+        weights)."""
         if not is_integer(self.floors) or self.floors < 1:
             raise ConfigError(f"floors must be an integer >= 1, got {self.floors!r}")
         if not Dimensions(self.width, self.length, self.height).is_valid():
@@ -70,13 +90,14 @@ class LevelConfig:
                 "width, length and height must be finite and > 0, got "
                 f"{self.width!r}, {self.length!r}, {self.height!r}"
             )
-        for name, rule, holds in _SA_RULES:
-            value = getattr(self.sa, name)
+        shape = self.grid_shape()
+        if math.prod(shape) > MAX_GRID_CELLS:
+            cells = " x ".join(map(str, shape))
+            raise ConfigError(f"the nav grid must have at most {MAX_GRID_CELLS} cells, got {cells}")
+        for name, rule, holds in _RULES:
+            value = attrgetter(name)(self)
             if not holds(value):
-                raise ConfigError(f"sa.{name} must be {rule}, got {value!r}")
-        for name, value in asdict(self.weights).items():
-            if not is_finite(value):
-                raise ConfigError(f"weights.{name} must be finite, got {value!r}")
+                raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
     def grid_shape(self) -> tuple[int, int, int]:
         """Nav-grid cells along x and y (one per unit of level size), and floors."""

@@ -14,12 +14,14 @@ and their new poses from one relocation search (`_relocations`). The
 same agent then drives rerun validation and the objective
 (key-collection) simulation that produce the pacing metrics.
 
-Each grid fact has one source. Searches, flood fill and `target_cell`
-read walkability from one view (`WalkView`): a flat byte array, one byte
-per cell, padded with an unwalkable border, plus stair links by flat
-index. The first reader builds it from `state`; `_set_cell` keeps both in
-step. A room's cells are its footprint's cell span (`_room_span`), which
-no other room's on the floor overlaps; a cell's facilities are `occupants`.
+Each grid fact has one store: a cell's kind without facilities is
+`base`, its facilities are `occupants`, and whether it is walkable now is
+`walk`, a flat byte array, one byte per cell, padded with an unwalkable
+border, that searches, flood fill and `target_cell` read. The grid builds
+`walk` and its stair links by flat index once, when it is made; after
+that only `_mark_facility` and `_clear_facility` write `walk`. A room's
+cells are its footprint's cell span (`_room_span`), which no other room's
+on the floor overlaps.
 
 All times are simulated seconds derived from path geometry and the agent
 constants; wall-clock never enters the metrics.
@@ -111,31 +113,42 @@ class MetricsRecord:
 
 @dataclass
 class NavGrid:
+    """The level's cells, per floor. `walk` is one byte per cell in one flat
+    array, padded with a one-cell unwalkable border so that the four planar
+    neighbours of an in-bounds cell are its index plus or minus `row` and 1.
+    `stairs` maps a stair cell to the cells it links, up before down. Both
+    are built from `base` and `stair_cells` when the grid is made; facilities
+    enter through `_mark_facility`."""
+
     width: int
     length: int
     floors: int
     floor_height: float
     base: list[np.ndarray]
-    state: list[np.ndarray]  # base plus FACILITY on each cell listed in `occupants`
-    occupants: dict[Cell, list[str]] = field(default_factory=dict)
+    occupants: dict[Cell, list[str]] = field(default_factory=dict, init=False)
     stair_cells: list[set[tuple[int, int]]] = field(default_factory=list)
     # room id -> doorway source cells on that room's side, keyed by room pair
     doorways: dict[int, dict[DoorwayKey, list[Cell]]] = field(default_factory=dict)
-    # built by the first reader, kept in step by `_set_cell`
-    view: WalkView | None = field(default=None, repr=False)
+    walk: bytearray = field(init=False, repr=False)
+    row: int = field(init=False)  # index step of x: length + 2
+    plane: int = field(init=False)  # index step of floor: (width + 2) * (length + 2)
+    stairs: dict[int, tuple[int, ...]] = field(init=False, repr=False)
 
-
-@dataclass
-class WalkView:
-    """Walkability of every cell as one flat byte array, one byte per cell,
-    padded with a one-cell unwalkable border so that the four planar
-    neighbours of an in-bounds cell are its index plus or minus `row` and 1.
-    `stairs` maps a stair cell to the cells it links, up before down."""
-
-    walk: bytearray
-    row: int  # index step of x: length + 2
-    plane: int  # index step of floor: (width + 2) * (length + 2)
-    stairs: dict[int, tuple[int, ...]]
+    def __post_init__(self) -> None:
+        self.row = self.length + 2
+        self.plane = (self.width + 2) * self.row
+        padded = np.zeros((self.floors, self.width + 2, self.row), dtype=np.uint8)
+        for f, kinds in enumerate(self.base):
+            padded[f, 1:-1, 1:-1] = np.isin(kinds, _WALKABLE)
+        self.walk = bytearray(padded.tobytes())
+        self.stairs = {}
+        # floors ascend: a cell's down link (as an upper end) is in before its
+        # up link (as a lower end) is put in front of it
+        for f, cells in enumerate(self.stair_cells[: self.floors - 1]):
+            for x, y in cells:
+                n = self.index((f, x, y))
+                self.stairs[n] = (n + self.plane,) + self.stairs.get(n, ())
+                self.stairs[n + self.plane] = (n,)
 
     def index(self, cell: Cell) -> int:
         f, x, y = cell
@@ -147,35 +160,6 @@ class WalkView:
         return (f, x - 1, y - 1)
 
 
-def _walk_view(grid: NavGrid) -> WalkView:
-    """The grid's walkable view, built from `state` on first use."""
-    if grid.view is None:
-        padded = np.zeros((grid.floors, grid.width + 2, grid.length + 2), dtype=np.uint8)
-        for f, state in enumerate(grid.state):
-            padded[f, 1:-1, 1:-1] = np.isin(state, _WALKABLE)
-        row = grid.length + 2
-        view = WalkView(bytearray(padded.tobytes()), row, (grid.width + 2) * row, {})
-        up: dict[int, int] = {}
-        down: dict[int, int] = {}
-        for f, cells in enumerate(grid.stair_cells[: grid.floors - 1]):
-            for x, y in cells:
-                lower = view.index((f, x, y))
-                up[lower] = lower + view.plane
-                down[lower + view.plane] = lower
-        for n in up.keys() | down.keys():
-            view.stairs[n] = tuple(links[n] for links in (up, down) if n in links)
-        grid.view = view
-    return grid.view
-
-
-def _set_cell(grid: NavGrid, f: int, x: int, y: int, value: int) -> None:
-    """The one writer of `state` after the grid is built; keeps the
-    walkable view, when built, in step."""
-    grid.state[f][x, y] = value
-    if grid.view is not None:
-        grid.view.walk[grid.view.index((f, x, y))] = value in _WALKABLE
-
-
 def _cell_span(lo: float, hi: float, limit: int) -> range:
     """Cells whose centers fall in [lo, hi), clipped to [0, limit)."""
     start = max(0, math.ceil(lo - 0.5))
@@ -183,17 +167,16 @@ def _cell_span(lo: float, hi: float, limit: int) -> range:
     return range(start, max(start, stop))
 
 
-def _room_span(grid: NavGrid, room: RoomInstance) -> tuple[range, range]:
+def _room_span(room: RoomInstance, width: int, length: int) -> tuple[range, range]:
     """The room's cells on its floor: the cell spans of its footprint."""
     x0, y0, x1, y1 = room.footprint()
-    return _cell_span(x0, x1, grid.width), _cell_span(y0, y1, grid.length)
+    return _cell_span(x0, x1, width), _cell_span(y0, y1, length)
 
 
 def _walkable_cells(grid: NavGrid, room: RoomInstance) -> tuple[np.ndarray, np.ndarray]:
-    """x and y of the room's walkable cells, read from the walkable view."""
-    view = _walk_view(grid)
-    xs, ys = _room_span(grid, room)
-    walk = np.frombuffer(view.walk, dtype=np.uint8).reshape(grid.floors, -1, view.row)
+    """x and y of the room's walkable cells, read from `walk`."""
+    xs, ys = _room_span(room, grid.width, grid.length)
+    walk = np.frombuffer(grid.walk, dtype=np.uint8).reshape(grid.floors, -1, grid.row)
     ix, iy = np.nonzero(walk[room.floor, xs.start + 1 : xs.stop + 1, ys.start + 1 : ys.stop + 1])
     return ix + xs.start, iy + ys.start
 
@@ -218,7 +201,7 @@ def _mark_facility(grid: NavGrid, level: Level, fac: FacilityInstance) -> None:
         f, x, y = cell
         if grid.base[f][x, y] in (FREE, DOOR):
             grid.occupants.setdefault(cell, []).append(fac.id)
-            _set_cell(grid, f, x, y, FACILITY)
+            grid.walk[grid.index(cell)] = 0
 
 
 def _clear_facility(grid: NavGrid, level: Level, fac: FacilityInstance) -> None:
@@ -230,7 +213,7 @@ def _clear_facility(grid: NavGrid, level: Level, fac: FacilityInstance) -> None:
             if not occ:
                 del grid.occupants[cell]
                 f, x, y = cell
-                _set_cell(grid, f, x, y, grid.base[f][x, y])
+                grid.walk[grid.index(cell)] = grid.base[f][x, y] in _WALKABLE
 
 
 def _move_facility(grid: NavGrid, level: Level, fac: FacilityInstance, pose: Pose) -> None:
@@ -274,16 +257,16 @@ def _open_edge_cells(level: Level, edge) -> list[tuple[Cell, Cell]]:
     return [((f, i, b - 1), (f, i, b)) for i in run]
 
 
-def _add_doorway(grid: NavGrid, spans: dict, link, pairs: list[tuple[Cell, Cell]]) -> None:
+def _add_doorway(base: list, doorways: dict, spans: dict, link, pairs: list) -> None:
     """Punch a door or open edge through the wall and record, for each of
     its two rooms, the cell of every pair inside that room's `spans`."""
     key = (min(link.room_a, link.room_b), max(link.room_a, link.room_b))
     for ca, cb in pairs:
-        grid.base[ca[0]][ca[1], ca[2]] = DOOR
-        grid.base[cb[0]][cb[1], cb[2]] = DOOR
+        base[ca[0]][ca[1], ca[2]] = DOOR
+        base[cb[0]][cb[1], cb[2]] = DOOR
     for rid in (link.room_a, link.room_b):
         xs, ys = spans[rid]
-        grid.doorways.setdefault(rid, {})[key] = [
+        doorways.setdefault(rid, {})[key] = [
             ca if ca[1] in xs and ca[2] in ys else cb for ca, cb in pairs
         ]
 
@@ -292,28 +275,22 @@ def build_nav_grid(level: Level) -> NavGrid:
     """Rasterize the level: walls on room perimeters, doors and open edges
     punched through, facility footprints blocked, stairwells linking floors."""
     width, length, floors = level.config.grid_shape()
-    grid = NavGrid(
-        width=width,
-        length=length,
-        floors=floors,
-        floor_height=level.config.floor_height,
-        base=[np.full((width, length), WALL, dtype=np.uint8) for _ in range(floors)],
-        state=[],
-        stair_cells=[set() for _ in range(max(0, floors - 1))],
-    )
+    base = [np.full((width, length), WALL, dtype=np.uint8) for _ in range(floors)]
+    stair_cells: list[set[tuple[int, int]]] = [set() for _ in range(max(0, floors - 1))]
+    doorways: dict[int, dict[DoorwayKey, list[Cell]]] = {}
 
-    spans = {room.id: _room_span(grid, room) for room in level.rooms}
+    spans = {room.id: _room_span(room, width, length) for room in level.rooms}
     for room in level.rooms:
         xs, ys = spans[room.id]
         # perimeter ring stays wall; interior is walkable
         if len(xs) > 2 and len(ys) > 2:
-            grid.base[room.floor][xs.start + 1 : xs.stop - 1, ys.start + 1 : ys.stop - 1] = FREE
+            base[room.floor][xs.start + 1 : xs.stop - 1, ys.start + 1 : ys.stop - 1] = FREE
 
     for door in level.doors:
-        _add_doorway(grid, spans, door, [_door_cells(level, door)])
+        _add_doorway(base, doorways, spans, door, [_door_cells(level, door)])
     for edge in level.adjacency:
         if edge.kind == "open":
-            _add_doorway(grid, spans, edge, _open_edge_cells(level, edge))
+            _add_doorway(base, doorways, spans, edge, _open_edge_cells(level, edge))
 
     for stair in level.stairs:
         lower = level.room_by_id(stair.room_id)
@@ -322,12 +299,15 @@ def build_nav_grid(level: Level) -> NavGrid:
         ys = _cell_span(stair.y - hy, stair.y + hy, length)
         for ix in xs:
             for iy in ys:
-                grid.base[lower.floor][ix, iy] = STAIR
+                base[lower.floor][ix, iy] = STAIR
                 if lower.floor + 1 < floors:
-                    grid.base[lower.floor + 1][ix, iy] = STAIR
-                    grid.stair_cells[lower.floor].add((ix, iy))
+                    base[lower.floor + 1][ix, iy] = STAIR
+                    stair_cells[lower.floor].add((ix, iy))
 
-    grid.state = [b.copy() for b in grid.base]
+    grid = NavGrid(
+        width, length, floors, level.config.floor_height, base,
+        stair_cells=stair_cells, doorways=doorways,
+    )
     for fac in level.facilities:
         _mark_facility(grid, level, fac)
     return grid
@@ -361,10 +341,9 @@ def flood_fill_room(level: Level, grid: NavGrid, room: RoomInstance) -> FloodRes
     its region fails to reach some other doorway of the room.
     """
     doorways = grid.doorways.get(room.id, {})
-    view = _walk_view(grid)
-    row = view.row
+    row = grid.row
     xs, ys = _walkable_cells(grid, room)
-    flat = room.floor * view.plane + (xs + 1) * row + ys + 1
+    flat = room.floor * grid.plane + (xs + 1) * row + ys + 1
     open_cells = dict(zip(flat.tolist(), zip(repeat(room.floor), xs.tolist(), ys.tolist())))
 
     def steps(n: int) -> list[int]:
@@ -373,7 +352,7 @@ def flood_fill_room(level: Level, grid: NavGrid, room: RoomInstance) -> FloodRes
     component: dict[int, frozenset[Cell]] = {}
     regions: dict[DoorwayKey, frozenset[Cell]] = {}
     for key, cells in doorways.items():
-        starts = [n for n in map(view.index, cells) if n in open_cells]
+        starts = [n for n in map(grid.index, cells) if n in open_cells]
         for n in starts:
             if n not in component:
                 reach = bfs(n, steps)
@@ -453,7 +432,7 @@ def _unblock_doorway(
     only shrink as cells are added, so no pose of it could pass."""
     sources = set(grid.doorways[room.id][key])
     hugging = set(_around(grid, result.regions[key]))
-    xs, ys = _room_span(grid, room)
+    xs, ys = _room_span(room, grid.width, grid.length)
     blockers = sources.union(c for c in hugging if c[1] in xs and c[2] in ys)
     doorway = sources | hugging
     before = set(result.blocked)
@@ -485,11 +464,10 @@ def astar_path(grid: NavGrid, start: Cell, goal: Cell) -> list[Cell] | None:
     breaks ties of f = g + h by push order."""
     if start == goal:
         return [start]
-    view = _walk_view(grid)
-    walk, row, plane, stairs = view.walk, view.row, view.plane, view.stairs
+    walk, row, plane, stairs = grid.walk, grid.row, grid.plane, grid.stairs
     gf, gx, gy = goal[0], goal[1] + 1, goal[2] + 1  # padded coordinates
     steps = ((row, 1, 0), (-row, -1, 0), (1, 0, 1), (-1, 0, -1))
-    source, target = view.index(start), view.index(goal)
+    source, target = grid.index(start), grid.index(goal)
     counter = 0
     h = abs(start[1] - goal[1]) + abs(start[2] - goal[2]) + abs(start[0] - goal[0])
     open_heap = [(h, counter, source)]
@@ -504,7 +482,7 @@ def astar_path(grid: NavGrid, start: Cell, goal: Cell) -> list[Cell] | None:
                 n = came[n]
                 path.append(n)
             path.reverse()
-            return [view.cell(n) for n in path]
+            return [grid.cell(n) for n in path]
         if n in closed:
             continue
         closed.add(n)
@@ -533,9 +511,8 @@ def astar_path(grid: NavGrid, start: Cell, goal: Cell) -> list[Cell] | None:
 def grid_reach(grid: NavGrid, start: Cell) -> dict[Cell, int]:
     """Hop count from `start` to every cell the agent can reach, in visiting
     order, over the neighbours `astar_path` uses."""
-    view = _walk_view(grid)
-    walk, row, plane, stairs = view.walk, view.row, view.plane, view.stairs
-    source = view.index(start)
+    walk, row, plane, stairs = grid.walk, grid.row, grid.plane, grid.stairs
+    source = grid.index(start)
     hops = {source: 0}
     order = [source]
     for n in order:
@@ -548,7 +525,7 @@ def grid_reach(grid: NavGrid, start: Cell) -> dict[Cell, int]:
             if m not in hops:
                 hops[m] = d
                 order.append(m)
-    # `WalkView.cell` inlined: `plane` is a multiple of `row`
+    # `NavGrid.cell` inlined: `plane` is a multiple of `row`
     return {(n // plane, n % plane // row - 1, n % row - 1): d for n, d in hops.items()}
 
 
@@ -658,7 +635,7 @@ def _repair_action(
     facility blocking the frontier nearest the failed path's end."""
     if pos is None:
         # start room fully covered: attack any adaptable facility inside it
-        xs, ys = _room_span(grid, target_room)
+        xs, ys = _room_span(target_room, grid.width, grid.length)
         frontier = [
             c for c in sorted(grid.occupants)
             if c[0] == target_room.floor and c[1] in xs and c[2] in ys

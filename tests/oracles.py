@@ -5,12 +5,15 @@ and recomputes the room objective from the raw formulas (bounds, pairwise
 overlap, constraint rows, inverse-distance cluster sum, worst-case grid
 sparsity) without touching the annealer's evaluator.
 
-The grid-search oracles are the cell-tuple A* and reach BFS that the flat
-walkable-view search in `navsim` replaced, kept as they were: neighbours
-read from `grid.state` one cell at a time, in the order +x, -x, +y, -y,
-up, down. The room oracles (doorway flood fill and nearest walkable
-cell) scan cell by cell too; a cell belongs to a room when its centre lies
-inside the room's footprint.
+The grid-search oracles are the cell-tuple A* and reach BFS that the
+flat search over `NavGrid.walk` in `navsim` replaced, kept as they were
+except that they never read `walk`: a cell is open when no facility
+occupies it and its `base` kind is walkable, and neighbours are read one
+cell at a time, in the order +x, -x, +y, -y, up, down. The room oracles
+(doorway flood fill and nearest walkable cell) scan cell by cell too; a
+cell belongs to a room when its centre lies inside the room's footprint.
+`cell_kinds` rebuilds the per-floor kind arrays with FACILITY on each
+occupied cell, for tests that check the grid cell by cell.
 
 The reference annealer is room layout as a full evaluation: every
 candidate is scored by `_RoomEval.fill` from scratch and judged by the
@@ -75,7 +78,7 @@ from levelforge.layout import (
     interior_grid_points,
 )
 from levelforge.level import FacilityInstance, RoomInstance
-from levelforge.navsim import DOOR, FREE, STAIR, Cell, DoorwayKey, NavGrid
+from levelforge.navsim import DOOR, FACILITY, FREE, STAIR, Cell, DoorwayKey, NavGrid
 from levelforge.seeding import derive_seed
 
 GRID_STEP = 0.5
@@ -551,16 +554,29 @@ def parse_stats_csv(text: str) -> AggregateStats:
 _WALKABLE = (FREE, DOOR, STAIR)
 
 
+def cell_kinds(grid: NavGrid) -> list[np.ndarray]:
+    """Each floor's cell kinds: `base` with FACILITY on every occupied cell."""
+    kinds = [b.copy() for b in grid.base]
+    for f, x, y in grid.occupants:
+        kinds[f][x, y] = FACILITY
+    return kinds
+
+
+def _open(grid: NavGrid, cell: Cell) -> bool:
+    """No facility on the cell, and its kind is walkable."""
+    f, x, y = cell
+    return cell not in grid.occupants and grid.base[f][x, y] in _WALKABLE
+
+
 def _neighbors(grid: NavGrid, cell: Cell):
     f, x, y = cell
-    state = grid.state[f]
-    if x + 1 < grid.width and state[x + 1, y] in _WALKABLE:
+    if x + 1 < grid.width and _open(grid, (f, x + 1, y)):
         yield (f, x + 1, y)
-    if x - 1 >= 0 and state[x - 1, y] in _WALKABLE:
+    if x - 1 >= 0 and _open(grid, (f, x - 1, y)):
         yield (f, x - 1, y)
-    if y + 1 < grid.length and state[x, y + 1] in _WALKABLE:
+    if y + 1 < grid.length and _open(grid, (f, x, y + 1)):
         yield (f, x, y + 1)
-    if y - 1 >= 0 and state[x, y - 1] in _WALKABLE:
+    if y - 1 >= 0 and _open(grid, (f, x, y - 1)):
         yield (f, x, y - 1)
     if f < grid.floors - 1 and (x, y) in grid.stair_cells[f]:
         yield (f + 1, x, y)
@@ -620,7 +636,7 @@ def _room_open(grid: NavGrid, room: RoomInstance, cell: Cell) -> bool:
         and 0 <= y < grid.length
         and x0 <= x + 0.5 < x1
         and y0 <= y + 0.5 < y1
-        and grid.state[f][x, y] in _WALKABLE
+        and _open(grid, cell)
     )
 
 

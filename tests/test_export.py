@@ -137,8 +137,9 @@ def test_a_config_missing_a_field_is_a_schema_error(name):
         (None, "width", math.nan, "width, length and height must be finite and > 0"),
         (None, "floors", 1.5, "floors must be an integer >= 1, got 1.5"),
         ("sa", "iterations", -1, "sa.iterations must be an integer >= 0, got -1"),
+        (None, "width", 1e9, "the nav grid must have at most 10000000 cells, got 1000000000"),
     ],
-    ids=["width-nan", "floors-1.5", "sa.iterations--1"],
+    ids=["width-nan", "floors-1.5", "sa.iterations--1", "width-1e9"],
 )
 def test_a_stored_config_that_fails_the_check_is_refused(
     tmp_path, capsys, part, name, value, message

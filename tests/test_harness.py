@@ -27,7 +27,7 @@ from levelforge.harness import (
     run_experiment,
     worker_count,
 )
-from levelforge.errors import ConfigError, InfeasibleRoom
+from levelforge.errors import ConfigError, InfeasibleRoom, UnresolvedReferenceError
 from levelforge.navsim import MetricsRecord
 
 from oracles import parse_stats_csv
@@ -114,6 +114,24 @@ def test_db_group_keys_stay_on_their_floor(minimal_db):
     for key in keys:
         floor_tag = int(key.id.split("@f")[1])
         assert level.room_by_id(key.room_id).floor == floor_tag
+
+
+def test_custom_selection_binds_the_databases_topological_rules(minimal_db):
+    # no group: the config's own mechanics, with the Mechanics DB's rules
+    names = ("FloorKey", "KeyFragment", "KeyA", "KeyB")
+    config = replace(small_config(), selected_mechanics=tuple((n, 1) for n in names))
+    level, record = generate_level(config, minimal_db, None, 3)
+    again, repeat = generate_level(config, minimal_db, None, 3)
+    assert (record.status, record.level_id) == ("valid", "custom-3")
+    assert [m.id for m in level.mechanics] == [f"{n}#0" for n in names]
+    assert record.level_hash == repeat.level_hash == level_hash(again)
+    (key_a,) = [i for i in harness._generic_instances(config, minimal_db) if i.id == "KeyA#0"]
+    assert [(r.kind, r.other) for r in key_a.topo] == [("precedes", "KeyB#0")]
+    tau = {m.id: level.room_by_id(m.room_id).tau for m in level.mechanics}
+    assert tau["KeyA#0"] < tau["KeyB#0"]
+    unknown = replace(config, selected_mechanics=(("KeyC", 1),))
+    with pytest.raises(UnresolvedReferenceError, match="'KeyC'"):
+        generate_level(unknown, minimal_db, None, 3)
 
 
 def test_run_experiment_single_row(tmp_path, minimal_db):
@@ -350,6 +368,7 @@ _BAD_SHAPES = [
     {"length": -3.0},
     {"height": math.nan},
     {"width": math.inf},
+    {"width": 1e9},  # over MAX_GRID_CELLS; refused before anything is allocated
 ]
 
 
@@ -371,6 +390,7 @@ def test_a_level_shape_that_cannot_be_built_is_a_config_error(minimal_db, shape)
         ("--floors", "0", "floors must be an integer >= 1, got 0"),
         ("--floors", "-1", "floors must be an integer >= 1, got -1"),
         ("--height", "nan", "width, length and height must be finite and > 0"),
+        ("--width", "1e9", "the nav grid must have at most 10000000 cells, got 1000000000 x"),
     ],
 )
 def test_cli_refuses_a_level_shape_that_cannot_be_built(tmp_path, capsys, flag, value, message):
@@ -434,6 +454,39 @@ def test_the_edges_of_each_schedule_rule_and_the_pinned_configs_pass_the_check()
     _with(LevelConfig(), "weights", "w_near", -4.0).check()  # finite, if negative
     LevelConfig().check()
     small_config().check()
+
+
+# one value per way a selection field can break its rule in `LevelConfig.check`
+_BAD_SELECTIONS = [
+    ("selected_templates", (("Hall", "x"),)),
+    ("selected_templates", (("Hall", -1),)),
+    ("selected_templates", (("Hall", 1.0),)),
+    ("selected_templates", (("Hall",),)),
+    ("selected_templates", ((None, 1),)),
+    ("selected_templates", "Hall"),
+    ("selected_mechanics", (("FloorKey", "2"),)),
+    ("selected_mechanics", (("FloorKey", -1),)),
+    ("selected_mechanics", (("FloorKey", None),)),
+    ("selected_mechanics", (("FloorKey", True),)),
+    ("selected_mechanics", (("FloorKey", 1, 2),)),
+    ("selected_mechanics", None),
+    ("initial_template", 3),
+]
+
+
+@pytest.mark.parametrize("name, value", _BAD_SELECTIONS)
+def test_a_selection_that_breaks_its_rule_is_a_config_error(minimal_db, name, value):
+    config = replace(small_config(), **{name: value})
+    with pytest.raises(ConfigError, match=f"^{name} must be"):
+        config.check()
+    with pytest.raises(ConfigError):
+        generate_level(config, minimal_db, None, 3)
+    replace(
+        small_config(),
+        selected_templates=(("Hall", None), ("Cell", 0), ("Vault", 2)),
+        selected_mechanics=(("FloorKey", 0), ("KeyA", 3)),
+        initial_template="Hall",
+    ).check()
 
 
 def test_cli_refuses_a_schedule_that_cannot_anneal(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,6 @@
 import heapq
 import math
-from itertools import islice
+from itertools import chain, islice
 from random import Random
 
 import numpy as np
@@ -45,7 +45,7 @@ def single_room_level(w=10, l=10):
 
 def test_empty_room_has_interior_free_ring_wall():
     grid = build_nav_grid(single_room_level())
-    state = grid.state[0]
+    state = oracles.cell_kinds(grid)[0]
     assert int((state == FREE).sum()) == 64  # 8x8 interior
     assert state[0, 0] == WALL and state[9, 9] == WALL
     assert state[5, 5] == FREE
@@ -55,14 +55,15 @@ def test_centered_two_by_two_facility_blocks_exactly_four_cells():
     level = single_room_level()
     level.facilities.append(make_facility("f", 1, 5.0, 5.0, w=2.0, l=2.0))
     grid = build_nav_grid(level)
-    blocked = np.argwhere(grid.state[0] == FACILITY)
+    blocked = np.argwhere(oracles.cell_kinds(grid)[0] == FACILITY)
     assert sorted(map(tuple, blocked.tolist())) == [(4, 4), (4, 5), (5, 4), (5, 5)]
 
 
 def test_door_cells_are_traversable(two_room_level):
     grid = build_nav_grid(two_room_level)
-    assert grid.state[0][9, 5] == DOOR
-    assert grid.state[0][10, 5] == DOOR
+    state = oracles.cell_kinds(grid)[0]
+    assert state[9, 5] == DOOR
+    assert state[10, 5] == DOOR
     path = astar_path(grid, (0, 5, 5), (0, 15, 5))
     assert path is not None
 
@@ -73,9 +74,9 @@ def test_open_edge_opens_full_shared_segment():
         make_room(2, (10.0, 0.0), 10, 10, arch="open"),
     ]
     level = make_level(rooms, adjacency=[AdjacencyEdge(1, 2, "open")], width=20, length=10)
-    grid = build_nav_grid(level)
-    assert int((grid.state[0][9, :] == DOOR).sum()) == 10
-    assert int((grid.state[0][10, :] == DOOR).sum()) == 10
+    state = oracles.cell_kinds(build_nav_grid(level))[0]
+    assert int((state[9, :] == DOOR).sum()) == 10
+    assert int((state[10, :] == DOOR).sum()) == 10
 
 
 def test_stair_cells_link_floors():
@@ -84,7 +85,8 @@ def test_stair_cells_link_floors():
     stair = Stair(room_id=1, x=5.0, y=5.0, dims=Dimensions(2, 2, 3))
     level = make_level([r1, r2], stairs=[stair], width=10, length=10, height=6, floors=2)
     grid = build_nav_grid(level)
-    assert grid.state[0][4, 4] == STAIR and grid.state[1][4, 4] == STAIR
+    state = oracles.cell_kinds(grid)
+    assert state[0][4, 4] == STAIR and state[1][4, 4] == STAIR
     path = astar_path(grid, (0, 2, 2), (1, 7, 7))
     assert path is not None
     assert any(a[0] != b[0] for a, b in zip(path, path[1:]))
@@ -155,7 +157,8 @@ def test_flood_region_matches_bfs_oracle():
 
 def _crowded_stages():
     """Each of the 150 crowded levels as built and after each repair phase,
-    so that `_set_cell` edits made after a search of the grid are covered."""
+    so that the `walk` edits of `_mark_facility` and `_clear_facility` made
+    after a search of the grid are covered."""
     for case in range(150):
         level = crowded_level(Random(case))
         grid = build_nav_grid(level)
@@ -268,7 +271,8 @@ def test_hopeless_blocker_is_skipped_without_trying_poses(two_room_level, monkey
     level.facilities.append(make_facility("seal", 1, 9.5, 5.5, fixed=True))
     grid = build_nav_grid(level)
     assert flood_fill_room(level, grid, level.room_by_id(1)).blocked == [(1, 2)]
-    state = [s.copy() for s in grid.state]
+    state = oracles.cell_kinds(grid)
+    walk = bytes(grid.walk)
     occupants = {cell: set(ids) for cell, ids in grid.occupants.items()}
     tried = []
     relocations = navsim._relocations
@@ -280,7 +284,8 @@ def test_hopeless_blocker_is_skipped_without_trying_poses(two_room_level, monkey
     monkeypatch.setattr(navsim, "_relocations", counting)
     assert geometric_repair(level, grid) == 0
     assert "bystander" not in tried
-    assert all(np.array_equal(a, b) for a, b in zip(grid.state, state))
+    assert all(np.array_equal(a, b) for a, b in zip(oracles.cell_kinds(grid), state))
+    assert grid.walk == walk
     assert {cell: set(ids) for cell, ids in grid.occupants.items()} == occupants
 
 
@@ -340,17 +345,21 @@ def test_covered_start_room_is_opened_from_inside(two_room_level):
 
 def test_grid_stays_consistent_after_repairs(two_room_level):
     level = two_room_level
+    level.facilities.append(make_facility("blocker", 1, 9.5, 5.5))  # on the door cell
     rng = Random(2)
     for k in range(6):
         level.facilities.append(
             make_facility(f"f{k}", 1, rng.uniform(1, 9), rng.uniform(1, 9), w=2.0, l=1.0)
         )
     grid = build_nav_grid(level)
-    geometric_repair(level, grid)
+    assert geometric_repair(level, grid) > 0
     agent_repair(level, AGENT, grid)
-    fresh = build_nav_grid(level)
-    for f in range(grid.floors):
-        assert np.array_equal(grid.state[f], fresh.state[f])
+    # each crowded grid is compared before the next repair phase edits it
+    for level, grid in chain([(level, grid)], _crowded_stages()):
+        fresh = build_nav_grid(level)
+        for a, b in zip(oracles.cell_kinds(grid), oracles.cell_kinds(fresh)):
+            assert np.array_equal(a, b)
+        assert grid.walk == fresh.walk
 
 
 # -- pathfinding ----------------------------------------------------------------------
@@ -380,7 +389,6 @@ def _random_grid(rng) -> NavGrid:
         floors=1,
         floor_height=1.0,
         base=[base],
-        state=[base.copy()],
         stair_cells=[],
     )
 
@@ -398,7 +406,7 @@ def _dijkstra_steps(grid, start, goal):
         for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             nx, ny = x + dx, y + dy
             if 0 <= nx < grid.width and 0 <= ny < grid.length:
-                if grid.state[f][nx, ny] == FREE:
+                if grid.base[f][nx, ny] == FREE:
                     nd = d + 1
                     nxt = (f, nx, ny)
                     if nd < dist.get(nxt, math.inf):
@@ -412,7 +420,7 @@ def test_astar_cost_equals_dijkstra_on_random_grids():
     checked = 0
     while checked < 100:
         grid = _random_grid(rng)
-        free = np.argwhere(grid.state[0] == FREE)
+        free = np.argwhere(grid.base[0] == FREE)
         if len(free) < 2:
             continue
         a = tuple(free[rng.randrange(len(free))])
@@ -434,7 +442,7 @@ def _search_cases(draw):
     floors, w, l = draw(st.integers(1, 3)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
     kinds = st.sampled_from((FREE, FREE, FREE, WALL, FACILITY, DOOR, STAIR))
     values = draw(st.lists(kinds, min_size=floors * w * l, max_size=floors * w * l))
-    state = np.array(values, dtype=np.uint8).reshape(floors, w, l)
+    kinds = np.array(values, dtype=np.uint8).reshape(floors, w, l)
     spots = st.tuples(st.integers(0, w - 1), st.integers(0, l - 1))
     cells = st.tuples(st.integers(0, floors - 1), st.integers(0, w - 1), st.integers(0, l - 1))
     grid = NavGrid(
@@ -442,8 +450,7 @@ def _search_cases(draw):
         length=l,
         floors=floors,
         floor_height=1.0,
-        base=list(state.copy()),
-        state=list(state),
+        base=list(kinds),
         stair_cells=[draw(st.sets(spots, max_size=6)) for _ in range(floors - 1)],
     )
     return grid, draw(cells), draw(cells)
@@ -612,9 +619,10 @@ def test_target_cell_matches_a_brute_force_scan_with_ties():
     rooms = [make_room(1, (0.0, 0.0), 10, 10), make_room(2, (10.0, 0.0), 10, 10)]
     level = make_level(rooms, width=20, length=10, height=3.0)
     grid = build_nav_grid(level)
-    navsim._set_cell(grid, 0, 4, 4, FACILITY)  # one of the four cells tied nearest the centre
-    navsim._set_cell(grid, 0, 1, 1, DOOR)
-    navsim._set_cell(grid, 0, 8, 1, STAIR)
+    grid.occupants[(0, 4, 4)] = ["crate"]  # one of the four cells tied nearest the centre
+    grid.walk[grid.index((0, 4, 4))] = 0
+    grid.base[0][1, 1] = DOOR  # still walkable, as `walk` has it
+    grid.base[0][8, 1] = STAIR
     room = level.room_by_id(1)
     cells = [(0, x, y) for x in range(20) for y in range(10)]
     rng = Random(5)
