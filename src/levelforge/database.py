@@ -167,7 +167,10 @@ def _array(obj: Mapping, key: str, where: str, parse: Callable[[object, str], ob
 def _number(value, where: str) -> float:
     if not is_number(value):
         raise SchemaError(f"{where}: expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        raise SchemaError(f"{where}: number too large") from None
 
 
 def _integer(value, where: str) -> int:

@@ -12,7 +12,13 @@ consecutive pair connects or the simulated-time budget runs out. Both
 phases take their blockers from one in-bounds neighbour scan (`_around`)
 and their new poses from one relocation search (`_relocations`). The
 same agent then drives rerun validation and the objective
-(key-collection) simulation that produce the pacing metrics.
+(key-collection) simulation that produce the pacing metrics, through one
+walking loop (`_walk_targets`). A* keeps its open cells on two
+first-in first-out lists, one per value of f, which expand cells in the
+order a heap keyed by (f, push order) would. The simulation collects a
+key from the nearest open cell of its room that the start reaches; it
+searches for the nearest open cell first and computes the start's reach
+only when that search fails.
 
 Each grid fact has one store: a cell's kind without facilities is
 `base`, its facilities are `occupants`, and whether it is walkable now is
@@ -31,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -43,7 +48,6 @@ from .level import FacilityInstance, Level, MechanicPlacement, RoomInstance
 
 FREE = 0
 WALL = 1
-FACILITY = 2
 DOOR = 3
 STAIR = 4
 
@@ -460,51 +464,67 @@ def astar_path(grid: NavGrid, start: Cell, goal: Cell) -> list[Cell] | None:
     """Optimal 4-connected path by cell count, Manhattan heuristic.
 
     Neighbours go in the order +x, -x, +y, -y, up, down; a stair link is
-    followed without a walkability check on the linked cell, and the heap
-    breaks ties of f = g + h by push order."""
+    followed without a walkability check on the linked cell. Cells are
+    expanded in the order of a heap keyed by (f = g + h, push order), kept
+    on two first-in first-out lists instead: every step costs 1 and moves
+    h by exactly 1 (a stair link changes the floor by one), so a pushed
+    cell's f is the expanded cell's f, when it steps toward the goal, or
+    that f + 2. Toward-steps join the list being expanded, away-steps the
+    next one, and each list holds one f in push order."""
     if start == goal:
         return [start]
     walk, row, plane, stairs = grid.walk, grid.row, grid.plane, grid.stairs
     gf, gx, gy = goal[0], goal[1] + 1, goal[2] + 1  # padded coordinates
-    steps = ((row, 1, 0), (-row, -1, 0), (1, 0, 1), (-1, 0, -1))
     source, target = grid.index(start), grid.index(goal)
-    counter = 0
-    h = abs(start[1] - goal[1]) + abs(start[2] - goal[2]) + abs(start[0] - goal[0])
-    open_heap = [(h, counter, source)]
     g_score = {source: 0}
     came: dict[int, int] = {}
     closed: set[int] = set()
-    while open_heap:
-        n = heappop(open_heap)[2]
-        if n == target:
-            path = [n]
-            while n in came:
-                n = came[n]
-                path.append(n)
-            path.reverse()
-            return [grid.cell(n) for n in path]
-        if n in closed:
-            continue
-        closed.add(n)
-        g_next = g_score[n] + 1
-        f, r = divmod(n, plane)
-        x, y = divmod(r, row)
-        hf = abs(f - gf)
-        for step, dx, dy in steps:
-            m = n + step
+    level, later = [source], []
+    while level:
+        now, then = level.append, later.append
+        for n in level:  # also visits the cells appended while it runs
+            if n == target:
+                path = [n]
+                while n in came:
+                    n = came[n]
+                    path.append(n)
+                path.reverse()
+                # `NavGrid.cell` inlined: `plane` is a multiple of `row`
+                return [(n // plane, n % plane // row - 1, n % row - 1) for n in path]
+            if n in closed:
+                continue
+            closed.add(n)
+            g_next = g_score[n] + 1
+            f, r = divmod(n, plane)
+            x, y = divmod(r, row)
+            # the four planar steps written out: a loop over them costs a
+            # third more time per search
+            m = n + row
             if walk[m] and g_next < g_score.get(m, 1 << 30):
                 g_score[m] = g_next
                 came[m] = n
-                counter += 1
-                h = abs(x + dx - gx) + abs(y + dy - gy) + hf
-                heappush(open_heap, (g_next + h, counter, m))
-        for m in stairs.get(n, ()):
-            if g_next < g_score.get(m, 1 << 30):
+                (now if x < gx else then)(m)
+            m = n - row
+            if walk[m] and g_next < g_score.get(m, 1 << 30):
                 g_score[m] = g_next
                 came[m] = n
-                counter += 1
-                h = abs(x - gx) + abs(y - gy) + abs(m // plane - gf)
-                heappush(open_heap, (g_next + h, counter, m))
+                (now if x > gx else then)(m)
+            m = n + 1
+            if walk[m] and g_next < g_score.get(m, 1 << 30):
+                g_score[m] = g_next
+                came[m] = n
+                (now if y < gy else then)(m)
+            m = n - 1
+            if walk[m] and g_next < g_score.get(m, 1 << 30):
+                g_score[m] = g_next
+                came[m] = n
+                (now if y > gy else then)(m)
+            for m in stairs.get(n, ()):
+                if g_next < g_score.get(m, 1 << 30):
+                    g_score[m] = g_next
+                    came[m] = n
+                    (now if (f < gf if m > n else f > gf) else then)(m)
+        level, later = later, []
     return None
 
 
@@ -686,37 +706,44 @@ def _repair_action(
 
 # -- rerun validation and objective simulation ------------------------------------
 
-def _dilate(grid: NavGrid, cell: Cell, out: set[Cell]) -> None:
-    """Add the 3x3 block around `cell`: the agent's collision radius is one
-    cell, so a step explores the cells it sweeps, not only the one it visits."""
-    f, x, y = cell
-    for dx in (-1, 0, 1):
-        nx = x + dx
-        if not 0 <= nx < grid.width:
-            continue
-        for dy in (-1, 0, 1):
-            ny = y + dy
-            if 0 <= ny < grid.length:
-                out.add((f, nx, ny))
+def _swept_cells(grid: NavGrid, cells: Sequence[Cell]) -> int:
+    """How many grid cells the 3x3 blocks around `cells` cover: the agent's
+    collision radius is one cell, so a step explores the cells it sweeps,
+    not only the one it visits. Each cell's padded flat index is widened
+    by ±1 and ±`row`, and what lands on the padding ring is not counted."""
+    row, plane = grid.row, grid.plane
+    n = np.fromiter((f * plane + x * row + y for f, x, y in cells), np.int64, len(cells))
+    block = np.add.outer((-row, 0, row), (-1, 0, 1)) + row + 1
+    swept = np.sort(np.add.outer(n, block), axis=None)
+    swept = swept[np.diff(swept, prepend=-1) > 0]  # each index once
+    x, y = np.divmod(swept % plane, row)
+    inside = (x > 0) & (x <= grid.width) & (y > 0) & (y <= grid.length)
+    return int(np.count_nonzero(inside))
 
 
 def _walk_targets(
     grid: NavGrid,
     agent: AgentParams,
     start: Cell,
-    targets: Sequence[tuple[str, Cell | None]],
+    targets: Iterable[tuple[str, Iterable[Cell | None]]],
     error_cls,
     trace: list | None = None,
 ) -> tuple[float, int]:
+    """Walk from `start` to each target in turn; returns the simulated time
+    and the swept cell count. A target is a label and its candidate cells:
+    the agent walks to the first candidate it finds a path to, and the
+    walk fails at a missing cell or when no candidate is reached."""
     pos = start
-    cells: set[Cell] = set()
-    _dilate(grid, pos, cells)
+    visited = [start]
     total = 0.0
-    for label, tgt in targets:
-        if tgt is None:
-            raise error_cls(f"no walkable cell for {label}")
-        path = astar_path(grid, pos, tgt)
-        if path is None:
+    for label, candidates in targets:
+        for tgt in candidates:
+            if tgt is None:
+                raise error_cls(f"no walkable cell for {label}")
+            path = astar_path(grid, pos, tgt)
+            if path is not None:
+                break
+        else:
             raise error_cls(f"no path to {label}")
         seg = traversal_time(path, agent, grid.floor_height)
         if trace is not None:
@@ -725,10 +752,9 @@ def _walk_targets(
                     {"floor": cell[0], "x": cell[1], "y": cell[2], "t": total + t}
                 )
         total += seg
-        for cell in path:
-            _dilate(grid, cell, cells)
+        visited += path
         pos = tgt
-    return total, len(cells)
+    return total, _swept_cells(grid, visited)
 
 
 def rerun_validation(
@@ -740,7 +766,7 @@ def rerun_validation(
     start = target_cell(grid, rooms[0])
     if start is None:
         raise UnreachableRoom(f"no walkable cell in room {rooms[0].id}")
-    targets = [(f"room {r.id}", target_cell(grid, r)) for r in rooms[1:]]
+    targets = [(f"room {r.id}", [target_cell(grid, r)]) for r in rooms[1:]]
     time, cells = _walk_targets(grid, agent, start, targets, UnreachableRoom, trace)
     return RerunResult(
         rerun_time=time, grid_cells=cells, abnormal=time > agent.total_budget
@@ -753,23 +779,34 @@ def simulate_objectives(
     agent: AgentParams,
     grid: NavGrid,
 ) -> SimResult:
-    """Collect keys in ascending room order, then head to the level end."""
+    """Collect keys in ascending room order, then head to the level end.
+
+    A key is collected from the nearest open cell of its room that the
+    agent can reach from the start; furniture may pocket interior cells of
+    an otherwise connected room. The agent first tries the nearest open
+    cell: the agent's position was reached from the start, so a path from
+    it puts that cell in the start's reach, and the first candidate is the
+    first reachable one. Only when that search fails is the start's reach
+    computed, once, and the cell picked again from it."""
     rooms = sorted(level.rooms, key=lambda r: r.tau)
     start = target_cell(grid, rooms[0])
     if start is None:
         raise UnreachableKey(f"no walkable cell in room {rooms[0].id}")
+    reach: dict[Cell, int] = {}
 
-    # keys are collected from the nearest open spot the agent can reach;
-    # furniture may pocket interior cells of an otherwise connected room
-    reach = grid_reach(grid, start)
+    def key_cells(room: RoomInstance, point: tuple[float, float]) -> Iterator[Cell | None]:
+        yield target_cell(grid, room, point)
+        if not reach:
+            reach.update(grid_reach(grid, start))
+        yield target_cell(grid, room, point, reach)
+
     ordered = sorted(keys, key=lambda k: (level.room_by_id(k.room_id).tau, k.id))
-    targets: list[tuple[str, Cell | None]] = []
+    targets: list[tuple[str, Iterable[Cell | None]]] = []
     for key in ordered:
-        room = level.room_by_id(key.room_id)
         gx, gy, _ = level.global_pose_center(key.room_id, key.pose)
-        targets.append((f"key {key.id}", target_cell(grid, room, (gx, gy), reach)))
+        targets.append((f"key {key.id}", key_cells(level.room_by_id(key.room_id), (gx, gy))))
     end_room = rooms[-1]
-    targets.append((f"room {end_room.id}", target_cell(grid, end_room)))
+    targets.append((f"room {end_room.id}", [target_cell(grid, end_room)]))
 
     time, cells = _walk_targets(grid, agent, start, targets, UnreachableKey)
     return SimResult(simulation_time=time, sim_grid_cells=cells)

@@ -15,6 +15,11 @@ cell belongs to a room when its centre lies inside the room's footprint.
 `cell_kinds` rebuilds the per-floor kind arrays with FACILITY on each
 occupied cell, for tests that check the grid cell by cell.
 
+The simulation oracle is the key walk as it was before the agent's own
+search picked key cells: the start's reach is computed up front, each
+key's cell is the nearest open cell of its room in that reach, and the
+swept cells are counted by adding each path cell's 3x3 block as tuples.
+
 The reference annealer is room layout as a full evaluation: every
 candidate is scored by `_RoomEval.fill` from scratch and judged by the
 plain Metropolis test, which the staged annealer must reproduce draw for
@@ -57,7 +62,7 @@ from levelforge.constraints import (
     compile_facility_term,
     facility_weight,
 )
-from levelforge.errors import NoAdaptableFacilities, UnknownKind
+from levelforge.errors import NoAdaptableFacilities, UnknownKind, UnreachableKey
 from levelforge.geometry import (
     HALF_PI,
     Dimensions,
@@ -77,8 +82,18 @@ from levelforge.layout import (
     _RoomEval,
     interior_grid_points,
 )
-from levelforge.level import FacilityInstance, RoomInstance
-from levelforge.navsim import DOOR, FACILITY, FREE, STAIR, Cell, DoorwayKey, NavGrid
+from levelforge.level import FacilityInstance, Level, MechanicPlacement, RoomInstance
+from levelforge.navsim import (
+    DOOR,
+    FREE,
+    STAIR,
+    AgentParams,
+    Cell,
+    DoorwayKey,
+    NavGrid,
+    SimResult,
+    traversal_time,
+)
 from levelforge.seeding import derive_seed
 
 GRID_STEP = 0.5
@@ -552,6 +567,7 @@ def parse_stats_csv(text: str) -> AggregateStats:
 # -- grid search -------------------------------------------------------------------
 
 _WALKABLE = (FREE, DOOR, STAIR)
+FACILITY = 2  # the kind `cell_kinds` gives an occupied cell; `base` never holds it
 
 
 def cell_kinds(grid: NavGrid) -> list[np.ndarray]:
@@ -682,3 +698,48 @@ def target_cell(grid: NavGrid, room: RoomInstance, point, reachable) -> Cell | N
             if best is None or key < best:
                 best = key
     return None if best is None else (room.floor, best[1], best[2])
+
+
+# -- objective simulation --------------------------------------------------------------
+
+
+def swept_cells(grid: NavGrid, cells: Sequence[Cell]) -> int:
+    """Count the in-bounds cells of the 3x3 block around each cell, one
+    cell tuple at a time."""
+    swept = set()
+    for f, x, y in cells:
+        for nx in (x - 1, x, x + 1):
+            for ny in (y - 1, y, y + 1):
+                if 0 <= nx < grid.width and 0 <= ny < grid.length:
+                    swept.add((f, nx, ny))
+    return len(swept)
+
+
+def simulate_objectives(
+    level: Level, keys: Sequence[MechanicPlacement], agent: AgentParams, grid: NavGrid
+) -> SimResult:
+    """The key walk with the start's reach computed up front: each key is
+    collected from the nearest open cell of its room in that reach, then
+    the agent heads to the nearest open cell of the last room."""
+    rooms = sorted(level.rooms, key=lambda r: r.tau)
+    start = target_cell(grid, rooms[0], None, None)
+    if start is None:
+        raise UnreachableKey(f"no walkable cell in room {rooms[0].id}")
+    reach = grid_reach(grid, start)
+    targets = []
+    for key in sorted(keys, key=lambda k: (level.room_by_id(k.room_id).tau, k.id)):
+        gx, gy, _ = level.global_pose_center(key.room_id, key.pose)
+        room = level.room_by_id(key.room_id)
+        targets.append((f"key {key.id}", target_cell(grid, room, (gx, gy), reach)))
+    targets.append((f"room {rooms[-1].id}", target_cell(grid, rooms[-1], None, None)))
+    pos, visited, total = start, [start], 0.0
+    for label, tgt in targets:
+        if tgt is None:
+            raise UnreachableKey(f"no walkable cell for {label}")
+        path = astar_path(grid, pos, tgt)
+        if path is None:
+            raise UnreachableKey(f"no path to {label}")
+        total += traversal_time(path, agent, grid.floor_height)
+        visited += path
+        pos = tgt
+    return SimResult(simulation_time=total, sim_grid_cells=swept_cells(grid, visited))

@@ -2,9 +2,11 @@ import dataclasses
 import functools
 import json
 import math
+import re
 
 import pytest
 
+from levelforge import cli
 from levelforge.constraints import ConstraintSpec
 from levelforge.database import (
     Database,
@@ -293,6 +295,20 @@ def test_a_topo_threshold_too_large_for_a_float_loads(hospital_db):
     db = load_database(json.dumps(base))
     assert db.mechanic(key["name"]).topo_constraints[-1].threshold == 10**400
     assert validate_database(db) == []
+
+
+def test_a_dimension_too_large_for_a_float_is_a_schema_error(minimal_db, tmp_path, capsys):
+    # a dimension is read as a float, which no 400-digit integer fits
+    base = json.loads(save_database(minimal_db))
+    base["facilities"][0]["dimensions"]["width"] = int("9" * 400)
+    source = json.dumps(base)
+    where = "facilities[0].dimensions.width"
+    with pytest.raises(SchemaError, match=rf"^{re.escape(where)}: number too large$"):
+        load_database(source)
+    path = tmp_path / "huge.json"
+    path.write_text(source)
+    assert cli.main(["validate-db", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {where}: number too large\n"
 
 
 def _replace(db: Database, section: str, entity: str, **changes) -> Database:

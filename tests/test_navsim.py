@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import FACILITY
 from levelforge import navsim
-from levelforge.errors import UnreachableRoom
+from levelforge.errors import LevelforgeError, UnreachableKey, UnreachableRoom
 from levelforge.geometry import Dimensions, Pose
 from levelforge.level import AdjacencyEdge, Door, Stair
 from levelforge.navsim import (
     DOOR,
-    FACILITY,
     FREE,
     STAIR,
     WALL,
@@ -465,6 +465,70 @@ def test_flat_search_equals_cell_tuple_oracle(case):
     assert list(reach.items()) == list(oracles.grid_reach(grid, start).items())
 
 
+@st.composite
+def _open_floor_cases(draw):
+    """An all-free grid of 1-3 floors up to 20 x 20 with random stair links,
+    where most cells tie on f with many others, and a start and goal."""
+    floors, w, l = draw(st.integers(1, 3)), draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    spots = st.tuples(st.integers(0, w - 1), st.integers(0, l - 1))
+    cells = st.tuples(st.integers(0, floors - 1), st.integers(0, w - 1), st.integers(0, l - 1))
+    grid = NavGrid(
+        width=w,
+        length=l,
+        floors=floors,
+        floor_height=1.0,
+        base=[np.full((w, l), FREE, dtype=np.uint8) for _ in range(floors)],
+        stair_cells=[draw(st.sets(spots, max_size=8)) for _ in range(floors - 1)],
+    )
+    return grid, draw(cells), draw(cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_open_floor_cases())
+def test_search_on_open_floors_breaks_f_ties_as_the_heap_oracle(case):
+    grid, start, goal = case
+    assert astar_path(grid, start, goal) == oracles.astar_path(grid, start, goal)
+
+
+def test_detours_through_other_floors_equal_the_heap_oracle():
+    # walls on 40% of the cells and dense stair links, with start and goal on
+    # one floor: paths often leave the goal's floor and come back, so a stair
+    # step is taken both toward and away from the goal
+    rng = Random(21)
+    differ_by_floor = 0
+    for _ in range(3000):
+        floors, w, l = rng.randint(2, 3), rng.randint(2, 10), rng.randint(2, 10)
+        base = [
+            np.array([[WALL if rng.random() < 0.4 else FREE for _ in range(l)] for _ in range(w)],
+                     dtype=np.uint8)
+            for _ in range(floors)
+        ]
+        stairs = [
+            {(rng.randrange(w), rng.randrange(l)) for _ in range(rng.randint(4, 12))}
+            for _ in range(floors - 1)
+        ]
+        grid = NavGrid(width=w, length=l, floors=floors, floor_height=1.0, base=base,
+                       stair_cells=stairs)
+        f = rng.randrange(floors)
+        start = (f, rng.randrange(w), rng.randrange(l))
+        goal = (f, rng.randrange(w), rng.randrange(l))
+        path = astar_path(grid, start, goal)
+        assert path == oracles.astar_path(grid, start, goal)
+        differ_by_floor += path is not None and any(c[0] != f for c in path)
+    assert differ_by_floor > 100
+
+
+def test_room_to_room_searches_of_crowded_levels_equal_the_heap_oracle():
+    searched = 0
+    for level, grid in _crowded_stages():
+        cells = [target_cell(grid, room) for room in sorted(level.rooms, key=lambda r: r.tau)]
+        for a, b in zip(cells, cells[1:]):
+            if a is not None and b is not None:
+                assert astar_path(grid, a, b) == oracles.astar_path(grid, a, b)
+                searched += 1
+    assert searched > 1000
+
+
 def test_facility_edits_after_a_search_are_seen_by_the_next(two_room_level):
     # a 2 x 8 crate walls off the west of room 1; after each edit the grid
     # searched before must answer as a freshly built one does
@@ -649,7 +713,28 @@ def test_target_cell_matches_a_brute_force_scan_with_ties():
                     assert target_cell(grid, room, point, reachable) == want
 
 
-def test_pocketed_key_collected_from_nearest_reachable_cell():
+def _reach_counted(monkeypatch) -> list:
+    """Patch `navsim.grid_reach` to record the start of each call."""
+    starts: list = []
+    reach = navsim.grid_reach
+
+    def counted(grid, start):
+        starts.append(start)
+        return reach(grid, start)
+
+    monkeypatch.setattr(navsim, "grid_reach", counted)
+    return starts
+
+
+def _outcome(simulate, level, keys, grid):
+    """The simulation's result, or its error's class and message."""
+    try:
+        return simulate(level, keys, AGENT, grid)
+    except LevelforgeError as exc:
+        return type(exc), str(exc)
+
+
+def test_pocketed_key_collected_from_nearest_reachable_cell(monkeypatch):
     # fixed furniture walls off the corner holding the key; the agent
     # grabs it from the nearest open cell instead of failing
     level = single_room_level()
@@ -657,8 +742,67 @@ def test_pocketed_key_collected_from_nearest_reachable_cell():
     for i, (x, y) in enumerate(ring):
         level.facilities.append(make_facility(f"ring{i}", 1, x, y, fixed=True))
     key = _key(level, "pocketed", 1, 1.5, 1.5)
-    sim = simulate_objectives(level, [key], AGENT, build_nav_grid(level))
+    grid = build_nav_grid(level)
+    starts = _reach_counted(monkeypatch)
+    sim = simulate_objectives(level, [key], AGENT, grid)
     assert sim.simulation_time > 0.0
+    assert starts == [target_cell(grid, level.room_by_id(1))]
+    assert sim == oracles.simulate_objectives(level, [key], AGENT, grid)
+
+
+def test_key_in_a_room_the_agent_cannot_reach_is_refused_as_by_the_oracle(monkeypatch):
+    # no door into room 2: its nearest open cell fails the search, and the
+    # start's reach holds none of its cells
+    rooms = [make_room(1, (0.0, 0.0), 10, 10, tau=1), make_room(2, (10.0, 0.0), 10, 10, tau=2)]
+    level = make_level(rooms, width=20, length=10, height=3.0)
+    grid = build_nav_grid(level)
+    keys = [_key(level, "early", 1, 2.5, 2.5), _key(level, "sealed", 2, 5.0, 5.0)]
+    starts = _reach_counted(monkeypatch)
+    with pytest.raises(UnreachableKey, match="^no walkable cell for key sealed$"):
+        simulate_objectives(level, keys, AGENT, grid)
+    assert len(starts) == 1
+    got = _outcome(simulate_objectives, level, keys, grid)
+    assert got == _outcome(oracles.simulate_objectives, level, keys, grid)
+
+
+def test_simulation_of_crowded_levels_with_keys_equals_the_reach_first_oracle(monkeypatch):
+    # keys at random spots of random rooms, before and after each repair
+    # phase: pocketed keys, rooms cut off and keys behind furniture all occur
+    rng = Random(19)
+    starts = _reach_counted(monkeypatch)
+    fallbacks = errors = 0
+    for level, grid in _crowded_stages():
+        keys = []
+        for k in range(rng.randint(1, 4)):
+            room = rng.choice(level.rooms)
+            x, y = rng.uniform(0.0, room.dims.width), rng.uniform(0.0, room.dims.length)
+            keys.append(_key(level, f"k{k}", room.id, x, y))
+        calls = len(starts)
+        got = _outcome(simulate_objectives, level, keys, grid)
+        assert len(starts) - calls <= 1
+        fallbacks += len(starts) > calls
+        errors += isinstance(got, tuple)
+        assert got == _outcome(oracles.simulate_objectives, level, keys, grid)
+    assert fallbacks > 10 and errors > 10
+
+
+def test_swept_count_equals_the_cell_tuple_oracle_along_borders_and_stairs():
+    grid = NavGrid(
+        width=6, length=4, floors=3, floor_height=1.0,
+        base=[np.full((6, 4), FREE, dtype=np.uint8) for _ in range(3)],
+    )
+    ring = [(0, x, 0) for x in range(6)] + [(0, 5, y) for y in range(4)]
+    ring += [(1, 5, 3), (1, 4, 3), (2, 4, 3), (2, 0, 3), (2, 0, 0)]
+    for cells in (ring, ring[:1], [(1, 0, 0)], [(2, 5, 3), (0, 5, 3)], ring[::-1] * 2):
+        assert navsim._swept_cells(grid, cells) == oracles.swept_cells(grid, cells)
+    for w, l in ((1, 1), (1, 5), (5, 1), (2, 2)):
+        flat = NavGrid(
+            width=w, length=l, floors=2, floor_height=1.0,
+            base=[np.full((w, l), FREE, dtype=np.uint8) for _ in range(2)],
+        )
+        cells = [(f, x, y) for f in range(2) for x in range(w) for y in range(l)]
+        assert navsim._swept_cells(flat, cells) == oracles.swept_cells(flat, cells) == w * l * 2
+        assert navsim._swept_cells(flat, cells[:1]) == oracles.swept_cells(flat, cells[:1])
 
 
 def test_keys_visited_in_room_tau_order():
