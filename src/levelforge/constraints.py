@@ -3,6 +3,11 @@
 Every evaluator returns a non-negative float that is zero exactly when the
 constraint is satisfied. There is no hard-rejection path: large weights
 stand in for hard constraints.
+
+Each constraint kind is declared once, in its tier's table: facility
+kinds in `_FACILITY_TIER`, room kinds in `_ROOM_DEFAULT_WEIGHT`,
+structural kinds in `STRUCTURAL_KINDS` and topological types in
+`TOPO_TYPES`. The kind sets are derived from these tables.
 """
 
 from __future__ import annotations
@@ -25,29 +30,18 @@ from .geometry import (
 # Shared epsilon for every inverse-distance term.
 DISTANCE_EPS = 0.1
 
-FACILITY_KINDS = frozenset(
-    {
-        "AxisFunction",
-        "PlaceInRange",
-        "PlaceByWall",
-        "Near",
-        "Far",
-        "CanSee",
-        "Focus",
-        "Alignment",
-        "Orientation",
-    }
-)
-
-ROOM_KINDS = frozenset({"AxisFunction", "AdjacentTo", "SeparateFrom"})
-
 # Structural room properties: folded into the template at load time,
 # never scored.
 STRUCTURAL_KINDS = frozenset({"MaxInstances", "SetType"})
 
-TOPO_KINDS = frozenset({"Precedes", "TopologicalNear", "TopologicalFar"})
-
-ALL_KINDS = FACILITY_KINDS | ROOM_KINDS | STRUCTURAL_KINDS | TOPO_KINDS
+# Mechanic-to-mechanic topological types: database type -> (rule kind of
+# `level.TopoRule`, the parameter that holds its step threshold, if any).
+TOPO_TYPES = {
+    "Precedes": ("precedes", None),
+    "TopologicalNear": ("topo_near", "d_max"),
+    "TopologicalFar": ("topo_far", "d_min"),
+}
+TOPO_KINDS = frozenset(TOPO_TYPES)
 
 
 @dataclass(frozen=True)
@@ -99,36 +93,20 @@ class WeightConfig:
 
 DEFAULT_WEIGHTS = WeightConfig()
 
-_FACILITY_DEFAULT_WEIGHT = {
-    "AxisFunction": "w_axis",
-    "PlaceInRange": "w_range",
-    "PlaceByWall": "w_wall",
-    "Near": "w_near",
-    "Far": "w_far",
-    "CanSee": "w_can_see",
-    "Focus": "w_focus",
-    "Alignment": "w_align",
-    "Orientation": "w_orient",
-}
-
+# room kind -> its default-weight field of WeightConfig
 _ROOM_DEFAULT_WEIGHT = {
     "AxisFunction": "w_pos_room",
     "AdjacentTo": "w_adj",
     "SeparateFrom": "w_sep",
 }
+ROOM_KINDS = frozenset(_ROOM_DEFAULT_WEIGHT)
 
 
-def _weight(spec: ConstraintSpec, table: Mapping[str, str], weights: WeightConfig) -> float:
+def _weight(spec: ConstraintSpec, default: str, weights: WeightConfig) -> float:
+    """The spec's own weight, or the WeightConfig field named `default`."""
     if spec.weight is not None:
         return float(spec.weight)
-    return float(getattr(weights, table[spec.kind]))
-
-
-def facility_weight(spec: ConstraintSpec, weights: WeightConfig = DEFAULT_WEIGHTS) -> float:
-    """The weight of a facility-tier constraint: its own, or its kind's default."""
-    if spec.kind not in FACILITY_KINDS:
-        raise UnknownKind(f"{spec.kind!r} is not a facility-tier constraint")
-    return _weight(spec, _FACILITY_DEFAULT_WEIGHT, weights)
+    return float(getattr(weights, default))
 
 
 # -- custom axis deviation registry -----------------------------------------
@@ -347,17 +325,28 @@ def _orientation_term(spec, w, i, names, room, weights) -> Term:
     return term
 
 
-_FACILITY_TERMS = {
-    "AxisFunction": _axis_function_term,
-    "PlaceInRange": _place_in_range_term,
-    "PlaceByWall": _place_by_wall_term,
-    "Near": _near_term,
-    "Far": _far_term,
-    "CanSee": _can_see_term,
-    "Focus": _focus_term,
-    "Alignment": _alignment_term,
-    "Orientation": _orientation_term,
+# facility kind -> (its default-weight field of WeightConfig, its term compiler)
+_FACILITY_TIER = {
+    "AxisFunction": ("w_axis", _axis_function_term),
+    "PlaceInRange": ("w_range", _place_in_range_term),
+    "PlaceByWall": ("w_wall", _place_by_wall_term),
+    "Near": ("w_near", _near_term),
+    "Far": ("w_far", _far_term),
+    "CanSee": ("w_can_see", _can_see_term),
+    "Focus": ("w_focus", _focus_term),
+    "Alignment": ("w_align", _alignment_term),
+    "Orientation": ("w_orient", _orientation_term),
 }
+FACILITY_KINDS = frozenset(_FACILITY_TIER)
+
+ALL_KINDS = FACILITY_KINDS | ROOM_KINDS | STRUCTURAL_KINDS | TOPO_KINDS
+
+
+def facility_weight(spec: ConstraintSpec, weights: WeightConfig = DEFAULT_WEIGHTS) -> float:
+    """The weight of a facility-tier constraint: its own, or its kind's default."""
+    if spec.kind not in FACILITY_KINDS:
+        raise UnknownKind(f"{spec.kind!r} is not a facility-tier constraint")
+    return _weight(spec, _FACILITY_TIER[spec.kind][0], weights)
 
 
 def compile_facility_term(
@@ -371,7 +360,7 @@ def compile_facility_term(
     the definition names `names`, as a function of their poses and
     footprints."""
     w = facility_weight(spec, weights)
-    return _FACILITY_TERMS[spec.kind](spec, w, i, names, room, weights)
+    return _FACILITY_TIER[spec.kind][1](spec, w, i, names, room, weights)
 
 
 class _Footprints:
@@ -434,7 +423,7 @@ def eval_room_penalty(
         raise UnknownKind(f"{kind!r} is enforced structurally, not scored")
     if kind not in ROOM_KINDS:
         raise UnknownKind(f"{kind!r} is not a room-tier constraint")
-    w = _weight(spec, _ROOM_DEFAULT_WEIGHT, weights)
+    w = _weight(spec, _ROOM_DEFAULT_WEIGHT[kind], weights)
 
     if kind == "AxisFunction":
         cx, cy = subject.center()

@@ -21,24 +21,20 @@ from .constraints import (
     FACILITY_KINDS,
     ROOM_KINDS,
     STRUCTURAL_KINDS,
-    TOPO_KINDS,
+    TOPO_TYPES,
     ConstraintSpec,
 )
 from .errors import ParseError, SchemaError, UnresolvedReferenceError
 from .geometry import Dimensions, fits, is_finite, is_integer, is_number
+from .level import TopoRule
 
 SCHEMA_VERSION = 1
 
 ARCH_TYPES = ("enclosed", "open")
 POSITIONING = ("fixed", "adaptable")
 
-_TOPO_KIND_BY_TYPE = {
-    "Precedes": "precedes",
-    "TopologicalNear": "topo_near",
-    "TopologicalFar": "topo_far",
-}
-_TOPO_TYPE_BY_KIND = {v: k for k, v in _TOPO_KIND_BY_TYPE.items()}
-_TOPO_THRESHOLD_KEY = {"topo_near": "d_max", "topo_far": "d_min"}
+# rule kind -> (its topological type, the parameter that holds its threshold)
+_TOPO_TYPE_BY_KIND = {kind: (name, key) for name, (kind, key) in TOPO_TYPES.items()}
 
 
 @dataclass(frozen=True)
@@ -78,25 +74,11 @@ class RoomTemplate:
 
 
 @dataclass(frozen=True)
-class TopoConstraint:
-    """Topological-order rule between two mechanics.
-
-    `threshold` is the step budget (max for topo_near, min for topo_far);
-    `strength` scales the rule relative to its category weight.
-    """
-
-    kind: str  # "precedes" | "topo_near" | "topo_far"
-    other: str
-    threshold: int | None = None
-    strength: float = 1.0
-
-
-@dataclass(frozen=True)
 class MechanicDef:
     name: str
     dims: Dimensions
     standard_constraints: tuple[ConstraintSpec, ...] = ()
-    topo_constraints: tuple[TopoConstraint, ...] = ()
+    topo_constraints: tuple[TopoRule, ...] = ()  # `other` is a mechanic name
 
 
 @dataclass(frozen=True)
@@ -206,16 +188,15 @@ def _parse_constraint(obj, where: str) -> ConstraintSpec:
     return ConstraintSpec(kind=kind, params=params, weight=weight)
 
 
-def _parse_topo(obj, where: str) -> TopoConstraint:
+def _parse_topo(obj, where: str) -> TopoRule:
     data = _take(_require_object(obj, where), where, ("type",), ("parameters",))
     kind_name = _string(data["type"], f"{where}.type")
-    if kind_name not in TOPO_KINDS:
+    if kind_name not in TOPO_TYPES:
         raise SchemaError(f"{where}: {kind_name!r} is not a topological constraint")
-    kind = _TOPO_KIND_BY_TYPE[kind_name]
+    kind, key = TOPO_TYPES[kind_name]
     params = dict(_require_object(data.get("parameters", {}), f"{where}.parameters"))
     allowed = {"other", "strength"}
     threshold = None
-    key = _TOPO_THRESHOLD_KEY.get(kind)
     if key is not None:
         allowed.add(key)
         if key not in params:
@@ -227,7 +208,7 @@ def _parse_topo(obj, where: str) -> TopoConstraint:
     if "other" not in params:
         raise SchemaError(f"{where}.parameters: missing 'other'")
     strength = _number(params.get("strength", 1.0), f"{where}.parameters.strength")
-    return TopoConstraint(
+    return TopoRule(
         kind=kind,
         other=_string(params["other"], f"{where}.parameters.other"),
         threshold=threshold,
@@ -494,14 +475,14 @@ def _constraint_to_json(spec: ConstraintSpec) -> dict:
     return out
 
 
-def _topo_to_json(tc: TopoConstraint) -> dict:
-    params: dict = {"other": tc.other}
-    key = _TOPO_THRESHOLD_KEY.get(tc.kind)
+def _topo_to_json(rule: TopoRule) -> dict:
+    name, key = _TOPO_TYPE_BY_KIND[rule.kind]
+    params: dict = {"other": rule.other}
     if key is not None:
-        params[key] = tc.threshold
-    if tc.strength != 1.0:
-        params["strength"] = tc.strength
-    return {"type": _TOPO_TYPE_BY_KIND[tc.kind], "parameters": params}
+        params[key] = rule.threshold
+    if rule.strength != 1.0:
+        params["strength"] = rule.strength
+    return {"type": name, "parameters": params}
 
 
 def _characteristic_to_json(cf: CharacteristicFacility) -> dict:

@@ -71,9 +71,5 @@ class UnreachableKey(LevelforgeError):
 
 # -- harness ---------------------------------------------------------------
 
-class GenerationFailed(LevelforgeError):
-    """Level generation failed; wraps the underlying arrangement error."""
-
-
 class ConfigError(LevelforgeError):
     """A level configuration or environment setting does not hold a valid value."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 from .arrangement import LevelConfig, _overlaps_any
@@ -58,26 +58,6 @@ def _pose_from_json(data) -> Pose:
     return Pose(cx, cy, cz, data["yaw"], Dimensions(w, l, h))
 
 
-def _topo_to_json(rule: TopoRule) -> dict:
-    return {
-        "kind": rule.kind,
-        "other": rule.other,
-        "anchor_tau": rule.anchor_tau,
-        "threshold": rule.threshold,
-        "strength": rule.strength,
-    }
-
-
-def _topo_from_json(data) -> TopoRule:
-    return TopoRule(
-        kind=data["kind"],
-        other=data["other"],
-        anchor_tau=data["anchor_tau"],
-        threshold=data["threshold"],
-        strength=data["strength"],
-    )
-
-
 def export_level_json(level: Level) -> bytes:
     doc = {
         "schema_version": LEVEL_SCHEMA_VERSION,
@@ -112,7 +92,7 @@ def export_level_json(level: Level) -> bytes:
                 "room": m.room_id,
                 "pose": _pose_to_json(m.pose),
                 "constraints": [_constraint_to_json(c) for c in m.standard_constraints],
-                "topo": [_topo_to_json(t) for t in m.topo],
+                "topo": [asdict(t) for t in m.topo],
             }
             for m in level.mechanics
         ],
@@ -232,7 +212,10 @@ def import_level_json(data: bytes | str) -> Level:
                         _parse_constraint(c, "mechanics.constraints")
                         for c in m["constraints"]
                     ),
-                    topo=tuple(_topo_from_json(t) for t in m["topo"]),
+                    topo=tuple(
+                        TopoRule(**{f.name: t[f.name] for f in fields(TopoRule)})
+                        for t in m["topo"]
+                    ),
                 )
             )
     except (KeyError, TypeError, ValueError) as exc:

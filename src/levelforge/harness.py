@@ -25,11 +25,11 @@ from typing import Iterator
 
 from .arrangement import LevelConfig, arrange_rooms
 from .database import Database, load_database, save_database
-from .errors import ArrangementFailed, ConfigError, GenerationFailed, LevelforgeError, NoFreeSpace
+from .errors import ConfigError, LevelforgeError, NoFreeSpace
 from .export import level_hash
 from .geometry import Dimensions, Pose
 from .layout import optimize_room_layout
-from .level import FacilityInstance, Level, MechanicPlacement, TopoRule
+from .level import FacilityInstance, Level, MechanicPlacement
 from .mechanics import (
     PACING_KEYS,
     MechanicInstance,
@@ -128,15 +128,7 @@ def _generic_instances(config: LevelConfig, db: Database) -> list[MechanicInstan
     out: list[MechanicInstance] = []
     for name, count in config.selected_mechanics:
         mdef = mechanic_def(db, name)
-        rules = tuple(
-            TopoRule(
-                kind=tc.kind,
-                other=f"{tc.other}#0",
-                threshold=tc.threshold,
-                strength=tc.strength,
-            )
-            for tc in mdef.topo_constraints
-        )
+        rules = tuple(replace(rule, other=f"{rule.other}#0") for rule in mdef.topo_constraints)
         out.extend(
             MechanicInstance.of(mdef, f"{mdef.name}#{k}", topo=rules) for k in range(count)
         )
@@ -258,17 +250,15 @@ def generate_level(
     """Run the full pipeline for one seed; never raises in-level repair
     failures, they land in the record's status. A level shape that
     `LevelConfig.check` refuses, or a group that `canonical_group` does not
-    know, raises ConfigError."""
+    know, raises ConfigError; a room structure that cannot be started
+    raises ArrangementFailed."""
     config.check()
     if group is not None:
         group = canonical_group(group)
     config = replace(config, seed=seed)
     group_label = group or "custom"
     level_id = level_id or f"{group_label}-{seed:x}"
-    try:
-        level = arrange_rooms(config, db, derive_rng(seed, "arrange"))
-    except ArrangementFailed as exc:
-        raise GenerationFailed(str(exc)) from exc
+    level = arrange_rooms(config, db, derive_rng(seed, "arrange"))
 
     facilities = [_instantiate_room_facilities(db, room) for room in level.rooms]
     jobs = [

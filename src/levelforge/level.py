@@ -74,8 +74,11 @@ class FacilityInstance:
 
 @dataclass(frozen=True)
 class TopoRule:
-    """Resolved topological rule: against another mechanic instance or a
-    virtual anchor pinned to a fixed tau value."""
+    """Topological rule of a mechanic: against another mechanic (its
+    definition name in the database, an instance id once bound in a level)
+    or a virtual anchor pinned to a fixed tau value. `threshold` is the
+    step budget (max for topo_near, min for topo_far); `strength` scales
+    the rule relative to its category weight."""
 
     kind: str  # "precedes" | "topo_near" | "topo_far"
     other: str | None = None

@@ -470,7 +470,9 @@ def astar_path(grid: NavGrid, start: Cell, goal: Cell) -> list[Cell] | None:
     h by exactly 1 (a stair link changes the floor by one), so a pushed
     cell's f is the expanded cell's f, when it steps toward the goal, or
     that f + 2. Toward-steps join the list being expanded, away-steps the
-    next one, and each list holds one f in push order."""
+    next one, and each list holds one f in push order. A cell expanded a
+    second time (from a stale, higher-g push) has its settled g, so it
+    improves no neighbour and pushes nothing."""
     if start == goal:
         return [start]
     walk, row, plane, stairs = grid.walk, grid.row, grid.plane, grid.stairs
@@ -478,7 +480,6 @@ def astar_path(grid: NavGrid, start: Cell, goal: Cell) -> list[Cell] | None:
     source, target = grid.index(start), grid.index(goal)
     g_score = {source: 0}
     came: dict[int, int] = {}
-    closed: set[int] = set()
     level, later = [source], []
     while level:
         now, then = level.append, later.append
@@ -491,9 +492,6 @@ def astar_path(grid: NavGrid, start: Cell, goal: Cell) -> list[Cell] | None:
                 path.reverse()
                 # `NavGrid.cell` inlined: `plane` is a multiple of `row`
                 return [(n // plane, n % plane // row - 1, n % row - 1) for n in path]
-            if n in closed:
-                continue
-            closed.add(n)
             g_next = g_score[n] + 1
             f, r = divmod(n, plane)
             x, y = divmod(r, row)
@@ -530,21 +528,13 @@ def astar_path(grid: NavGrid, start: Cell, goal: Cell) -> list[Cell] | None:
 
 def grid_reach(grid: NavGrid, start: Cell) -> dict[Cell, int]:
     """Hop count from `start` to every cell the agent can reach, in visiting
-    order, over the neighbours `astar_path` uses."""
+    order: `geometry.bfs` over the neighbours `astar_path` uses."""
     walk, row, plane, stairs = grid.walk, grid.row, grid.plane, grid.stairs
-    source = grid.index(start)
-    hops = {source: 0}
-    order = [source]
-    for n in order:
-        d = hops[n] + 1
-        for m in (n + row, n - row, n + 1, n - 1):
-            if walk[m] and m not in hops:
-                hops[m] = d
-                order.append(m)
-        for m in stairs.get(n, ()):
-            if m not in hops:
-                hops[m] = d
-                order.append(m)
+
+    def steps(n: int) -> list[int]:
+        return [m for m in (n + row, n - row, n + 1, n - 1) if walk[m]] + list(stairs.get(n, ()))
+
+    hops = bfs(grid.index(start), steps)
     # `NavGrid.cell` inlined: `plane` is a multiple of `row`
     return {(n // plane, n % plane // row - 1, n % row - 1): d for n, d in hops.items()}
 
@@ -591,12 +581,14 @@ def target_cell(
     """
     px, py = point if point is not None else room.center()
     xs, ys = _walkable_cells(grid, room)
-    d = (xs + 0.5 - px) ** 2 + (ys + 0.5 - py) ** 2
-    for i in np.lexsort((ys, xs, d)):  # by d, then x, then y
-        cell = (room.floor, int(xs[i]), int(ys[i]))
-        if reachable is None or cell in reachable:
-            return cell
-    return None
+    if reachable is not None:
+        keep = [(room.floor, x, y) in reachable for x, y in zip(xs.tolist(), ys.tolist())]
+        xs, ys = xs[keep], ys[keep]
+    if not len(xs):
+        return None
+    # cells come in (x, y) order, so the first nearest is the lowest (x, y) tie
+    i = int(np.argmin((xs + 0.5 - px) ** 2 + (ys + 0.5 - py) ** 2))
+    return (room.floor, int(xs[i]), int(ys[i]))
 
 
 # -- phase-2 agent repair --------------------------------------------------------

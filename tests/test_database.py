@@ -10,7 +10,6 @@ from levelforge import cli
 from levelforge.constraints import ConstraintSpec
 from levelforge.database import (
     Database,
-    TopoConstraint,
     Violation,
     load_database,
     save_database,
@@ -18,6 +17,7 @@ from levelforge.database import (
 )
 from levelforge.errors import ParseError, SchemaError, UnresolvedReferenceError
 from levelforge.geometry import Dimensions
+from levelforge.level import TopoRule
 
 
 def doc(facilities=(), rooms=(), mechanics=()):
@@ -349,7 +349,7 @@ def test_each_rule_trips_alone_with_its_message(minimal_db):
             "Cell", "unresolved-facility", "characteristic facility 'Ghost' is not a known facility",
         ),
         (
-            mechanic("KeyA", topo_constraints=(TopoConstraint("precedes", "Ghost"),)),
+            mechanic("KeyA", topo_constraints=(TopoRule("precedes", "Ghost"),)),
             "KeyA", "unresolved-mechanic", "topological reference 'Ghost' is not a known mechanic",
         ),
         (
@@ -424,11 +424,11 @@ def test_each_rule_trips_alone_with_its_message(minimal_db):
             "Vault", "fixed-positions", "Pillar: position (3.0, 4.0, -inf) is not finite",
         ),
         (
-            mechanic("KeyA", topo_constraints=(TopoConstraint("topo_near", "KeyB", -1),)),
+            mechanic("KeyA", topo_constraints=(TopoRule("topo_near", "KeyB", threshold=-1),)),
             "KeyA", "threshold", "topo_near threshold -1 < 0",
         ),
         (
-            mechanic("KeyA", topo_constraints=(TopoConstraint("topo_near", "KeyB", math.nan),)),
+            mechanic("KeyA", topo_constraints=(TopoRule("topo_near", "KeyB", threshold=math.nan),)),
             "KeyA", "threshold", "topo_near threshold nan is not finite",
         ),
     ]

@@ -18,6 +18,7 @@ from levelforge.export import (
 from levelforge.harness import generate_level
 from levelforge.constraints import WeightConfig
 from levelforge.layout import SAParams
+from levelforge.level import TopoRule
 from levelforge.geometry import DOOR_WIDTH, shared_segment
 from levelforge.navsim import DOOR, build_nav_grid
 from levelforge.seeding import derive_rng
@@ -181,6 +182,28 @@ def test_reference_to_an_unknown_room_is_rejected(kind, tmp_path, capsys):
     assert cli.main(["export-vmf", "--level", str(path), "--out", str(tmp_path / "l.vmf")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
+_TOPO = {"kind": "topo_far", "other": "k2", "anchor_tau": None, "threshold": 3, "strength": 2.0}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(TopoRule)])
+def test_a_topo_rule_missing_a_field_is_a_schema_error(name):
+    doc = json.loads(_rooms_doc([(1, 0, (0.0, 0.0), (10.0, 10.0))]))
+    rule = {k: v for k, v in _TOPO.items() if k != name}
+    doc["mechanics"] = [{**IN_UNKNOWN_ROOM["mechanics"], "room": 1, "topo": [rule]}]
+    with pytest.raises(SchemaError, match=repr(name)):
+        import_level_json(json.dumps(doc))
+
+
+def test_a_topo_rule_reads_every_field_and_ignores_an_extra_key():
+    doc = json.loads(_rooms_doc([(1, 0, (0.0, 0.0), (10.0, 10.0))]))
+    rule = {**_TOPO, "note": "ignored"}
+    doc["mechanics"] = [{**IN_UNKNOWN_ROOM["mechanics"], "room": 1, "topo": [rule]}]
+    level = import_level_json(json.dumps(doc))
+    assert level.mechanics[0].topo == (TopoRule("topo_far", "k2", None, 3, 2.0),)
+    [written] = json.loads(export_level_json(level))["mechanics"][0]["topo"]
+    assert list(written.items()) == list(_TOPO.items())  # same keys, in the same order
 
 
 # A 4x4 pose centred 1.5 m from a wall of a 10x10 room: it pokes 0.5 m out.

@@ -27,7 +27,12 @@ from levelforge.harness import (
     run_experiment,
     worker_count,
 )
-from levelforge.errors import ConfigError, InfeasibleRoom, UnresolvedReferenceError
+from levelforge.errors import (
+    ArrangementFailed,
+    ConfigError,
+    InfeasibleRoom,
+    UnresolvedReferenceError,
+)
 from levelforge.navsim import MetricsRecord
 
 from oracles import parse_stats_csv
@@ -359,6 +364,27 @@ def test_cli_unknown_group_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "e").exists()
 
 
+def test_an_initial_template_that_does_not_fit_is_an_arrangement_error(
+    tmp_path, capsys, minimal_db
+):
+    message = "initial template 'Cell' does not fit the level bounds"
+    with pytest.raises(ArrangementFailed) as info:
+        generate_level(replace(small_config(), width=5, length=5), minimal_db, "A-Baseline", 1)
+    assert type(info.value) is ArrangementFailed and str(info.value) == message
+    code = cli.main(
+        [
+            "generate",
+            "--db", str(_db_path(tmp_path)),
+            "--group", "A-Baseline",
+            "--seed", "1",
+            "--out", str(tmp_path / "g"),
+            "--width", "5", "--length", "5", "--height", "6", "--floors", "2",
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 _BAD_SHAPES = [
     {"floors": 0},
     {"floors": -1},
@@ -522,7 +548,14 @@ def test_cli_generate_simulate_and_export_vmf(tmp_path, capsys):
     assert (out / "level.json").exists()
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["status"] in ("valid", "unrepairable", "abnormal")
-    assert (out / "trace.jsonl").exists()
+    rows = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+    assert rows
+    # the trace is the rerun's walk: it ends at the rerun time, one step at a time
+    assert rows[-1]["t"] == metrics["rerun_time"]
+    for a, b in zip(rows, rows[1:]):
+        planar = abs(a["x"] - b["x"]) + abs(a["y"] - b["y"])
+        floors = abs(a["floor"] - b["floor"])
+        assert (planar, floors) in ((1, 0), (0, 1)), (a, b)
 
     capsys.readouterr()
     assert cli.main(["simulate", "--level", str(out / "level.json")]) == 0
