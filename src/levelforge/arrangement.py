@@ -323,11 +323,14 @@ def arrange_rooms(config: LevelConfig, db: Database, rng: Random) -> Level:
 def _seed_next_floor(
     sx: float, sy: float, floor: int, state: ArrangeState
 ) -> RoomInstance | None:
-    """Lowest-penalty template whose footprint can contain the stair point."""
+    """Lowest-penalty template that fits the level bounds and whose
+    footprint can contain the stair point."""
     config = state.level.config
     best: tuple[float, str, RoomInstance] | None = None
     for template in state.available_templates():
         tw, tl = template.dims.width, template.dims.length
+        if tw > config.width + 1e-9 or tl > config.length + 1e-9:
+            continue
         ox = min(max(round(sx - tw / 2.0), 0.0), config.width - tw)
         oy = min(max(round(sy - tl / 2.0), 0.0), config.length - tl)
         if not (ox <= sx <= ox + tw and oy <= sy <= oy + tl):

@@ -117,8 +117,114 @@ def read_json(data: bytes | str):
 
 
 def write_json(doc) -> bytes:
-    """The byte-normalized form of `doc`: two-space indent, final newline."""
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    """The byte-normalized form of `doc`: exactly the bytes of
+    `json.dumps(doc, indent=2) + "\\n"`. One recursive writer appends them to
+    one list in about half the time of json's indent mode, which yields
+    every chunk up a pure-Python generator per nesting level."""
+    out: list[str] = []
+    _write_value(doc, out, "\n")
+    out.append("\n")
+    return "".join(out).encode("utf-8")
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    """json's spelling of a float: its repr, or NaN, Infinity, -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# json's text of a value of exactly one of these types
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _scalar_text(x) -> str | None:
+    """json's text of a str, int, float, bool or None, subclasses included;
+    None for anything else."""
+    text = _SCALAR_TEXT.get(type(x))
+    if text is not None:
+        return text(x)
+    for base in (str, int, float):  # json's order of isinstance tests
+        if isinstance(x, base):
+            return _SCALAR_TEXT[base](x)
+    return None
+
+
+def _key_text(key) -> str:
+    """json's text of a dict key: a non-str key is quoted as a str."""
+    text = _scalar_text(key)
+    if text is None:
+        raise TypeError(
+            f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+        )
+    return text if isinstance(key, str) else '"' + text + '"'
+
+
+def _write_value(x, out: list[str], nl: str) -> None:
+    """Append json's indent=2 text of `x` to `out`; `nl` is a newline and the
+    indent of the line `x` starts on."""
+    if isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        comma = "," + inner
+        if type(x[0]) is float:
+            # a list of finite floats in one join; NaN and infinities spell
+            # "nan" and "inf" in repr, and only they hold an "n"
+            try:
+                text = comma.join(map(float.__repr__, x))
+            except TypeError:
+                text = "n"
+            if "n" not in text:
+                out.append("[" + inner + text + nl + "]")
+                return
+        sep = "[" + inner
+        for v in x:
+            scalar = _SCALAR_TEXT.get(type(v))
+            if scalar is not None:
+                out.append(sep + scalar(v))
+            else:
+                out.append(sep)
+                _write_value(v, out, inner)
+            sep = comma
+        out.append(nl + "]")
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for k, v in x.items():
+            key = _encode_str(k) if type(k) is str else _key_text(k)
+            scalar = _SCALAR_TEXT.get(type(v))
+            if scalar is not None:
+                out.append(sep + key + ": " + scalar(v))
+            else:
+                out.append(sep + key + ": ")
+                _write_value(v, out, inner)
+            sep = comma
+        out.append(nl + "}")
+    else:
+        scalar = _scalar_text(x)
+        if scalar is None:
+            raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
+        out.append(scalar)
 
 
 def _require_object(value, where: str) -> Mapping:

@@ -7,18 +7,20 @@ is asserted.
 
 The VMF emitter produces placeholder geometry: six axis-aligned brushes
 per room with door openings split out of the walls, and one point entity
-per facility, mechanic and stairwell. Each brush side is written from one
-template string (`_SIDE`): a face fills in its plane and texture axes
-once, and each box its side ids and corner coordinates.
+per facility, mechanic and stairwell. Each brush box is written from one
+template (`_BOX`, six `_SIDE`s whose texture axes are filled in once):
+one `%` fills in its seven ids and its corner coordinates. Each entity is
+likewise one `_ENTITY` fill, and the wall openings of all rooms come from
+one pass over the doors and open edges.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from .arrangement import LevelConfig, _overlaps_any
 from .database import _constraint_to_json, _parse_constraint, read_json, write_json
@@ -241,45 +243,45 @@ def _fmt(v: float) -> str:
     return str(float(v))
 
 
-class _VmfWriter:
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self.depth = 0
-        self.next_id = 1
+# The version block and the head of the world block, whose id is 1.
+_HEAD = """\
+versioninfo
+{
+\t"editorversion" "400"
+\t"editorbuild" "8864"
+\t"mapversion" "1"
+\t"formatversion" "100"
+\t"prefab" "0"
+}
+world
+{
+\t"id" "1"
+\t"mapversion" "1"
+\t"classname" "worldspawn"
+"""
 
-    def take_id(self) -> int:
-        out = self.next_id
-        self.next_id += 1
-        return out
+# One point entity: its id, name, origin coordinates and yaw in degrees.
+_ENTITY = f"""\
+entity
+{{
+\t"id" "%s"
+\t"classname" "{ENTITY_CLASSNAME}"
+\t"targetname" "%s"
+\t"origin" "%s %s %s"
+\t"angles" "0 %s 0"
+}}
+"""
 
-    def open(self, name: str) -> None:
-        pad = "\t" * self.depth
-        self.lines.append(f"{pad}{name}")
-        self.lines.append(f"{pad}{{")
-        self.depth += 1
-
-    def close(self) -> None:
-        self.depth -= 1
-        self.lines.append("\t" * self.depth + "}")
-
-    def kv(self, key: str, value) -> None:
-        pad = "\t" * self.depth
-        self.lines.append(f'{pad}"{key}" "{value}"')
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
-
-# One brush side. The face fills in its plane and texture axes once; each
-# box then fills in the side id and its corner coordinates.
+# One brush side, given its texture axes; the side id and the nine plane
+# coordinates are left to fill in.
 _SIDE = """\
 side
 {
-\t"id" "%(id)s"
-\t"plane" "%(plane)s"
+\t"id" "%%s"
+\t"plane" "(%%s %%s %%s) (%%s %%s %%s) (%%s %%s %%s)"
 \t"material" "DEV/DEV_MEASUREGENERIC01B"
-\t"uaxis" "%(uaxis)s 0.25"
-\t"vaxis" "%(vaxis)s 0.25"
+\t"uaxis" "%s 0.25"
+\t"vaxis" "%s 0.25"
 \t"rotation" "0"
 \t"lightmapscale" "16"
 \t"smoothing_groups" "0"
@@ -299,26 +301,45 @@ _FACES = (
 _CORNERS = ("x0", "y0", "z0", "x1", "y1", "z1")
 
 
-@functools.cache
-def _side_templates(depth: int) -> tuple[str, ...]:
-    """`_SIDE` for each face, indented `depth` tabs, leaving the side id and
-    the box corners to fill in."""
-    out = []
-    for points, uaxis, vaxis in _FACES:
-        plane = " ".join("(" + " ".join(f"%({c})s" for c in p.split()) + ")" for p in points)
-        side = _SIDE % {"id": "%(id)s", "plane": plane, "uaxis": uaxis, "vaxis": vaxis}
-        out.append("\n".join("\t" * depth + line for line in side.split("\n")))
-    return tuple(out)
+def _box_template() -> tuple[str, Callable[[tuple], tuple]]:
+    """The text of one brush box inside the world block, and the function
+    that orders a box's fields for it: from its seven ids (the solid's, then
+    one per face) and its six corner coordinates, the tuple that one `%`
+    fills the text with."""
+    def indent(text: str) -> str:
+        return "\t" + text.replace("\n", "\n\t")
+
+    lines, slots = ["solid", "{", '\t"id" "%s"'], [0]
+    for face, (points, uaxis, vaxis) in enumerate(_FACES):
+        lines.append(indent(_SIDE % (uaxis, vaxis)))
+        slots.append(1 + face)
+        slots += [7 + _CORNERS.index(c) for point in points for c in point.split()]
+    lines.append("}")
+    return indent("\n".join(lines)) + "\n", itemgetter(*slots)
 
 
-def _emit_box(w: _VmfWriter, lo, hi, scale: float) -> None:
-    fields: dict[str, object] = dict(zip(_CORNERS, (_fmt(v * scale) for v in (*lo, *hi))))
-    w.open("solid")
-    w.kv("id", w.take_id())
-    for side in _side_templates(w.depth):
-        fields["id"] = w.take_id()
-        w.lines.append(side % fields)
-    w.close()
+_BOX, _BOX_FIELDS = _box_template()
+
+
+class _VmfWriter:
+    """VMF text in chunks; ids count up from the world's."""
+
+    def __init__(self, scale: float) -> None:
+        self.chunks = [_HEAD]
+        self.next_id = 2
+        self.scale = scale
+
+    def box(self, lo, hi) -> None:
+        i, s = self.next_id, self.scale
+        self.next_id = i + 7
+        corners = [str(float(v * s)) for v in (*lo, *hi)]  # _fmt, inlined
+        self.chunks.append(_BOX % _BOX_FIELDS((*range(i, i + 7), *corners)))
+
+    def entity(self, name: str, gx: float, gy: float, gz: float, yaw: float) -> None:
+        s = self.scale
+        origin = (_fmt(gx * s), _fmt(gy * s), _fmt(gz * s))
+        self.chunks.append(_ENTITY % (self.next_id, name, *origin, _fmt(math.degrees(yaw))))
+        self.next_id += 1
 
 
 @dataclass(frozen=True)
@@ -328,26 +349,30 @@ class _Opening:
     full_height: bool  # open-room edges cut the whole wall height
 
 
-def wall_openings(level: Level, room: RoomInstance) -> dict[str, list[_Opening]]:
-    """Openings per wall side ("-x", "+x", "-y", "+y") of one room: a door
-    width at each door, and the whole shared wall of each open edge."""
-    out: dict[str, list[_Opening]] = {"-x": [], "+x": [], "-y": [], "+y": []}
+def wall_openings(level: Level) -> dict[int, dict[str, list[_Opening]]]:
+    """Openings per room id and wall side ("-x", "+x", "-y", "+y"): a door
+    width at each door, and the whole shared wall of each open edge, in
+    both rooms a link joins. One pass over the links; each side's openings
+    are sorted by run."""
+    out = {r.id: {"-x": [], "+x": [], "-y": [], "+y": []} for r in level.rooms}
     links = [(d.room_a, d.room_b, d) for d in level.doors]
     links += [(e.room_a, e.room_b, None) for e in level.adjacency if e.kind == "open"]
     for room_a, room_b, door in links:
-        if room.id not in (room_a, room_b):
-            continue
         axis, boundary, lo, hi = level.shared_wall(room_a, room_b)
-        low_wall = room.origin[0 if axis == "x" else 1]
-        side = ("-" if abs(boundary - low_wall) < 1e-9 else "+") + axis
         if door is None:
-            out[side].append(_Opening(lo, hi, full_height=True))
+            opening = _Opening(lo, hi, full_height=True)
         else:
             run = door.y if axis == "x" else door.x
             half = DOOR_WIDTH / 2.0
-            out[side].append(_Opening(run - half, run + half, full_height=False))
-    for side in out:
-        out[side].sort(key=lambda o: (o.lo, o.hi))
+            opening = _Opening(run - half, run + half, full_height=False)
+        k = 0 if axis == "x" else 1
+        for room_id in (room_a, room_b):
+            low_wall = level.room_by_id(room_id).origin[k]
+            side = ("-" if abs(boundary - low_wall) < 1e-9 else "+") + axis
+            out[room_id][side].append(opening)
+    for sides in out.values():
+        for found in sides.values():
+            found.sort(key=lambda o: (o.lo, o.hi))
     return out
 
 
@@ -375,17 +400,18 @@ def wall_segments(
     return segments
 
 
-def _emit_room(w: _VmfWriter, level: Level, room: RoomInstance, scale: float) -> None:
+def _emit_room(
+    w: _VmfWriter, level: Level, room: RoomInstance, openings: dict[str, list[_Opening]]
+) -> None:
     """Emit the room's floor and ceiling slabs, wall segments and door headers."""
     x0, y0, x1, y1 = room.footprint()
     fh = level.config.floor_height
     z0 = room.floor * fh
     z1 = z0 + room.dims.height
 
-    _emit_box(w, (x0, y0, z0 - SLAB_THICKNESS), (x1, y1, z0), scale)
-    _emit_box(w, (x0, y0, z1), (x1, y1, z1 + SLAB_THICKNESS), scale)
+    w.box((x0, y0, z0 - SLAB_THICKNESS), (x1, y1, z0))
+    w.box((x0, y0, z1), (x1, y1, z1 + SLAB_THICKNESS))
 
-    openings = wall_openings(level, room)
     t = WALL_THICKNESS
     walls = {
         "-x": ((x0, x0 + t), (y0, y1), "y"),
@@ -398,9 +424,9 @@ def _emit_room(w: _VmfWriter, level: Level, room: RoomInstance, scale: float) ->
         (thick_lo, thick_hi), (run_lo, run_hi), run_axis = walls[side]
         for lo, hi in wall_segments(run_lo, run_hi, openings[side]):
             if run_axis == "y":
-                _emit_box(w, (thick_lo, lo, z0), (thick_hi, hi, z1), scale)
+                w.box((thick_lo, lo, z0), (thick_hi, hi, z1))
             else:
-                _emit_box(w, (lo, thick_lo, z0), (hi, thick_hi, z1), scale)
+                w.box((lo, thick_lo, z0), (hi, thick_hi, z1))
         for op in openings[side]:
             if op.full_height or z0 + door_h >= z1 - 1e-9:
                 continue
@@ -408,9 +434,9 @@ def _emit_room(w: _VmfWriter, level: Level, room: RoomInstance, scale: float) ->
             if hi - lo <= 1e-9:
                 continue
             if run_axis == "y":
-                _emit_box(w, (thick_lo, lo, z0 + door_h), (thick_hi, hi, z1), scale)
+                w.box((thick_lo, lo, z0 + door_h), (thick_hi, hi, z1))
             else:
-                _emit_box(w, (lo, thick_lo, z0 + door_h), (hi, thick_hi, z1), scale)
+                w.box((lo, thick_lo, z0 + door_h), (hi, thick_hi, z1))
 
 
 def export_vmf(level: Level, scale: float = DEFAULT_VMF_SCALE) -> bytes:
@@ -419,44 +445,23 @@ def export_vmf(level: Level, scale: float = DEFAULT_VMF_SCALE) -> bytes:
     units per meter) that is not finite and > 0 is a ConfigError."""
     if not (is_finite(scale) and scale > 0):
         raise ConfigError(f"scale must be finite and > 0, got {scale!r}")
-    w = _VmfWriter()
-    w.open("versioninfo")
-    w.kv("editorversion", "400")
-    w.kv("editorbuild", "8864")
-    w.kv("mapversion", "1")
-    w.kv("formatversion", "100")
-    w.kv("prefab", "0")
-    w.close()
-
-    w.open("world")
-    w.kv("id", w.take_id())
-    w.kv("mapversion", "1")
-    w.kv("classname", "worldspawn")
+    w = _VmfWriter(scale)
+    openings = wall_openings(level)
     for room in sorted(level.rooms, key=lambda r: r.id):
-        _emit_room(w, level, room, scale)
-    w.close()
+        _emit_room(w, level, room, openings[room.id])
+    w.chunks.append("}\n")  # closes the world block
 
     fh = level.config.floor_height
-
-    def emit_entity(name: str, gx: float, gy: float, gz: float, yaw: float):
-        w.open("entity")
-        w.kv("id", w.take_id())
-        w.kv("classname", ENTITY_CLASSNAME)
-        w.kv("targetname", name)
-        w.kv("origin", f"{_fmt(gx * scale)} {_fmt(gy * scale)} {_fmt(gz * scale)}")
-        w.kv("angles", f"0 {_fmt(math.degrees(yaw))} 0")
-        w.close()
-
     for fac in level.facilities:
         room = level.room_by_id(fac.room_id)
         gx, gy, gz = level.global_pose_center(fac.room_id, fac.pose)
-        emit_entity(fac.id, gx, gy, room.floor * fh + gz, fac.pose.yaw)
+        w.entity(fac.id, gx, gy, room.floor * fh + gz, fac.pose.yaw)
     for mech in level.mechanics:
         room = level.room_by_id(mech.room_id)
         gx, gy, gz = level.global_pose_center(mech.room_id, mech.pose)
-        emit_entity(mech.id, gx, gy, room.floor * fh + gz, mech.pose.yaw)
+        w.entity(mech.id, gx, gy, room.floor * fh + gz, mech.pose.yaw)
     for idx, stair in enumerate(level.stairs):
         room = level.room_by_id(stair.room_id)
         gz = room.floor * fh + stair.dims.height / 2.0
-        emit_entity(f"stair#{idx}", stair.x, stair.y, gz, 0.0)
-    return w.text().encode("utf-8")
+        w.entity(f"stair#{idx}", stair.x, stair.y, gz, 0.0)
+    return "".join(w.chunks).encode("utf-8")

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -11,6 +12,9 @@ from levelforge.arrangement import (
 )
 from levelforge.database import load_database
 from levelforge.errors import ArrangementFailed, DisconnectedFloor
+from levelforge.export import export_level_json, import_level_json, level_hash
+from levelforge.harness import generate_level
+from levelforge.layout import SAParams
 from levelforge.seeding import derive_rng
 
 from conftest import make_level, make_room
@@ -119,6 +123,24 @@ def test_arrangement_fails_without_fitting_initial_room():
     db = single_template_db(w=30, l=30)
     with pytest.raises(ArrangementFailed):
         arrange_rooms(LevelConfig(width=10, length=10, floors=1), db, derive_rng(0))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 439])
+@pytest.mark.parametrize("side, size", [("length", 60.0), ("width", 80.0)])
+def test_upper_floor_seed_room_never_leaves_the_bounds(seed, side, size):
+    # a Hall longer (wider) than the level once seeded floor 1 at origin
+    # (16, -36) ((-56, 0))
+    data = resources.files("levelforge.data").joinpath("test_minimal.json").read_bytes()
+    doc = json.loads(data)
+    next(r for r in doc["rooms"] if r["name"] == "Hall")["dimensions"][side] = size
+    db = load_database(json.dumps(doc))
+    config = LevelConfig(width=24, length=24, height=6, floors=2, sa=SAParams(iterations=120))
+    level, record = generate_level(config, db, "A-Baseline", seed)
+    assert record.status == "valid" and level.rooms_on_floor(1)
+    for room in level.rooms:
+        x0, y0, x1, y1 = room.footprint()
+        assert 0.0 <= x0 and 0.0 <= y0 and x1 <= 24.0 and y1 <= 24.0, room
+    assert level_hash(import_level_json(export_level_json(level))) == level_hash(level)
 
 
 # -- gen_candidate_room ----------------------------------------------------------

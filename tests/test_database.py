@@ -1,12 +1,17 @@
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import re
+from enum import IntEnum
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from levelforge import cli
+from levelforge import SAMPLE_DATABASES, cli, load_sample_database
 from levelforge.constraints import ConstraintSpec
 from levelforge.database import (
     Database,
@@ -14,6 +19,7 @@ from levelforge.database import (
     load_database,
     save_database,
     validate_database,
+    write_json,
 )
 from levelforge.errors import ParseError, SchemaError, UnresolvedReferenceError
 from levelforge.geometry import Dimensions
@@ -435,3 +441,86 @@ def test_each_rule_trips_alone_with_its_message(minimal_db):
     assert validate_database(minimal_db) == []
     for mutant, entity, rule, message in cases:
         assert validate_database(mutant) == [Violation(entity, rule, message)]
+
+
+# -- the canonical writer ------------------------------------------------------
+
+
+class _Level(IntEnum):
+    LOW = 1
+
+
+class _Name(str):
+    pass
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-7]
+    ),
+)
+_TEXT = st.one_of(
+    st.text(),
+    st.text(alphabet='"\\/\x00\x08\x1f\x7f\u00e9\u2028\ud800\U0001f600'),
+)
+_KEYS = st.one_of(_TEXT, st.integers(), _FLOATS, st.booleans(), st.none())
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.just(_Level.LOW),
+    _TEXT,
+    _TEXT.map(_Name),
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.lists(_FLOATS),
+        st.dictionaries(_KEYS, inner),
+    ),
+    max_leaves=40,
+)
+
+
+def _dumps(doc) -> bytes:
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_write_json_is_json_dumps_with_indent_2(doc):
+    assert write_json(doc) == _dumps(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _JSON_VALUES,
+    st.sampled_from([{1, 2}, b"bytes", np.int64(3), {(1, 2): 0}, {b"k": 0}]),
+    st.booleans(),
+)
+def test_write_json_refuses_what_json_refuses(doc, refused, as_value):
+    doc = [doc, refused] if as_value else {"doc": doc, "refused": refused}
+    with pytest.raises(TypeError) as expected:
+        _dumps(doc)
+    with pytest.raises(TypeError) as got:
+        write_json(doc)
+    assert str(got.value) == str(expected.value)
+
+
+# sha256 of each sample database's saved bytes, from json.dumps(indent=2)
+SAVED_SAMPLE_SHA256 = {
+    "sh_hospital": "89d8b7f23ab376c16539388b19dc889daec71c4211d60617c930ce29a35be5ba",
+    "test_minimal": "17038af4a0386c42cee8cbb5b8b0e6fb7daf030c786045928d0eab2066556d88",
+}
+
+
+@pytest.mark.parametrize("name", SAMPLE_DATABASES)
+def test_saved_sample_databases_are_pinned(name):
+    saved = save_database(load_sample_database(name))
+    assert hashlib.sha256(saved).hexdigest() == SAVED_SAMPLE_SHA256[name]

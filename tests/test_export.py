@@ -320,7 +320,7 @@ def test_door_segment_nav_cells_and_vmf_openings_agree(hospital_db):
                 assert abs(cross + 0.5 - boundary) == 0.5 and lo < run + 0.5 < hi
             low_wall = (x0, y0)[0 if axis == "x" else 1]
             side = ("-" if boundary == low_wall else "+") + axis
-            openings = [(o.lo, o.hi, o.full_height) for o in wall_openings(level, room)[side]]
+            openings = [(o.lo, o.hi, o.full_height) for o in wall_openings(level)[rid][side]]
             if door is None:
                 assert (lo, hi, True) in openings
             else:

@@ -1,7 +1,8 @@
 """Golden-output pin: byte-level hashes of a fixed small experiment, of
 one paper-scale level per group and of its rerun and simulation paths,
-reach set and VMF bytes, of both repair phases on seeded crowded levels
-and of how seeded mutated database documents read.
+reach set and VMF bytes, of small levels' VMF bytes at five scales, of
+both repair phases on seeded crowded levels and of how seeded mutated
+database documents read.
 
 A change that alters any pinned hash changes generated levels; it must say
 why and show the acceptance suite still passing before the pin moves.
@@ -48,6 +49,11 @@ PAPER_LEVEL_HASHES = {
 }
 
 PAPER_REPLAY_SHA256 = "b136c013ad50a55430b049a49a3949cda1a7d9b33f5fe5f995c2cb31c899f1cb"
+
+# VMF bytes of three small levels at scales whose coordinates print in
+# fixed, integral and exponent forms
+VMF_SCALES = (1.0, 32.0, 1e-3, 1e-6, 1e20)
+VMF_SCALES_SHA256 = "55d25c642d135d4381192ef6a29a2811c3d0854462bd18c5ba6e376fd034e8b1"
 
 REPAIR_CASES = 150
 REPAIR_SHA256 = "1f35d9e84dd30f2bf907f6a0d668d27fede937cb093319a5b85bb9f78d15e4f7"
@@ -125,6 +131,16 @@ def test_paper_scale_replay_is_pinned(paper_levels, monkeypatch):
         row = (group, paths, sorted(reach))
         digest.update(repr(row).encode() + b"\n" + export_vmf(level))
     assert digest.hexdigest() == PAPER_REPLAY_SHA256
+
+
+def test_vmf_bytes_across_scales_are_pinned(minimal_db):
+    config = LevelConfig(width=24, length=24, height=6, floors=2, sa=SAParams(iterations=120))
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        level, _ = generate_level(config, minimal_db, "DB-Baseline", seed)
+        for scale in VMF_SCALES:
+            digest.update(export_vmf(level, scale=scale))
+    assert digest.hexdigest() == VMF_SCALES_SHA256
 
 
 def test_repair_of_crowded_levels_is_pinned():
