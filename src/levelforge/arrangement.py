@@ -13,14 +13,13 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 from random import Random
-from typing import Sequence
 
 from .constraints import WeightConfig, eval_room_penalty
-from .database import Database, RoomTemplate
+from .database import Database, RoomTemplate, _take
 from .errors import ArrangementFailed, ConfigError, DisconnectedFloor
 from .geometry import Dimensions, bfs, is_finite, is_integer, shared_segment
 from .layout import SAParams
-from .level import AdjacencyEdge, Door, Level, RoomInstance, Stair
+from .level import AdjacencyEdge, Door, Level, RoomInstance, Stair, overlaps_any
 from .strategies import build_floor_graph
 
 DIRECTIONS = ("left", "right", "front", "back")
@@ -48,6 +47,7 @@ _RULES = (
     ("selected_templates", "(name, integer >= 0 or None) pairs", lambda v: _pairs(v, True)),
     ("selected_mechanics", "(name, integer >= 0) pairs", lambda v: _pairs(v, False)),
     ("initial_template", "a name or None", lambda v: v is None or isinstance(v, str)),
+    ("seed", "an integer", is_integer),
     ("sa.iterations", "an integer >= 0", lambda v: is_integer(v) and v >= 0),
     ("sa.restarts", "an integer >= 1", lambda v: is_integer(v) and v >= 1),
     ("sa.cooling_rate", "finite and in (0, 1]", lambda v: is_finite(v) and 0 < v <= 1),
@@ -108,13 +108,20 @@ class LevelConfig:
 
     @classmethod
     def from_dict(cls, data) -> "LevelConfig":
-        """The config that `to_dict` wrote; every field is read, so a
-        missing one is a KeyError."""
-        values = {f.name: data[f.name] for f in fields(cls)}
+        """The config that `to_dict` wrote, from the `config` of a level
+        document: every field, of `weights` and `sa` too, must be there, and
+        other keys are ignored. `check` judges the values."""
+
+        def read(kind, data, where: str) -> dict:
+            data = _take(data, where, [f.name for f in fields(kind)], None)
+            return {f.name: data[f.name] for f in fields(kind)}
+
+        values = read(cls, data, "config")
         for name in ("selected_templates", "selected_mechanics"):
-            values[name] = tuple((key, n) for key, n in values[name])
-        values["weights"] = WeightConfig(**values["weights"])
-        values["sa"] = SAParams(**values["sa"])
+            if _pairs(values[name], True):
+                values[name] = tuple(map(tuple, values[name]))
+        values["weights"] = WeightConfig(**read(WeightConfig, values["weights"], "config.weights"))
+        values["sa"] = SAParams(**read(SAParams, values["sa"], "config.sa"))
         return cls(**values)
 
 
@@ -130,19 +137,6 @@ class ArrangeState:
 
     def available_templates(self) -> list[RoomTemplate]:
         return [t for t in self.templates if self.usage[t.name] < self.caps[t.name]]
-
-
-def _overlaps_any(
-    floor: int, x0: float, y0: float, x1: float, y1: float, placed: Sequence[RoomInstance]
-) -> bool:
-    eps = 1e-9
-    for r in placed:
-        if r.floor != floor:
-            continue
-        rx0, ry0, rx1, ry1 = r.footprint()
-        if x0 < rx1 - eps and x1 > rx0 + eps and y0 < ry1 - eps and y1 > ry0 + eps:
-            return True
-    return False
 
 
 def _candidate_origins(
@@ -218,7 +212,7 @@ def gen_candidate_room(
             current, direction, template.dims, config.width, config.length
         ):
             x1, y1 = ox + template.dims.width, oy + template.dims.length
-            if _overlaps_any(current.floor, ox, oy, x1, y1, state.level.rooms):
+            if overlaps_any(current.floor, ox, oy, x1, y1, state.level.rooms):
                 continue
             candidate = _new_room(template, current.floor, (ox, oy))
             if shared_segment(current.footprint(), candidate.footprint()) is None:
@@ -262,6 +256,12 @@ def arrange_rooms(config: LevelConfig, db: Database, rng: Random) -> Level:
     templates, caps = _resolve_templates(config, db)
     if not templates:
         raise ArrangementFailed("no room templates selected")
+    tallest = max((t.dims.height for t in templates if caps[t.name]), default=0.0)
+    if tallest > config.floor_height + 1e-9:
+        raise ConfigError(
+            f"the floor height {config.floor_height!r} (height / floors) is below the "
+            f"tallest selected template's {tallest!r}"
+        )
     initial_name = config.initial_template or templates[0].name
     initial = next((t for t in templates if t.name == initial_name), None)
     if initial is None:

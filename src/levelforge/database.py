@@ -25,12 +25,11 @@ from .constraints import (
     ConstraintSpec,
 )
 from .errors import ParseError, SchemaError, UnresolvedReferenceError
-from .geometry import Dimensions, fits, is_finite, is_integer, is_number
-from .level import TopoRule
+from .geometry import Dimensions, fits, is_finite, is_float, is_integer, is_number
+from .level import ARCH_TYPES, TopoRule
 
 SCHEMA_VERSION = 1
 
-ARCH_TYPES = ("enclosed", "open")
 POSITIONING = ("fixed", "adaptable")
 
 # rule kind -> (its topological type, the parameter that holds its threshold)
@@ -227,20 +226,17 @@ def _write_value(x, out: list[str], nl: str) -> None:
         out.append(scalar)
 
 
-def _require_object(value, where: str) -> Mapping:
-    if not isinstance(value, dict):
-        raise SchemaError(f"{where}: expected an object, got {type(value).__name__}")
-    return value
-
-
-def _take(obj: Mapping, where: str, required: Sequence[str], optional: Sequence[str]) -> dict:
-    extra = set(obj) - set(required) - set(optional)
-    if extra:
-        raise SchemaError(f"{where}: unknown field(s) {sorted(extra)}")
-    missing = [k for k in required if k not in obj]
-    if missing:
-        raise SchemaError(f"{where}: missing field(s) {missing}")
-    return dict(obj)
+def _take(obj, where: str, required: Sequence[str], optional: Sequence[str] | None) -> Mapping:
+    """`obj`, an object holding every `required` field; any other field must
+    be `optional`, unless that is None."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
+    if optional is not None and not obj.keys() <= {*required, *optional}:
+        extra = sorted(obj.keys() - {*required, *optional})
+        raise SchemaError(f"{where}: unknown field(s) {extra}")
+    if not all(map(obj.__contains__, required)):
+        raise SchemaError(f"{where}: missing field(s) {[k for k in required if k not in obj]}")
+    return obj
 
 
 def _array(obj: Mapping, key: str, where: str, parse: Callable[[object, str], object]) -> tuple:
@@ -249,7 +245,11 @@ def _array(obj: Mapping, key: str, where: str, parse: Callable[[object, str], ob
     items = obj.get(key, [])
     if not isinstance(items, list):
         raise SchemaError(f"{path}: expected an array, got {type(items).__name__}")
-    return tuple(parse(item, f"{path}[{i}]") for i, item in enumerate(items))
+    return tuple([parse(item, f"{path}[{i}]") for i, item in enumerate(items)])
+
+
+# The value readers return `value` when it holds. Otherwise the error names its
+# path: `where`, then `field` (such as ".dims"), joined only then.
 
 
 def _number(value, where: str) -> float:
@@ -261,20 +261,37 @@ def _number(value, where: str) -> float:
         raise SchemaError(f"{where}: number too large") from None
 
 
-def _integer(value, where: str) -> int:
+def _integer(value, where: str, field: str = "") -> int:
     if not is_integer(value):
-        raise SchemaError(f"{where}: expected an integer")
+        raise SchemaError(f"{where}{field}: expected an integer")
     return value
 
 
-def _string(value, where: str) -> str:
+def _string(value, where: str, field: str = "") -> str:
     if not isinstance(value, str):
-        raise SchemaError(f"{where}: expected a string")
+        raise SchemaError(f"{where}{field}: expected a string")
+    return value
+
+
+def _finite(value, where: str, field: str) -> float:
+    """`value`, a number that a float holds finitely (`is_float`)."""
+    if not is_float(value):
+        raise SchemaError(f"{where}{field}: expected a finite number")
+    return value
+
+
+def _numbers(value, n: int, where: str, field: str) -> list:
+    """`value`, an array of `n` numbers that each pass `_finite`."""
+    if type(value) is not list or len(value) != n:
+        raise SchemaError(f"{where}{field}: expected an array of {n} numbers")
+    for i, v in enumerate(value):
+        if not is_float(v):
+            raise SchemaError(f"{where}{field}[{i}]: expected a finite number")
     return value
 
 
 def _parse_dimensions(obj, where: str) -> Dimensions:
-    data = _take(_require_object(obj, where), where, ("width", "length", "height"), ())
+    data = _take(obj, where, ("width", "length", "height"), ())
     return Dimensions(
         _number(data["width"], f"{where}.width"),
         _number(data["length"], f"{where}.length"),
@@ -283,24 +300,26 @@ def _parse_dimensions(obj, where: str) -> Dimensions:
 
 
 def _parse_constraint(obj, where: str) -> ConstraintSpec:
-    data = _take(_require_object(obj, where), where, ("type",), ("parameters", "weight"))
+    data = _take(obj, where, ("type",), ("parameters", "weight"))
     kind = _string(data["type"], f"{where}.type")
     if kind not in ALL_KINDS:
         raise SchemaError(f"{where}: unknown constraint type {kind!r}")
-    params = dict(_require_object(data.get("parameters", {}), f"{where}.parameters"))
+    params = {}
+    if "parameters" in data:
+        params = dict(_take(data["parameters"], f"{where}.parameters", (), None))
     weight = None
     if "weight" in data:
         weight = _number(data["weight"], f"{where}.weight")
-    return ConstraintSpec(kind=kind, params=params, weight=weight)
+    return ConstraintSpec(kind, params, weight)
 
 
 def _parse_topo(obj, where: str) -> TopoRule:
-    data = _take(_require_object(obj, where), where, ("type",), ("parameters",))
+    data = _take(obj, where, ("type",), ("parameters",))
     kind_name = _string(data["type"], f"{where}.type")
     if kind_name not in TOPO_TYPES:
         raise SchemaError(f"{where}: {kind_name!r} is not a topological constraint")
     kind, key = TOPO_TYPES[kind_name]
-    params = dict(_require_object(data.get("parameters", {}), f"{where}.parameters"))
+    params = dict(_take(data.get("parameters", {}), f"{where}.parameters", (), None))
     allowed = {"other", "strength"}
     threshold = None
     if key is not None:
@@ -324,7 +343,7 @@ def _parse_topo(obj, where: str) -> TopoRule:
 
 def _parse_facility(obj, where: str) -> FacilityDef:
     data = _take(
-        _require_object(obj, where),
+        obj,
         where,
         ("name", "dimensions", "positioning"),
         ("constraints", "instance_guideline", "tags"),
@@ -345,7 +364,7 @@ def _parse_facility(obj, where: str) -> FacilityDef:
 
 
 def _parse_fixed_position(obj, where: str) -> FixedPosition:
-    data = _take(_require_object(obj, where), where, ("x", "y"), ("yaw",))
+    data = _take(obj, where, ("x", "y"), ("yaw",))
     return FixedPosition(
         x=_number(data["x"], f"{where}.x"),
         y=_number(data["y"], f"{where}.y"),
@@ -354,7 +373,7 @@ def _parse_fixed_position(obj, where: str) -> FixedPosition:
 
 
 def _parse_characteristic(obj, where: str) -> CharacteristicFacility:
-    data = _take(_require_object(obj, where), where, ("facility",), ("count", "positions"))
+    data = _take(obj, where, ("facility",), ("count", "positions"))
     positions = _array(data, "positions", where, _parse_fixed_position)
     return CharacteristicFacility(
         facility=_string(data["facility"], f"{where}.facility"),
@@ -365,7 +384,7 @@ def _parse_characteristic(obj, where: str) -> CharacteristicFacility:
 
 def _parse_room(obj, where: str) -> RoomTemplate:
     data = _take(
-        _require_object(obj, where),
+        obj,
         where,
         ("name", "dimensions"),
         ("characteristic_facilities", "max_instances", "arch_type", "constraints"),
@@ -399,7 +418,7 @@ def _parse_room(obj, where: str) -> RoomTemplate:
 
 def _parse_mechanic(obj, where: str) -> MechanicDef:
     data = _take(
-        _require_object(obj, where),
+        obj,
         where,
         ("name", "dimensions"),
         ("standard_constraints", "topo_constraints"),
@@ -554,7 +573,7 @@ def load_database(data: bytes | str) -> Database:
     pass but only `validate_database` reports them.
     """
     root = _take(
-        _require_object(read_json(data), "document"),
+        read_json(data),
         "document",
         ("facilities", "rooms", "mechanics"),
         ("schema_version",),

@@ -22,10 +22,21 @@ from dataclasses import asdict, dataclass, fields
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .arrangement import LevelConfig, _overlaps_any
-from .database import _constraint_to_json, _parse_constraint, read_json, write_json
+from .arrangement import LevelConfig
+from .database import (
+    _array,
+    _constraint_to_json,
+    _finite,
+    _integer,
+    _numbers,
+    _parse_constraint,
+    _string,
+    _take,
+    read_json,
+    write_json,
+)
 from .errors import ConfigError, SchemaError
-from .geometry import DOOR_WIDTH, Dimensions, Pose, is_finite, is_integer, out_of_bounds_depth
+from .geometry import DOOR_WIDTH, Dimensions, Pose, is_finite
 from .level import (
     AdjacencyEdge,
     Door,
@@ -52,12 +63,6 @@ def _pose_to_json(pose: Pose) -> dict:
         "yaw": pose.yaw,
         "dims": [pose.dims.width, pose.dims.length, pose.dims.height],
     }
-
-
-def _pose_from_json(data) -> Pose:
-    cx, cy, cz = data["center"]
-    w, l, h = data["dims"]
-    return Pose(cx, cy, cz, data["yaw"], Dimensions(w, l, h))
 
 
 def export_level_json(level: Level) -> bytes:
@@ -122,117 +127,112 @@ def level_hash(level: Level) -> str:
     return hashlib.sha256(export_level_json(level)).hexdigest()
 
 
-def _check_rooms(level: Level) -> None:
-    """SchemaError unless the rooms can exist: at least one, unique ids,
-    each on a floor of the level and inside its bounds, and no two on one
-    floor overlapping with positive area."""
-    config = level.config
-    eps = 1e-9
-    if not level.rooms:
-        raise SchemaError("level has no rooms")
-    for i, room in enumerate(level.rooms):
-        earlier = level.rooms[:i]
-        if any(r.id == room.id for r in earlier):
-            raise SchemaError(f"duplicate room id {room.id}")
-        if not is_integer(room.floor) or not 0 <= room.floor < config.floors:
-            raise SchemaError(
-                f"room {room.id} floor {room.floor!r} is not in [0, {config.floors})"
-            )
-        x0, y0, x1, y1 = room.footprint()
-        if x0 < -eps or y0 < -eps or x1 > config.width + eps or y1 > config.length + eps:
-            raise SchemaError(f"room {room.id} leaves the level bounds")
-        if _overlaps_any(room.floor, x0, y0, x1, y1, earlier):
-            raise SchemaError(f"room {room.id} overlaps another room on its floor")
+# -- reading a level document ---------------------------------------------------
+# One reader per entity, as in `database`: each field must be there and of its
+# type, an error names its path (`rooms[3].dims[1]`), and other keys are
+# ignored. `Level.check` then judges whether the level can exist.
+
+
+def _read_room(r, where: str) -> RoomInstance:
+    _take(r, where, ("id", "template", "floor", "origin", "dims", "tau", "arch_type"), None)
+    return RoomInstance(
+        _integer(r["id"], where, ".id"),
+        _string(r["template"], where, ".template"),
+        _integer(r["floor"], where, ".floor"),
+        tuple(_numbers(r["origin"], 2, where, ".origin")),
+        Dimensions(*_numbers(r["dims"], 3, where, ".dims")),
+        _integer(r["tau"], where, ".tau"),
+        _string(r["arch_type"], where, ".arch_type"),
+    )
+
+
+def _read_pose(pose, where: str) -> Pose:
+    _take(pose, where, ("center", "yaw", "dims"), None)
+    x, y, z = _numbers(pose["center"], 3, where, ".center")
+    dims = Dimensions(*_numbers(pose["dims"], 3, where, ".dims"))
+    return Pose(x, y, z, _finite(pose["yaw"], where, ".yaw"), dims)
+
+
+def _read_facility(f, where: str) -> FacilityInstance:
+    _take(f, where, ("id", "def", "room", "pose", "fixed", "constraints"), None)
+    if not isinstance(f["fixed"], bool):
+        raise SchemaError(f"{where}.fixed: expected a boolean")
+    return FacilityInstance(
+        _string(f["id"], where, ".id"),
+        _string(f["def"], where, ".def"),
+        _integer(f["room"], where, ".room"),
+        _read_pose(f["pose"], f"{where}.pose"),
+        f["fixed"],
+        _array(f, "constraints", where, _parse_constraint),
+    )
+
+
+def _read_topo(t, where: str) -> TopoRule:
+    _take(t, where, [f.name for f in fields(TopoRule)], None)
+    other, anchor, threshold = t["other"], t["anchor_tau"], t["threshold"]
+    return TopoRule(
+        _string(t["kind"], where, ".kind"),
+        other if other is None else _string(other, where, ".other"),
+        anchor if anchor is None else _finite(anchor, where, ".anchor_tau"),
+        threshold if threshold is None else _integer(threshold, where, ".threshold"),
+        _finite(t["strength"], where, ".strength"),
+    )
+
+
+def _read_mechanic(m, where: str) -> MechanicPlacement:
+    _take(m, where, ("id", "def", "room", "pose", "constraints", "topo"), None)
+    return MechanicPlacement(
+        _string(m["id"], where, ".id"),
+        _string(m["def"], where, ".def"),
+        _integer(m["room"], where, ".room"),
+        _read_pose(m["pose"], f"{where}.pose"),
+        _array(m, "constraints", where, _parse_constraint),
+        _array(m, "topo", where, _read_topo),
+    )
+
+
+def _read_door(d, where: str) -> Door:
+    _take(d, where, ("room_a", "room_b", "position"), None)
+    room_a = _integer(d["room_a"], where, ".room_a")
+    room_b = _integer(d["room_b"], where, ".room_b")
+    return Door(room_a, room_b, *_numbers(d["position"], 2, where, ".position"))
+
+
+def _read_edge(e, where: str) -> AdjacencyEdge:
+    _take(e, where, ("room_a", "room_b", "kind"), None)
+    room_a = _integer(e["room_a"], where, ".room_a")
+    room_b = _integer(e["room_b"], where, ".room_b")
+    return AdjacencyEdge(room_a, room_b, _string(e["kind"], where, ".kind"))
+
+
+def _read_stair(s, where: str) -> Stair:
+    _take(s, where, ("room", "position", "dims"), None)
+    x, y = _numbers(s["position"], 2, where, ".position")
+    dims = Dimensions(*_numbers(s["dims"], 3, where, ".dims"))
+    return Stair(_integer(s["room"], where, ".room"), x, y, dims)
+
+
+# Each entity list of a level document, with its reader.
+_SECTIONS = {
+    "rooms": _read_room,
+    "doors": _read_door,
+    "adjacency": _read_edge,
+    "stairs": _read_stair,
+    "facilities": _read_facility,
+    "mechanics": _read_mechanic,
+}
 
 
 def import_level_json(data: bytes | str) -> Level:
     """The level a level document holds. ParseError unless it is UTF-8 JSON,
     ConfigError when its config fails `LevelConfig.check`, and SchemaError
-    for any other document whose level cannot exist."""
-    doc = read_json(data)
-    if not isinstance(doc, dict):
-        raise SchemaError("level document must be an object")
-    try:
-        config = LevelConfig.from_dict(doc["config"])
-        config.check()
-        level = Level(config=config)
-        for r in doc["rooms"]:
-            level.rooms.append(
-                RoomInstance(
-                    id=r["id"],
-                    template=r["template"],
-                    floor=r["floor"],
-                    origin=(r["origin"][0], r["origin"][1]),
-                    dims=Dimensions(*r["dims"]),
-                    tau=r["tau"],
-                    arch_type=r["arch_type"],
-                )
-            )
-        _check_rooms(level)
-        for d in doc["doors"]:
-            level.doors.append(
-                Door(d["room_a"], d["room_b"], d["position"][0], d["position"][1])
-            )
-        for s in doc["stairs"]:
-            level.stairs.append(
-                Stair(s["room"], s["position"][0], s["position"][1], Dimensions(*s["dims"]))
-            )
-        for e in doc["adjacency"]:
-            level.adjacency.append(AdjacencyEdge(e["room_a"], e["room_b"], e["kind"]))
-        for door in level.doors:
-            axis, boundary, lo, hi = level.shared_wall(door.room_a, door.room_b)
-            across, along = (door.x, door.y) if axis == "x" else (door.y, door.x)
-            if abs(across - boundary) > 1e-9 or not lo <= along <= hi:
-                raise SchemaError(
-                    f"door between rooms {door.room_a} and {door.room_b} "
-                    "is not on their shared wall"
-                )
-        for e in level.adjacency:
-            level.shared_wall(e.room_a, e.room_b)
-        for f in doc["facilities"]:
-            level.facilities.append(
-                FacilityInstance(
-                    id=f["id"],
-                    def_name=f["def"],
-                    room_id=f["room"],
-                    pose=_pose_from_json(f["pose"]),
-                    fixed=f["fixed"],
-                    constraints=tuple(
-                        _parse_constraint(c, "facilities.constraints")
-                        for c in f["constraints"]
-                    ),
-                )
-            )
-        for m in doc["mechanics"]:
-            level.mechanics.append(
-                MechanicPlacement(
-                    id=m["id"],
-                    def_name=m["def"],
-                    room_id=m["room"],
-                    pose=_pose_from_json(m["pose"]),
-                    standard_constraints=tuple(
-                        _parse_constraint(c, "mechanics.constraints")
-                        for c in m["constraints"]
-                    ),
-                    topo=tuple(
-                        TopoRule(**{f.name: t[f.name] for f in fields(TopoRule)})
-                        for t in m["topo"]
-                    ),
-                )
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"level document field error: {exc}") from exc
-    rooms = {r.id: r for r in level.rooms}
-    named = [("a stair", s.room_id) for s in level.stairs]
-    named += [(repr(p.id), p.room_id) for p in (*level.facilities, *level.mechanics)]
-    for what, room_id in named:
-        if room_id not in rooms:
-            raise SchemaError(f"{what} is in room {room_id}, which the level does not have")
-    for kind, placed in (("facility", level.facilities), ("mechanic", level.mechanics)):
-        for p in placed:
-            dims = rooms[p.room_id].dims
-            if out_of_bounds_depth(p.pose.footprint(), dims.width, dims.length) > 1e-9:
-                raise SchemaError(f"{kind} {p.id!r} does not fit inside room {p.room_id}")
+    naming the path of a missing or mistyped field, or when `Level.check`
+    finds that the level cannot exist."""
+    doc = _take(read_json(data), "document", ("config", *_SECTIONS), None)
+    config = LevelConfig.from_dict(doc["config"])
+    config.check()
+    level = Level(config, **{k: list(_array(doc, k, "", read)) for k, read in _SECTIONS.items()})
+    level.check()
     return level
 
 

@@ -11,6 +11,7 @@ penalty terms.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from random import Random
@@ -38,6 +39,15 @@ def is_finite(v) -> bool:
     """A number that is neither infinite nor NaN; every int is finite (and
     may be too large for `math.isfinite`)."""
     return is_number(v) and (isinstance(v, int) or math.isfinite(v))
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def is_float(v) -> bool:
+    """A number that a float holds finitely: `is_finite`, and no int beyond
+    the float range."""
+    return (type(v) is float or is_number(v)) and -_FLOAT_MAX <= v <= _FLOAT_MAX
 
 
 @dataclass(frozen=True)

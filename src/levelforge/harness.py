@@ -249,9 +249,10 @@ def generate_level(
 ) -> tuple[Level, MetricsRecord]:
     """Run the full pipeline for one seed; never raises in-level repair
     failures, they land in the record's status. A level shape that
-    `LevelConfig.check` refuses, or a group that `canonical_group` does not
-    know, raises ConfigError; a room structure that cannot be started
-    raises ArrangementFailed."""
+    `LevelConfig.check` refuses, a group that `canonical_group` does not
+    know, or a selected template taller than a floor raises ConfigError; a
+    room structure that cannot be started raises ArrangementFailed, and a
+    level that `Level.check` refuses raises SchemaError."""
     config.check()
     if group is not None:
         group = canonical_group(group)
@@ -280,6 +281,7 @@ def generate_level(
     grid = build_nav_grid(level)
     phase1_moves = geometric_repair(level, grid)
     report = agent_repair(level, agent, grid)
+    level.check()
     repair = dict(
         level_id=level_id,
         group=group_label,

@@ -2,20 +2,24 @@
 
 Facility and mechanic poses are room-local; room origins are level-global
 plan coordinates. The topological order `tau` is assigned at creation time
-and doubles as the room id.
+and doubles as the room id. `Level.check` holds the rules of whether a level
+can exist; import and generation both end with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .constraints import ConstraintSpec
 from .errors import SchemaError
-from .geometry import Dimensions, Pose, shared_segment
+from .geometry import Dimensions, Pose, is_integer, out_of_bounds_depth, shared_segment
 
 if TYPE_CHECKING:  # pragma: no cover
     from .arrangement import LevelConfig
+
+ARCH_TYPES = ("enclosed", "open")
+LINK_KINDS = ("door", "open")
 
 
 @dataclass
@@ -49,7 +53,7 @@ class Door:
 class AdjacencyEdge:
     room_a: int
     room_b: int
-    kind: str  # "door" | "open"
+    kind: str  # one of LINK_KINDS
 
 
 @dataclass(frozen=True)
@@ -135,6 +139,79 @@ class Level:
             raise SchemaError(f"rooms {room_a} and {room_b} share no wall")
         return seg
 
+    def check(self) -> None:
+        """SchemaError unless the level can exist. It has rooms, with unique
+        ids, each on a floor of the level, of a known arch type and a valid
+        size no taller than a floor, inside the level bounds, and no two on a
+        floor overlapping with positive area. Each link, stair and placement
+        names rooms of the level; a link joins two rooms that share a wall
+        (a door lies on it) and has a known kind, a stair has a valid size,
+        and each facility's and mechanic's footprint lies in its room."""
+        config, eps = self.config, 1e-9
+        if not self.rooms:
+            raise SchemaError("level has no rooms")
+        rooms: dict[int, RoomInstance] = {}
+        on_floor: dict[int, list[RoomInstance]] = {}
+        for i, room in enumerate(self.rooms):
+            if room.id in rooms:
+                raise SchemaError(f"duplicate room id {room.id}")
+            if not is_integer(room.floor) or not 0 <= room.floor < config.floors:
+                raise SchemaError(
+                    f"room {room.id} floor {room.floor!r} is not in [0, {config.floors})"
+                )
+            if room.arch_type not in ARCH_TYPES:
+                raise SchemaError(f"rooms[{i}].arch_type: expected one of {ARCH_TYPES}")
+            if not room.dims.is_valid():
+                raise SchemaError(f"rooms[{i}].dims: expected sizes > 0")
+            if room.dims.height > config.floor_height + eps:
+                raise SchemaError(
+                    f"rooms[{i}].dims[2]: height {room.dims.height!r} is above the floor "
+                    f"height {config.floor_height!r}"
+                )
+            x0, y0, x1, y1 = room.footprint()
+            if x0 < -eps or y0 < -eps or x1 > config.width + eps or y1 > config.length + eps:
+                raise SchemaError(f"room {room.id} leaves the level bounds")
+            if overlaps_any(room.floor, x0, y0, x1, y1, on_floor.setdefault(room.floor, [])):
+                raise SchemaError(f"room {room.id} overlaps another room on its floor")
+            rooms[room.id] = room
+            on_floor[room.floor].append(room)
+
+        def unknown(what: str, room_id) -> SchemaError:
+            return SchemaError(f"{what} room {room_id}, which the level does not have")
+
+        for what, links in (("doors", self.doors), ("adjacency", self.adjacency)):
+            for i, link in enumerate(links):
+                for room_id in (link.room_a, link.room_b):
+                    if room_id not in rooms:
+                        raise unknown(f"{what}[{i}] joins", room_id)
+        walls = {}  # (room_a, room_b) -> their shared wall; a door and its edge share one
+        for door in self.doors:
+            wall = walls[door.room_a, door.room_b] = self.shared_wall(door.room_a, door.room_b)
+            axis, boundary, lo, hi = wall
+            across, along = (door.x, door.y) if axis == "x" else (door.y, door.x)
+            if abs(across - boundary) > eps or not lo <= along <= hi:
+                raise SchemaError(
+                    f"door between rooms {door.room_a} and {door.room_b} "
+                    "is not on their shared wall"
+                )
+        for i, edge in enumerate(self.adjacency):
+            if edge.kind not in LINK_KINDS:
+                raise SchemaError(f"adjacency[{i}].kind: expected one of {LINK_KINDS}")
+            if (edge.room_a, edge.room_b) not in walls:
+                self.shared_wall(edge.room_a, edge.room_b)
+        for i, stair in enumerate(self.stairs):
+            if stair.room_id not in rooms:
+                raise unknown("a stair is in", stair.room_id)
+            if not stair.dims.is_valid():
+                raise SchemaError(f"stairs[{i}].dims: expected sizes > 0")
+        for kind, placed in (("facility", self.facilities), ("mechanic", self.mechanics)):
+            for p in placed:
+                if p.room_id not in rooms:
+                    raise unknown(f"{p.id!r} is in", p.room_id)
+                dims = rooms[p.room_id].dims
+                if out_of_bounds_depth(p.pose.footprint(), dims.width, dims.length) > eps:
+                    raise SchemaError(f"{kind} {p.id!r} does not fit inside room {p.room_id}")
+
     def facilities_in_room(self, room_id: int) -> list[FacilityInstance]:
         return [f for f in self.facilities if f.room_id == room_id]
 
@@ -158,3 +235,18 @@ class Level:
                     Pose(s.x - ox, s.y - oy, s.dims.height / 2.0, 0.0, s.dims)
                 )
         return out
+
+
+def overlaps_any(
+    floor: int, x0: float, y0: float, x1: float, y1: float, placed: Iterable[RoomInstance]
+) -> bool:
+    """Whether the footprint (x0, y0, x1, y1) overlaps a room of `placed` on
+    `floor` with positive area."""
+    eps = 1e-9
+    for r in placed:
+        if r.floor != floor:
+            continue
+        rx0, ry0, rx1, ry1 = r.footprint()
+        if x0 < rx1 - eps and x1 > rx0 + eps and y0 < ry1 - eps and y1 > ry0 + eps:
+            return True
+    return False

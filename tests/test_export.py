@@ -1,12 +1,15 @@
+import copy
 import json
 import math
+import re
 from dataclasses import fields
+from random import Random
 
 import pytest
 
 from levelforge import cli
 from levelforge.arrangement import LevelConfig, arrange_rooms
-from levelforge.errors import ConfigError, ParseError, SchemaError
+from levelforge.errors import ConfigError, LevelforgeError, ParseError, SchemaError
 from levelforge.export import (
     DOOR_OPENING_HEIGHT,
     export_level_json,
@@ -20,10 +23,17 @@ from levelforge.constraints import WeightConfig
 from levelforge.layout import SAParams
 from levelforge.level import TopoRule
 from levelforge.geometry import DOOR_WIDTH, shared_segment
-from levelforge.navsim import DOOR, build_nav_grid
+from levelforge.navsim import (
+    DOOR,
+    AgentParams,
+    build_nav_grid,
+    rerun_validation,
+    simulate_objectives,
+)
 from levelforge.seeding import derive_rng
 
 from conftest import make_level, make_room
+from test_golden import _mutate_once
 from vmf_reader import read_vmf
 
 
@@ -139,8 +149,10 @@ def test_a_config_missing_a_field_is_a_schema_error(name):
         (None, "floors", 1.5, "floors must be an integer >= 1, got 1.5"),
         ("sa", "iterations", -1, "sa.iterations must be an integer >= 0, got -1"),
         (None, "width", 1e9, "the nav grid must have at most 10000000 cells, got 1000000000"),
+        (None, "seed", "x", "seed must be an integer, got 'x'"),
+        (None, "seed", 1.5, "seed must be an integer, got 1.5"),
     ],
-    ids=["width-nan", "floors-1.5", "sa.iterations--1", "width-1e9"],
+    ids=["width-nan", "floors-1.5", "sa.iterations--1", "width-1e9", "seed-x", "seed-1.5"],
 )
 def test_a_stored_config_that_fails_the_check_is_refused(
     tmp_path, capsys, part, name, value, message
@@ -506,3 +518,78 @@ world
 def test_bytes_that_are_not_utf8_are_a_parse_error():
     with pytest.raises(ParseError):
         import_level_json(b"\xff")
+
+
+# -- mutated level documents ------------------------------------------------------
+
+LEVEL_CASES = 1500
+
+# the cases that ended in a bare exception before the typed reader: a door
+# position "x" (24), a pose entry that is a list or a string (48, 77), a room
+# dims entry "x" (919, in VMF export) and a tau "x" (1348, in rerun)
+CLI_CASES = (24, 48, 77, 919, 1348)
+
+# one rule each, and the path its message names
+PATH_RULES = {
+    "room-height": r"^rooms\[\d+\]\.dims\[2\]: height 30\.0 is above the floor height 3\.0$",
+    "room-size": r"^rooms\[\d+\]\.dims: expected sizes > 0$",
+    "stair-size": r"^stairs\[\d+\]\.dims: expected sizes > 0$",
+    "arch-type": r"^rooms\[\d+\]\.arch_type: expected one of \('enclosed', 'open'\)$",
+    "link-kind": r"^adjacency\[\d+\]\.kind: expected one of \('door', 'open'\)$",
+    "link-room": r"^(doors|adjacency)\[\d+\] joins room -?\d+, which the level does not have$",
+    "fixed": r"^facilities\[\d+\]\.fixed: expected a boolean$",
+    "finite": r"^doors\[\d+\]\.position\[\d\]: expected a finite number$",
+    "yaw": r"^(facilities|mechanics)\[\d+\]\.pose\.yaw: expected a finite number$",
+    "tau": r"^rooms\[\d+\]\.tau: expected an integer$",
+    "id": r"^(facilities|mechanics)\[\d+\]\.id: expected a string$",
+}
+
+
+@pytest.fixture(scope="module")
+def level_corpus(minimal_db):
+    """Seeded mutants of four valid levels (DB-Speedrun, seeds 0-3), made as
+    the golden database corpus makes its mutants."""
+    bases = [
+        json.loads(export_level_json(generated_level(minimal_db, seed, "DB-Speedrun")))
+        for seed in range(4)
+    ]
+    names = [e.name for section in (minimal_db.facilities, minimal_db.rooms, minimal_db.mechanics)
+             for e in section]
+    corpus = []
+    for case in range(LEVEL_CASES):
+        rng = Random(case)
+        doc = copy.deepcopy(bases[case % 4])
+        for _ in range(rng.choice((1, 1, 1, 2, 3))):
+            _mutate_once(rng, doc, names)
+        corpus.append(json.dumps(doc).encode())
+    return corpus
+
+
+def test_a_mutated_level_document_ends_in_a_levelforge_error_or_replays(level_corpus):
+    # what `simulate` and `export-vmf` run on a stored level
+    bare, messages, agent = [], [], AgentParams()
+    for case, data in enumerate(level_corpus):
+        try:
+            level = import_level_json(data)
+            grid = build_nav_grid(level)
+            rerun_validation(level, agent, grid)
+            simulate_objectives(level, level.mechanics, agent, grid)
+            export_vmf(level)
+        except LevelforgeError as exc:
+            messages.append(str(exc))
+        except Exception as exc:  # noqa: BLE001 - any other class is the failure
+            bare.append((case, repr(exc)))
+    assert bare == []
+    missing = [rule for rule, pattern in PATH_RULES.items()
+               if not any(re.match(pattern, m) for m in messages)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("case", CLI_CASES)
+def test_cli_refuses_a_mutated_level_document_in_one_line(level_corpus, case, tmp_path, capsys):
+    path = tmp_path / "level.json"
+    path.write_bytes(level_corpus[case])
+    assert cli.main(["simulate", "--level", str(path)]) == 1
+    assert cli.main(["export-vmf", "--level", str(path), "--out", str(tmp_path / "l.vmf")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)

@@ -13,7 +13,7 @@ import pytest
 
 from levelforge import cli, harness
 from levelforge.arrangement import LevelConfig
-from levelforge.database import load_database
+from levelforge.database import load_database, save_database, validate_database
 from levelforge.export import export_level_json, level_hash
 from levelforge.harness import (
     AggregateStats,
@@ -31,6 +31,7 @@ from levelforge.errors import (
     ArrangementFailed,
     ConfigError,
     InfeasibleRoom,
+    SchemaError,
     UnresolvedReferenceError,
 )
 from levelforge.navsim import MetricsRecord
@@ -396,6 +397,46 @@ _BAD_SHAPES = [
     {"width": math.inf},
     {"width": 1e9},  # over MAX_GRID_CELLS; refused before anything is allocated
 ]
+
+
+def test_a_floor_lower_than_the_tallest_template_is_refused_at_entry(
+    hospital_db, monkeypatch, tmp_path, capsys
+):
+    # paper size at a 1/3 m floor height; every sh_hospital template is 3 m tall
+    message = (
+        "the floor height 0.3333333333333333 (height / floors) is below the "
+        "tallest selected template's 3.0"
+    )
+    monkeypatch.setattr(harness, "_layout_rooms", lambda jobs: pytest.fail("a room was laid out"))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        generate_level(LevelConfig(height=1, floors=3), hospital_db, "A-Baseline", 0)
+    db = str(resources.files("levelforge.data").joinpath("sh_hospital.json"))
+    args = ["--db", db, "--group", "A-Baseline", "--seed", "0", "--out", str(tmp_path / "g")]
+    assert cli.main(["generate", *args, "--height", "1", "--floors", "3"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_generated_level_that_cannot_exist_is_refused(minimal_db, monkeypatch, tmp_path, capsys):
+    # the Vault's fixed Pillar authored at x = 100 m in a 6 m wide room; the
+    # database validates clean
+    doc = json.loads(save_database(minimal_db))
+    vault = next(r for r in doc["rooms"] if r["name"] == "Vault")
+    vault["characteristic_facilities"][0]["positions"][0]["x"] = 100.0
+    db = load_database(json.dumps(doc))
+    assert validate_database(db) == []
+    message = "facility 'r25.Pillar.0' does not fit inside room 25"
+    for seed in range(4):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            generate_level(small_config(), db, "DB-Speedrun", seed)
+    monkeypatch.setenv("LEVELFORGE_THREADS", "1")
+    records, _ = run_experiment(small_experiment(("DB-Speedrun",), levels=2), db)
+    assert [r.status for r in records] == ["failed", "failed"]
+    path = tmp_path / "db.json"
+    path.write_bytes(save_database(db))
+    args = ["--db", str(path), "--group", "DB-Speedrun", "--seed", "0", "--out", str(tmp_path / "g")]
+    assert cli.main(["generate", *args, "--width", "24", "--length", "24", "--height", "6",
+                     "--floors", "2"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("shape", _BAD_SHAPES)
