@@ -60,7 +60,12 @@ class Dimensions:
     height: float
 
     def is_valid(self) -> bool:
-        return all(is_finite(v) and v > 0 for v in (self.width, self.length, self.height))
+        """Every size `is_finite` and > 0. Floats, the common case, take a
+        path with no calls: `Level.check` asks this of every placement."""
+        w, l, h = self.width, self.length, self.height
+        if type(w) is type(l) is type(h) is float:
+            return 0.0 < w <= _FLOAT_MAX and 0.0 < l <= _FLOAT_MAX and 0.0 < h <= _FLOAT_MAX
+        return all(is_finite(v) and v > 0 for v in (w, l, h))
 
     def footprint_area(self) -> float:
         return self.width * self.length

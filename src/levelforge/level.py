@@ -145,8 +145,10 @@ class Level:
         size no taller than a floor, inside the level bounds, and no two on a
         floor overlapping with positive area. Each link, stair and placement
         names rooms of the level; a link joins two rooms that share a wall
-        (a door lies on it) and has a known kind, a stair has a valid size,
-        and each facility's and mechanic's footprint lies in its room."""
+        (a door lies on it) and has a known kind, a stair has a valid size
+        and stands inside its room, which is below the top floor, and each
+        facility and mechanic has a valid size and a footprint inside its
+        room."""
         config, eps = self.config, 1e-9
         if not self.rooms:
             raise SchemaError("level has no rooms")
@@ -204,10 +206,23 @@ class Level:
                 raise unknown("a stair is in", stair.room_id)
             if not stair.dims.is_valid():
                 raise SchemaError(f"stairs[{i}].dims: expected sizes > 0")
-        for kind, placed in (("facility", self.facilities), ("mechanic", self.mechanics)):
-            for p in placed:
+            room = rooms[stair.room_id]
+            if room.floor >= config.floors - 1:
+                raise SchemaError(
+                    f"stairs[{i}].room: room {room.id} is on the top floor, with no floor above"
+                )
+            x0, y0, x1, y1 = room.footprint()
+            if not (x0 - eps <= stair.x <= x1 + eps and y0 - eps <= stair.y <= y1 + eps):
+                raise SchemaError(f"stairs[{i}].position: outside room {room.id}")
+        for section, kind, placed in (
+            ("facilities", "facility", self.facilities),
+            ("mechanics", "mechanic", self.mechanics),
+        ):
+            for i, p in enumerate(placed):
                 if p.room_id not in rooms:
                     raise unknown(f"{p.id!r} is in", p.room_id)
+                if not p.pose.dims.is_valid():
+                    raise SchemaError(f"{section}[{i}].pose.dims: expected sizes > 0")
                 dims = rooms[p.room_id].dims
                 if out_of_bounds_depth(p.pose.footprint(), dims.width, dims.length) > eps:
                     raise SchemaError(f"{kind} {p.id!r} does not fit inside room {p.room_id}")

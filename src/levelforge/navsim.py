@@ -15,10 +15,12 @@ same agent then drives rerun validation and the objective
 (key-collection) simulation that produce the pacing metrics, through one
 walking loop (`_walk_targets`). A* keeps its open cells on two
 first-in first-out lists, one per value of f, which expand cells in the
-order a heap keyed by (f, push order) would. The simulation collects a
-key from the nearest open cell of its room that the start reaches; it
-searches for the nearest open cell first and computes the start's reach
-only when that search fails.
+order a heap keyed by (f, push order) would, and its g-scores and parents
+in two arrays by flat index that the grid allocates on its first search;
+each search resets the g-scores of the cells it pushed. The simulation
+collects a key from the nearest open cell of its room that the start
+reaches; it searches for the nearest open cell first and computes the
+start's reach only when that search fails.
 
 Each grid fact has one store: a cell's kind without facilities is
 `base`, its facilities are `occupants`, and whether it is walkable now is
@@ -27,7 +29,10 @@ border, that searches, flood fill and `target_cell` read. The grid builds
 `walk` and its stair links by flat index once, when it is made; after
 that only `_mark_facility` and `_clear_facility` write `walk`. A room's
 cells are its footprint's cell span (`_room_span`), which no other room's
-on the floor overlaps.
+on the floor overlaps. The A* scratch (`g_scratch`, `came_scratch`) is
+search state, not a cell fact, and holds nothing between searches: every
+g-score is back at `_UNSEEN`, and a search reads a parent only where it
+set one.
 
 All times are simulated seconds derived from path geometry and the agent
 constants; wall-clock never enters the metrics.
@@ -36,6 +41,7 @@ constants; wall-clock never enters the metrics.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
@@ -52,6 +58,7 @@ DOOR = 3
 STAIR = 4
 
 _WALKABLE = (FREE, DOOR, STAIR)
+_UNSEEN = 1 << 30  # g of a cell no search has reached
 
 Cell = tuple[int, int, int]  # (floor, x, y)
 DoorwayKey = tuple[int, int]  # (lower room id, higher room id)
@@ -137,6 +144,10 @@ class NavGrid:
     row: int = field(init=False)  # index step of x: length + 2
     plane: int = field(init=False)  # index step of floor: (width + 2) * (length + 2)
     stairs: dict[int, tuple[int, ...]] = field(init=False, repr=False)
+    # `astar_path`'s search state by flat index, made on the grid's first
+    # search: g-scores, `_UNSEEN` between searches, and parents
+    g_scratch: list[int] | None = field(default=None, init=False, repr=False, compare=False)
+    came_scratch: array | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.row = self.length + 2
@@ -472,58 +483,81 @@ def astar_path(grid: NavGrid, start: Cell, goal: Cell) -> list[Cell] | None:
     that f + 2. Toward-steps join the list being expanded, away-steps the
     next one, and each list holds one f in push order. A cell expanded a
     second time (from a stale, higher-g push) has its settled g, so it
-    improves no neighbour and pushes nothing."""
+    improves no neighbour and pushes nothing.
+
+    g-scores and parents live in the grid's search scratch, two arrays by
+    padded flat index made on its first search: 12 bytes per padded cell,
+    about 97 KB at paper scale (3 x 52 x 52) and about 120 MB at
+    `arrangement.MAX_GRID_CELLS` (10**7 cells). Every g a search sets
+    belongs to a cell it pushed, and every pushed cell sits in one of its
+    lists, so the search puts those back to `_UNSEEN` when it ends, also
+    when it raises. Parents are not reset: a search reads a parent only at
+    a cell whose g it set."""
     if start == goal:
         return [start]
     walk, row, plane, stairs = grid.walk, grid.row, grid.plane, grid.stairs
-    gf, gx, gy = goal[0], goal[1] + 1, goal[2] + 1  # padded coordinates
+    if grid.g_scratch is None:
+        grid.g_scratch = [_UNSEEN] * len(walk)
+        grid.came_scratch = array("i", bytes(4 * len(walk)))
+    g_score, came = grid.g_scratch, grid.came_scratch
+    # the goal's padded x and y and floor, as bounds on `n % plane`, `n % row`
+    # and `n`: x < gx exactly when n % plane < gx * row, as 0 <= y < row
+    gf, gx, gy = goal[0], goal[1] + 1, goal[2] + 1
+    x_below, x_above = gx * row, (gx + 1) * row
+    f_below, f_above = gf * plane, (gf + 1) * plane
     source, target = grid.index(start), grid.index(goal)
-    g_score = {source: 0}
-    came: dict[int, int] = {}
+    g_score[source] = 0
+    spent: list[list[int]] = []
     level, later = [source], []
-    while level:
-        now, then = level.append, later.append
-        for n in level:  # also visits the cells appended while it runs
-            if n == target:
-                path = [n]
-                while n in came:
-                    n = came[n]
-                    path.append(n)
-                path.reverse()
-                # `NavGrid.cell` inlined: `plane` is a multiple of `row`
-                return [(n // plane, n % plane // row - 1, n % row - 1) for n in path]
-            g_next = g_score[n] + 1
-            f, r = divmod(n, plane)
-            x, y = divmod(r, row)
-            # the four planar steps written out: a loop over them costs a
-            # third more time per search
-            m = n + row
-            if walk[m] and g_next < g_score.get(m, 1 << 30):
-                g_score[m] = g_next
-                came[m] = n
-                (now if x < gx else then)(m)
-            m = n - row
-            if walk[m] and g_next < g_score.get(m, 1 << 30):
-                g_score[m] = g_next
-                came[m] = n
-                (now if x > gx else then)(m)
-            m = n + 1
-            if walk[m] and g_next < g_score.get(m, 1 << 30):
-                g_score[m] = g_next
-                came[m] = n
-                (now if y < gy else then)(m)
-            m = n - 1
-            if walk[m] and g_next < g_score.get(m, 1 << 30):
-                g_score[m] = g_next
-                came[m] = n
-                (now if y > gy else then)(m)
-            for m in stairs.get(n, ()):
-                if g_next < g_score.get(m, 1 << 30):
+    try:
+        while level:
+            now, then = level.append, later.append
+            for n in level:  # also visits the cells appended while it runs
+                if n == target:
+                    path = [n]
+                    while n != source:
+                        n = came[n]
+                        path.append(n)
+                    path.reverse()
+                    # `NavGrid.cell` inlined: `plane` is a multiple of `row`
+                    return [(n // plane, n % plane // row - 1, n % row - 1) for n in path]
+                g_next = g_score[n] + 1
+                r, y = n % plane, n % row
+                # the four planar steps written out: a loop over them costs a
+                # third more time per search
+                m = n + row
+                if walk[m] and g_next < g_score[m]:
                     g_score[m] = g_next
                     came[m] = n
-                    (now if (f < gf if m > n else f > gf) else then)(m)
-        level, later = later, []
-    return None
+                    (now if r < x_below else then)(m)
+                m = n - row
+                if walk[m] and g_next < g_score[m]:
+                    g_score[m] = g_next
+                    came[m] = n
+                    (now if r >= x_above else then)(m)
+                m = n + 1
+                if walk[m] and g_next < g_score[m]:
+                    g_score[m] = g_next
+                    came[m] = n
+                    (now if y < gy else then)(m)
+                m = n - 1
+                if walk[m] and g_next < g_score[m]:
+                    g_score[m] = g_next
+                    came[m] = n
+                    (now if y > gy else then)(m)
+                if n in stairs:
+                    for m in stairs[n]:
+                        if g_next < g_score[m]:
+                            g_score[m] = g_next
+                            came[m] = n
+                            (now if (n < f_below if m > n else n >= f_above) else then)(m)
+            spent.append(level)
+            level, later = later, []
+        return None
+    finally:
+        for pushed in (*spent, level, later):
+            for n in pushed:
+                g_score[n] = _UNSEEN
 
 
 def grid_reach(grid: NavGrid, start: Cell) -> dict[Cell, int]:
@@ -702,15 +736,14 @@ def _swept_cells(grid: NavGrid, cells: Sequence[Cell]) -> int:
     """How many grid cells the 3x3 blocks around `cells` cover: the agent's
     collision radius is one cell, so a step explores the cells it sweeps,
     not only the one it visits. Each cell's padded flat index is widened
-    by ±1 and ±`row`, and what lands on the padding ring is not counted."""
+    by ±1 and ±`row` into a mask over the padded grid, and what lands on
+    the padding ring is not counted."""
     row, plane = grid.row, grid.plane
     n = np.fromiter((f * plane + x * row + y for f, x, y in cells), np.int64, len(cells))
     block = np.add.outer((-row, 0, row), (-1, 0, 1)) + row + 1
-    swept = np.sort(np.add.outer(n, block), axis=None)
-    swept = swept[np.diff(swept, prepend=-1) > 0]  # each index once
-    x, y = np.divmod(swept % plane, row)
-    inside = (x > 0) & (x <= grid.width) & (y > 0) & (y <= grid.length)
-    return int(np.count_nonzero(inside))
+    swept = np.zeros((grid.floors, grid.width + 2, row), dtype=bool)
+    swept.reshape(-1)[np.add.outer(n, block)] = True
+    return int(np.count_nonzero(swept[:, 1:-1, 1:-1]))
 
 
 def _walk_targets(

@@ -243,6 +243,52 @@ def test_placement_flush_with_the_walls_imports():
     assert len(import_level_json(json.dumps(doc)).facilities) == 1
 
 
+@pytest.fixture(scope="module")
+def speedrun_doc(minimal_db):
+    """The DB-Speedrun seed-0 level at 24x24x6 m, 2 floors, as a document."""
+    return json.loads(export_level_json(generated_level(minimal_db, 0, "DB-Speedrun")))
+
+
+def _refused_in_one_line(doc, path, capsys, message):
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        import_level_json(json.dumps(doc))
+    path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--level", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(f"error: {message}", err[0])
+
+
+@pytest.mark.parametrize("kind", ["facilities", "mechanics"])
+@pytest.mark.parametrize("dims", [[-1.0, -1.0, 1.0], [0.0, 0.0, 0.0]])
+def test_placement_with_no_size_is_rejected(speedrun_doc, kind, dims, tmp_path, capsys):
+    doc = copy.deepcopy(speedrun_doc)
+    doc[kind][0]["pose"]["dims"] = dims
+    message = rf"{kind}\[0\]\.pose\.dims: expected sizes > 0"
+    _refused_in_one_line(doc, tmp_path / "level.json", capsys, message)
+
+
+@pytest.mark.parametrize(
+    "position, message",
+    [
+        ([100.0, 100.0], r"stairs\[0\]\.position: outside room \d+"),
+        ([-5.0, -5.0], r"stairs\[0\]\.position: outside room \d+"),
+        (None, r"stairs\[0\]\.room: room \d+ is on the top floor, with no floor above"),
+    ],
+)
+def test_stair_outside_its_room_or_on_the_top_floor_is_rejected(
+    speedrun_doc, position, message, tmp_path, capsys
+):
+    doc = copy.deepcopy(speedrun_doc)
+    stair = doc["stairs"][0]
+    if position is None:  # moved into a top-floor room, at that room's centre
+        top = next(r for r in doc["rooms"] if r["floor"] == doc["config"]["floors"] - 1)
+        stair["room"] = top["id"]
+        stair["position"] = [top["origin"][i] + top["dims"][i] / 2.0 for i in (0, 1)]
+    else:
+        stair["position"] = position
+    _refused_in_one_line(doc, tmp_path / "level.json", capsys, message)
+
+
 def _linked_rooms_doc(doors=(), adjacency=()):
     """Rooms 1 and 2 share the wall x=6 on floor 0; room 3 touches neither;
     room 4 lies on floor 1 where room 2 lies on floor 0."""
@@ -529,11 +575,14 @@ LEVEL_CASES = 1500
 # dims entry "x" (919, in VMF export) and a tau "x" (1348, in rerun)
 CLI_CASES = (24, 48, 77, 919, 1348)
 
-# one rule each, and the path its message names
+# one rule each, and the path its message names; no case reaches the rule that
+# a stair's room is below the top floor, which its own test checks
 PATH_RULES = {
     "room-height": r"^rooms\[\d+\]\.dims\[2\]: height 30\.0 is above the floor height 3\.0$",
     "room-size": r"^rooms\[\d+\]\.dims: expected sizes > 0$",
     "stair-size": r"^stairs\[\d+\]\.dims: expected sizes > 0$",
+    "stair-position": r"^stairs\[\d+\]\.position: outside room \d+$",
+    "pose-size": r"^(facilities|mechanics)\[\d+\]\.pose\.dims: expected sizes > 0$",
     "arch-type": r"^rooms\[\d+\]\.arch_type: expected one of \('enclosed', 'open'\)$",
     "link-kind": r"^adjacency\[\d+\]\.kind: expected one of \('door', 'open'\)$",
     "link-room": r"^(doors|adjacency)\[\d+\] joins room -?\d+, which the level does not have$",

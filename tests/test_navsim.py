@@ -555,6 +555,95 @@ def test_facility_edits_after_a_search_are_seen_by_the_next(two_room_level):
     assert len(search()) == 14
 
 
+def _scratch_is_clean(grid) -> bool:
+    return grid.g_scratch is None or set(grid.g_scratch) == {navsim._UNSEEN}
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_search_cases())
+def test_every_search_leaves_the_scratch_at_the_sentinel(case):
+    grid, start, goal = case
+    for a, b in ((start, goal), (start, start), (goal, start)):
+        astar_path(grid, a, b)
+        assert _scratch_is_clean(grid)
+    if start != goal:
+        assert len(grid.g_scratch) == len(grid.came_scratch) == len(grid.walk)
+
+
+def test_searches_on_one_grid_between_facility_moves_equal_a_fresh_grid():
+    rng = Random(24)
+    searched = found = 0
+    for case in range(40):
+        level = crowded_level(Random(case))
+        grid = build_nav_grid(level)
+        for _ in range(15):
+            fac = rng.choice(level.facilities)
+            room = level.room_by_id(fac.room_id)
+            x, y = rng.uniform(0.0, room.dims.width), rng.uniform(0.0, room.dims.length)
+            navsim._move_facility(grid, level, fac, fac.pose.moved(x, y))
+            fresh = build_nav_grid(level)
+            for _ in range(4):
+                start = (0, rng.randrange(grid.width), rng.randrange(grid.length))
+                goal = (0, rng.randrange(grid.width), rng.randrange(grid.length))
+                path = astar_path(grid, start, goal)
+                assert path == astar_path(fresh, start, goal)
+                assert path == oracles.astar_path(grid, start, goal)
+                assert _scratch_is_clean(grid)
+                searched += 1
+                found += path is not None
+    assert searched == 2400 and 300 < found < searched
+
+
+class _StairLookupFails(dict):
+    """Stair links whose lookup raises after `lookups` cells asked."""
+
+    def __init__(self, lookups: int):
+        super().__init__()
+        self.lookups = lookups
+
+    def __contains__(self, n):
+        self.lookups -= 1
+        if self.lookups < 0:
+            raise RuntimeError("stair lookup")
+        return super().__contains__(n)
+
+
+def test_a_search_that_raises_part_way_leaves_the_scratch_clean():
+    grid = NavGrid(width=12, length=12, floors=1, floor_height=1.0,
+                   base=[np.full((12, 12), FREE, dtype=np.uint8)])
+    start, goal = (0, 0, 0), (0, 11, 11)
+    expected = astar_path(grid, start, goal)
+    stairs = grid.stairs
+    for lookups in (0, 1, 5, 20):
+        grid.stairs = _StairLookupFails(lookups)
+        with pytest.raises(RuntimeError, match="stair lookup"):
+            astar_path(grid, start, goal)
+        assert _scratch_is_clean(grid)
+        grid.stairs = stairs
+        assert astar_path(grid, start, goal) == expected == oracles.astar_path(grid, start, goal)
+
+
+def test_swept_count_equals_the_set_count_on_random_walks():
+    rng = Random(7)
+    for _ in range(300):
+        floors, w, l = rng.randint(1, 3), rng.randint(1, 9), rng.randint(1, 9)
+        grid = NavGrid(width=w, length=l, floors=floors, floor_height=1.0,
+                       base=[np.full((w, l), FREE, dtype=np.uint8) for _ in range(floors)])
+        # start on the border, then step to a random in-bounds neighbour or
+        # floor, so that many cells of a walk lie on the grid's edge
+        cell = (rng.randrange(floors), rng.choice((0, w - 1)), rng.randrange(l))
+        path = [cell]
+        for _ in range(rng.randint(0, 40)):
+            f, x, y = cell
+            steps = [(f, x + dx, y + dy) for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
+                     if 0 <= x + dx < w and 0 <= y + dy < l]
+            steps += [(g, x, y) for g in (f - 1, f + 1) if 0 <= g < floors]
+            if steps:
+                cell = rng.choice(steps)
+            path.append(cell)
+        assert navsim._swept_cells(grid, path) == oracles.swept_cells(grid, path)
+
+
 # -- traversal time ---------------------------------------------------------------------
 
 
