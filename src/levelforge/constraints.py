@@ -4,10 +4,10 @@ Every evaluator returns a non-negative float that is zero exactly when the
 constraint is satisfied. There is no hard-rejection path: large weights
 stand in for hard constraints.
 
-Each constraint kind is declared once, in its tier's table: facility
-kinds in `_FACILITY_TIER`, room kinds in `_ROOM_DEFAULT_WEIGHT`,
+Each constraint kind is declared once, with its parameters, in its tier's
+table: facility kinds in `_FACILITY_TIER`, room kinds in `_ROOM_TIER`,
 structural kinds in `STRUCTURAL_KINDS` and topological types in
-`TOPO_TYPES`. The kind sets are derived from these tables.
+`TOPO_TYPES`. `PARAMETERS` and the kind sets derive from these tables.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .geometry import (
     Pose,
     angle_diff,
     center_distance,
+    is_float,
+    is_integer,
     point_outside_box_distance,
     segment_intersects_box,
     shared_segment,
@@ -30,18 +32,46 @@ from .geometry import (
 # Shared epsilon for every inverse-distance term.
 DISTANCE_EPS = 0.1
 
-# Structural room properties: folded into the template at load time,
-# never scored.
-STRUCTURAL_KINDS = frozenset({"MaxInstances", "SetType"})
+# A parameter's value rule: what the value must be, and the test. A number
+# may be NaN or infinite (the validator reports those), not an int beyond
+# the float range.
+NAME = ("a name", lambda v: isinstance(v, str))
+NUMBER = ("a number", lambda v: type(v) is float or is_float(v))
+INTEGER = ("an integer", is_integer)
+
+
+def _numbers(n: int) -> tuple:
+    return f"an array of {n} numbers", lambda v: (
+        type(v) is list and len(v) == n and all(map(NUMBER[1], v))
+    )
+
+
+def _one_of(values: tuple) -> tuple:
+    return f"one of {values}", lambda v: isinstance(v, str) and v in values
+
+
+# A kind's parameters are (the required ones, the optional ones), each a map
+# of name -> value rule. Focus takes exactly one of its optional `target` and
+# `point`.
+_TARGET = ({"target": NAME}, {})
+
+# Structural room kinds -> their parameters: folded into the template at
+# load time, never scored. SetType picks one of the arch types.
+ARCH_TYPES = ("enclosed", "open")
+STRUCTURAL_KINDS = {
+    "MaxInstances": ({"count": INTEGER}, {}),
+    "SetType": ({"type": _one_of(ARCH_TYPES)}, {}),
+}
 
 # Mechanic-to-mechanic topological types: database type -> (rule kind of
-# `level.TopoRule`, the parameter that holds its step threshold, if any).
+# `level.TopoRule`, the parameter that holds its step threshold, if any,
+# its parameters).
+_STRENGTH = {"strength": NUMBER}
 TOPO_TYPES = {
-    "Precedes": ("precedes", None),
-    "TopologicalNear": ("topo_near", "d_max"),
-    "TopologicalFar": ("topo_far", "d_min"),
+    "Precedes": ("precedes", None, ({"other": NAME}, _STRENGTH)),
+    "TopologicalNear": ("topo_near", "d_max", ({"other": NAME, "d_max": INTEGER}, _STRENGTH)),
+    "TopologicalFar": ("topo_far", "d_min", ({"other": NAME, "d_min": INTEGER}, _STRENGTH)),
 }
-TOPO_KINDS = frozenset(TOPO_TYPES)
 
 
 @dataclass(frozen=True)
@@ -93,14 +123,6 @@ class WeightConfig:
 
 DEFAULT_WEIGHTS = WeightConfig()
 
-# room kind -> its default-weight field of WeightConfig
-_ROOM_DEFAULT_WEIGHT = {
-    "AxisFunction": "w_pos_room",
-    "AdjacentTo": "w_adj",
-    "SeparateFrom": "w_sep",
-}
-ROOM_KINDS = frozenset(_ROOM_DEFAULT_WEIGHT)
-
 
 def _weight(spec: ConstraintSpec, default: str, weights: WeightConfig) -> float:
     """The spec's own weight, or the WeightConfig field named `default`."""
@@ -132,34 +154,22 @@ AXIS_FUNCTIONS = {
     "on_floor": _axis_on_floor,
     "near_level_entrance": _axis_near_level_entrance,
 }
-
-
-def _axis_function(spec: ConstraintSpec) -> Callable[..., float]:
-    name = spec.params.get("function")
-    fn = AXIS_FUNCTIONS.get(name)
-    if fn is None:
-        raise UnknownKind(f"unknown axis function {name!r}")
-    return fn
+_AXIS_PARAMETERS = ({"function": _one_of(tuple(AXIS_FUNCTIONS))}, {})  # both tiers' AxisFunction
 
 
 # -- facility tier -----------------------------------------------------------
 #
 # One compiler per kind binds a spec to facility i of a room: its weight,
-# parsed params and the indices of its targets (the other facilities of the
-# target definition, in room order). The compiled term reads the room's
-# poses and footprints, poses[i] being its subject; it scores 0 when no
-# target is placed.
+# params and, for a kind with a `target`, the indices of its targets (the
+# other facilities of the target definition, in room order). The compiled
+# term reads the room's poses and footprints, poses[i] being its subject;
+# `compile_facility_term` scores 0 when no target is placed.
 
 Term = Callable[[Sequence[Pose], Sequence[tuple]], float]
 
 
 def _zero(poses: Sequence[Pose], fps: Sequence[tuple]) -> float:
     return 0.0
-
-
-def _targets(spec: ConstraintSpec, i: int, names: Sequence[str]) -> list[int]:
-    name = spec.params["target"]
-    return [j for j, n in enumerate(names) if n == name and j != i]
 
 
 def _nearest(subject: Pose, poses: Sequence[Pose], targets: Sequence[int]) -> tuple[Pose, float]:
@@ -174,8 +184,8 @@ def _nearest(subject: Pose, poses: Sequence[Pose], targets: Sequence[int]) -> tu
     return target, best
 
 
-def _axis_function_term(spec, w, i, names, room, weights) -> Term:
-    fn = _axis_function(spec)
+def _axis_function_term(spec, w, i, names, targets, room, weights) -> Term:
+    fn = AXIS_FUNCTIONS[spec.params["function"]]
     width, length = room.width, room.length
 
     def term(poses, fps):
@@ -186,9 +196,8 @@ def _axis_function_term(spec, w, i, names, room, weights) -> Term:
     return term
 
 
-def _place_in_range_term(spec, w, i, names, room, weights) -> Term:
-    lo = tuple(float(v) for v in spec.params["p1"])
-    hi = tuple(float(v) for v in spec.params["p2"])
+def _place_in_range_term(spec, w, i, names, targets, room, weights) -> Term:
+    lo, hi = spec.params["p1"], spec.params["p2"]
 
     def term(poses, fps):
         s = poses[i]
@@ -198,9 +207,9 @@ def _place_in_range_term(spec, w, i, names, room, weights) -> Term:
     return term
 
 
-def _place_by_wall_term(spec, w, i, names, room, weights) -> Term:
+def _place_by_wall_term(spec, w, i, names, targets, room, weights) -> Term:
     width, length = room.width, room.length
-    facing = float(spec.params["orientation"]) if "orientation" in spec.params else None
+    facing = spec.params.get("orientation")
 
     def term(poses, fps):
         x0, y0, x1, y1 = fps[i]
@@ -212,11 +221,8 @@ def _place_by_wall_term(spec, w, i, names, room, weights) -> Term:
     return term
 
 
-def _near_term(spec, w, i, names, room, weights) -> Term:
-    targets = _targets(spec, i, names)
-    if not targets:
-        return _zero
-    d_min = float(spec.params.get("d_min", weights.near_d_min))
+def _near_term(spec, w, i, names, targets, room, weights) -> Term:
+    d_min = spec.params.get("d_min", weights.near_d_min)
 
     def term(poses, fps):
         _, d12 = _nearest(poses[i], poses, targets)
@@ -227,11 +233,8 @@ def _near_term(spec, w, i, names, room, weights) -> Term:
     return term
 
 
-def _far_term(spec, w, i, names, room, weights) -> Term:
-    targets = _targets(spec, i, names)
-    if not targets:
-        return _zero
-    d_max = float(spec.params.get("d_max", weights.far_d_max))
+def _far_term(spec, w, i, names, targets, room, weights) -> Term:
+    d_max = spec.params.get("d_max", weights.far_d_max)
 
     def term(poses, fps):
         _, d12 = _nearest(poses[i], poses, targets)
@@ -242,10 +245,7 @@ def _far_term(spec, w, i, names, room, weights) -> Term:
     return term
 
 
-def _can_see_term(spec, w, i, names, room, weights) -> Term:
-    targets = _targets(spec, i, names)
-    if not targets:
-        return _zero
+def _can_see_term(spec, w, i, names, targets, room, weights) -> Term:
     blockers = [j for j in range(len(names)) if j != i]
 
     def term(poses, fps):
@@ -262,19 +262,13 @@ def _can_see_term(spec, w, i, names, room, weights) -> Term:
     return term
 
 
-def _focus_term(spec, w, i, names, room, weights) -> Term:
-    if "point" in spec.params:
-        point = tuple(float(v) for v in spec.params["point"])
-        targets = None
-    else:
-        targets = _targets(spec, i, names)
-        if not targets:
-            return _zero
-    phi_th = float(spec.params.get("phi_th", math.radians(weights.focus_phi_th_deg)))
+def _focus_term(spec, w, i, names, targets, room, weights) -> Term:
+    point = spec.params.get("point")
+    phi_th = spec.params.get("phi_th", math.radians(weights.focus_phi_th_deg))
 
     def term(poses, fps):
         s = poses[i]
-        if targets is None:
+        if point is not None:
             px, py = point
         else:
             target, _ = _nearest(s, poses, targets)
@@ -290,10 +284,7 @@ def _focus_term(spec, w, i, names, room, weights) -> Term:
     return term
 
 
-def _alignment_term(spec, w, i, names, room, weights) -> Term:
-    targets = _targets(spec, i, names)
-    if not targets:
-        return _zero
+def _alignment_term(spec, w, i, names, targets, room, weights) -> Term:
     along_x = spec.params.get("axis", "x") == "x"
 
     def term(poses, fps):
@@ -311,10 +302,7 @@ def _alignment_term(spec, w, i, names, room, weights) -> Term:
     return term
 
 
-def _orientation_term(spec, w, i, names, room, weights) -> Term:
-    targets = _targets(spec, i, names)
-    if not targets:
-        return _zero
+def _orientation_term(spec, w, i, names, targets, room, weights) -> Term:
 
     def term(poses, fps):
         s = poses[i]
@@ -325,21 +313,21 @@ def _orientation_term(spec, w, i, names, room, weights) -> Term:
     return term
 
 
-# facility kind -> (its default-weight field of WeightConfig, its term compiler)
+# facility kind -> (its default-weight field of WeightConfig, its term
+# compiler, its parameters)
+_XY, _XYZ = _numbers(2), _numbers(3)
 _FACILITY_TIER = {
-    "AxisFunction": ("w_axis", _axis_function_term),
-    "PlaceInRange": ("w_range", _place_in_range_term),
-    "PlaceByWall": ("w_wall", _place_by_wall_term),
-    "Near": ("w_near", _near_term),
-    "Far": ("w_far", _far_term),
-    "CanSee": ("w_can_see", _can_see_term),
-    "Focus": ("w_focus", _focus_term),
-    "Alignment": ("w_align", _alignment_term),
-    "Orientation": ("w_orient", _orientation_term),
+    "AxisFunction": ("w_axis", _axis_function_term, _AXIS_PARAMETERS),
+    "PlaceInRange": ("w_range", _place_in_range_term, ({"p1": _XYZ, "p2": _XYZ}, {})),
+    "PlaceByWall": ("w_wall", _place_by_wall_term, ({}, {"orientation": NUMBER})),
+    "Near": ("w_near", _near_term, ({"target": NAME}, {"d_min": NUMBER})),
+    "Far": ("w_far", _far_term, ({"target": NAME}, {"d_max": NUMBER})),
+    "CanSee": ("w_can_see", _can_see_term, _TARGET),
+    "Focus": ("w_focus", _focus_term, ({}, {"target": NAME, "point": _XY, "phi_th": NUMBER})),
+    "Alignment": ("w_align", _alignment_term, ({"target": NAME}, {"axis": _one_of(("x", "y"))})),
+    "Orientation": ("w_orient", _orientation_term, _TARGET),
 }
 FACILITY_KINDS = frozenset(_FACILITY_TIER)
-
-ALL_KINDS = FACILITY_KINDS | ROOM_KINDS | STRUCTURAL_KINDS | TOPO_KINDS
 
 
 def facility_weight(spec: ConstraintSpec, weights: WeightConfig = DEFAULT_WEIGHTS) -> float:
@@ -360,7 +348,13 @@ def compile_facility_term(
     the definition names `names`, as a function of their poses and
     footprints."""
     w = facility_weight(spec, weights)
-    return _FACILITY_TIER[spec.kind][1](spec, w, i, names, room, weights)
+    targets = None
+    if "target" in spec.params:
+        name = spec.params["target"]
+        targets = [j for j, n in enumerate(names) if n == name and j != i]
+        if not targets:
+            return _zero
+    return _FACILITY_TIER[spec.kind][1](spec, w, i, names, targets, room, weights)
 
 
 class _Footprints:
@@ -401,6 +395,20 @@ def compile_facility_penalty(
 
 # -- room tier ---------------------------------------------------------------
 
+# room kind -> (its default-weight field of WeightConfig, its parameters)
+_ROOM_TIER = {
+    "AxisFunction": ("w_pos_room", _AXIS_PARAMETERS),
+    "AdjacentTo": ("w_adj", _TARGET),
+    "SeparateFrom": ("w_sep", _TARGET),
+}
+ROOM_KINDS = frozenset(_ROOM_TIER)
+
+# kind -> its parameters: the last item of a tier table's entry
+PARAMETERS = {k: v[-1] for t in (_ROOM_TIER, _FACILITY_TIER, TOPO_TYPES) for k, v in t.items()}
+PARAMETERS.update(STRUCTURAL_KINDS)
+ALL_KINDS = frozenset(PARAMETERS)
+
+
 def _room_plane_distance(a, b) -> float:
     (ax, ay), (bx, by) = a.center(), b.center()
     return math.hypot(ax - bx, ay - by)
@@ -419,15 +427,14 @@ def eval_room_penalty(
     template with no placed instance on the floor contributes 0.
     """
     kind = spec.kind
-    if kind in STRUCTURAL_KINDS:
-        raise UnknownKind(f"{kind!r} is enforced structurally, not scored")
-    if kind not in ROOM_KINDS:
+    if kind not in ROOM_KINDS:  # structural kinds included: they are never scored
         raise UnknownKind(f"{kind!r} is not a room-tier constraint")
-    w = _weight(spec, _ROOM_DEFAULT_WEIGHT[kind], weights)
+    w = _weight(spec, _ROOM_TIER[kind][0], weights)
 
     if kind == "AxisFunction":
         cx, cy = subject.center()
-        dev = _axis_function(spec)(cx, cy, 0.0, level_dims[0], level_dims[1], 0.0)
+        fn = AXIS_FUNCTIONS[spec.params["function"]]
+        dev = fn(cx, cy, 0.0, level_dims[0], level_dims[1], 0.0)
         return w * dev * dev
 
     target_name = spec.params["target"]

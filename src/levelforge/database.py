@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .constraints import (
-    ALL_KINDS,
+    ARCH_TYPES,
     FACILITY_KINDS,
+    PARAMETERS,
     ROOM_KINDS,
     STRUCTURAL_KINDS,
     TOPO_TYPES,
@@ -26,14 +27,14 @@ from .constraints import (
 )
 from .errors import ParseError, SchemaError, UnresolvedReferenceError
 from .geometry import Dimensions, fits, is_finite, is_float, is_integer, is_number
-from .level import ARCH_TYPES, TopoRule
+from .level import TopoRule
 
 SCHEMA_VERSION = 1
 
 POSITIONING = ("fixed", "adaptable")
 
 # rule kind -> (its topological type, the parameter that holds its threshold)
-_TOPO_TYPE_BY_KIND = {kind: (name, key) for name, (kind, key) in TOPO_TYPES.items()}
+_TOPO_TYPE_BY_KIND = {kind: (name, key) for name, (kind, key, _) in TOPO_TYPES.items()}
 
 
 @dataclass(frozen=True)
@@ -299,46 +300,39 @@ def _parse_dimensions(obj, where: str) -> Dimensions:
     )
 
 
+def _parameters(kind: str, data: Mapping, where: str) -> dict:
+    """The `parameters` of constraint row `data` (absent is empty): those
+    that `kind` declares, each required one, each value passing its rule."""
+    required, optional = PARAMETERS[kind]
+    params = _take(data.get("parameters", {}), f"{where}.parameters", required, optional)
+    for name, value in params.items():
+        what, holds = required.get(name) or optional[name]
+        if not holds(value):
+            raise SchemaError(f"{where}.parameters.{name}: expected {what}")
+    if kind == "Focus" and ("target" in params) == ("point" in params):
+        raise SchemaError(f"{where}.parameters: expected one of 'target' and 'point'")
+    return dict(params)
+
+
 def _parse_constraint(obj, where: str) -> ConstraintSpec:
     data = _take(obj, where, ("type",), ("parameters", "weight"))
     kind = _string(data["type"], f"{where}.type")
-    if kind not in ALL_KINDS:
+    if kind not in PARAMETERS:
         raise SchemaError(f"{where}: unknown constraint type {kind!r}")
-    params = {}
-    if "parameters" in data:
-        params = dict(_take(data["parameters"], f"{where}.parameters", (), None))
-    weight = None
-    if "weight" in data:
-        weight = _number(data["weight"], f"{where}.weight")
+    params = _parameters(kind, data, where)
+    weight = _number(data["weight"], f"{where}.weight") if "weight" in data else None
     return ConstraintSpec(kind, params, weight)
 
 
 def _parse_topo(obj, where: str) -> TopoRule:
     data = _take(obj, where, ("type",), ("parameters",))
-    kind_name = _string(data["type"], f"{where}.type")
-    if kind_name not in TOPO_TYPES:
-        raise SchemaError(f"{where}: {kind_name!r} is not a topological constraint")
-    kind, key = TOPO_TYPES[kind_name]
-    params = dict(_take(data.get("parameters", {}), f"{where}.parameters", (), None))
-    allowed = {"other", "strength"}
-    threshold = None
-    if key is not None:
-        allowed.add(key)
-        if key not in params:
-            raise SchemaError(f"{where}.parameters: missing {key!r}")
-        threshold = _integer(params[key], f"{where}.parameters.{key}")
-    extra = set(params) - allowed
-    if extra:
-        raise SchemaError(f"{where}.parameters: unknown field(s) {sorted(extra)}")
-    if "other" not in params:
-        raise SchemaError(f"{where}.parameters: missing 'other'")
-    strength = _number(params.get("strength", 1.0), f"{where}.parameters.strength")
-    return TopoRule(
-        kind=kind,
-        other=_string(params["other"], f"{where}.parameters.other"),
-        threshold=threshold,
-        strength=strength,
-    )
+    name = _string(data["type"], f"{where}.type")
+    if name not in TOPO_TYPES:
+        raise SchemaError(f"{where}: {name!r} is not a topological constraint")
+    kind, key, _ = TOPO_TYPES[name]
+    params = _parameters(name, data, where)
+    strength = float(params.get("strength", 1.0))
+    return TopoRule(kind, params["other"], threshold=params.get(key), strength=strength)
 
 
 def _parse_facility(obj, where: str) -> FacilityDef:
@@ -392,18 +386,12 @@ def _parse_room(obj, where: str) -> RoomTemplate:
     char = _array(data, "characteristic_facilities", where, _parse_characteristic)
     max_instances = _integer(data.get("max_instances", 1), f"{where}.max_instances")
     arch_type = _string(data.get("arch_type", "enclosed"), f"{where}.arch_type")
-
-    def parse_constraint(obj, cwhere: str) -> ConstraintSpec:
-        nonlocal max_instances, arch_type
-        spec = _parse_constraint(obj, cwhere)
-        # Structural rows configure the template instead of being scored.
-        if spec.kind == "MaxInstances":
-            max_instances = _integer(spec.params.get("count"), f"{cwhere}.parameters.count")
-        elif spec.kind == "SetType":
-            arch_type = _string(spec.params.get("type"), f"{cwhere}.parameters.type")
-        return spec
-
-    constraints = _array(data, "constraints", where, parse_constraint)
+    constraints = _array(data, "constraints", where, _parse_constraint)
+    for c in constraints:  # structural rows configure the template, unscored
+        if c.kind == "MaxInstances":
+            max_instances = c.params["count"]
+        elif c.kind == "SetType":
+            arch_type = c.params["type"]
     if arch_type not in ARCH_TYPES:
         raise SchemaError(f"{where}.arch_type: expected one of {ARCH_TYPES}")
     return RoomTemplate(
@@ -482,7 +470,7 @@ def _violations(db: Database) -> Iterator[Violation]:
         kinds, target_kind = _TIERS[tier]
         for spec in specs:
             t = spec.params.get("target")
-            if isinstance(t, str) and t not in targets[tier]:
+            if t is not None and t not in targets[tier]:
                 yield Violation(
                     name, "unresolved-target", f"constraint target {t!r} is not a known {target_kind}"
                 )
@@ -562,6 +550,10 @@ def _violations(db: Database) -> Iterator[Violation]:
             problem = None if tc.threshold is None else _non_negative_problem(tc.threshold)
             if problem:
                 yield Violation(m.name, "threshold", f"{tc.kind} threshold {tc.threshold} {problem}")
+            if not is_finite(tc.strength):
+                yield Violation(
+                    m.name, "parameter-finite", f"{tc.kind} strength {tc.strength} is not finite"
+                )
 
 
 def load_database(data: bytes | str) -> Database:

@@ -25,7 +25,7 @@ from typing import Iterator
 
 from .arrangement import LevelConfig, arrange_rooms
 from .database import Database, load_database, save_database
-from .errors import ConfigError, LevelforgeError, NoFreeSpace
+from .errors import ConfigError, LevelforgeError, NoFreeSpace, SchemaError
 from .export import level_hash
 from .geometry import Dimensions, Pose
 from .layout import optimize_room_layout
@@ -97,6 +97,11 @@ def _instantiate_room_facilities(db: Database, room) -> list[FacilityInstance]:
     for cf in template.characteristic_facilities:
         fdef = db.facility(cf.facility)
         fixed = fdef.positioning == "fixed"
+        if fixed and len(cf.positions) < cf.count:
+            raise SchemaError(
+                f"room template {template.name!r}: fixed facility {fdef.name!r} has "
+                f"{len(cf.positions)} position(s) for a count of {cf.count}"
+            )
         for k in range(cf.count):
             if fixed:
                 p = cf.positions[k]
@@ -252,7 +257,8 @@ def generate_level(
     `LevelConfig.check` refuses, a group that `canonical_group` does not
     know, or a selected template taller than a floor raises ConfigError; a
     room structure that cannot be started raises ArrangementFailed, and a
-    level that `Level.check` refuses raises SchemaError."""
+    level that `Level.check` refuses, or a placed template whose fixed
+    facility has fewer positions than its count, raises SchemaError."""
     config.check()
     if group is not None:
         group = canonical_group(group)

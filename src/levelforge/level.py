@@ -11,14 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from .constraints import ConstraintSpec
+from .constraints import ARCH_TYPES, ConstraintSpec
 from .errors import SchemaError
 from .geometry import Dimensions, Pose, is_integer, out_of_bounds_depth, shared_segment
 
 if TYPE_CHECKING:  # pragma: no cover
     from .arrangement import LevelConfig
 
-ARCH_TYPES = ("enclosed", "open")
 LINK_KINDS = ("door", "open")
 
 
@@ -203,7 +202,7 @@ class Level:
                 self.shared_wall(edge.room_a, edge.room_b)
         for i, stair in enumerate(self.stairs):
             if stair.room_id not in rooms:
-                raise unknown("a stair is in", stair.room_id)
+                raise unknown(f"stairs[{i}].room:", stair.room_id)
             if not stair.dims.is_valid():
                 raise SchemaError(f"stairs[{i}].dims: expected sizes > 0")
             room = rooms[stair.room_id]
@@ -220,7 +219,7 @@ class Level:
         ):
             for i, p in enumerate(placed):
                 if p.room_id not in rooms:
-                    raise unknown(f"{p.id!r} is in", p.room_id)
+                    raise unknown(f"{section}[{i}].room:", p.room_id)
                 if not p.pose.dims.is_valid():
                     raise SchemaError(f"{section}[{i}].pose.dims: expected sizes > 0")
                 dims = rooms[p.room_id].dims

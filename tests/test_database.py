@@ -153,6 +153,132 @@ def test_structural_room_constraints_fold_into_fields():
     assert room.room_constraints == ()
 
 
+def _crate_with(constraint: dict) -> str:
+    """A database of one facility, Crate, with one constraint row."""
+    crate = {
+        "name": "Crate",
+        "dimensions": {"width": 1, "length": 1, "height": 1},
+        "positioning": "adaptable",
+        "constraints": [constraint],
+    }
+    return doc(facilities=[crate])
+
+
+_AXIS = "('centered_xy', 'on_floor', 'near_level_entrance')"
+
+
+@pytest.mark.parametrize(
+    "constraint, message",
+    [
+        ({"type": "Near"}, "parameters: missing field(s) ['target']"),
+        (
+            {"type": "Near", "parameters": {"target": "Crate", "d_max": 3}},
+            "parameters: unknown field(s) ['d_max']",
+        ),
+        (
+            {"type": "PlaceByWall", "parameters": {"target": "Crate"}},
+            "parameters: unknown field(s) ['target']",
+        ),
+        ({"type": "Near", "parameters": {"target": 3}}, "parameters.target: expected a name"),
+        (
+            {"type": "Near", "parameters": {"target": "Crate", "d_min": "3"}},
+            "parameters.d_min: expected a number",
+        ),
+        (
+            {"type": "Near", "parameters": {"target": "Crate", "d_min": True}},
+            "parameters.d_min: expected a number",
+        ),
+        (
+            {"type": "Near", "parameters": {"target": "Crate", "d_min": 10**400}},
+            "parameters.d_min: expected a number",
+        ),
+        (
+            {"type": "PlaceInRange", "parameters": {"p1": [0, 0], "p2": [1, 1, 1]}},
+            "parameters.p1: expected an array of 3 numbers",
+        ),
+        (
+            {"type": "PlaceInRange", "parameters": {"p1": [0, 0, 0], "p2": [1, "1", 1]}},
+            "parameters.p2: expected an array of 3 numbers",
+        ),
+        ({"type": "AxisFunction"}, "parameters: missing field(s) ['function']"),
+        (
+            {"type": "AxisFunction", "parameters": {"function": "sideways"}},
+            f"parameters.function: expected one of {_AXIS}",
+        ),
+        (
+            {"type": "Alignment", "parameters": {"target": "Crate", "axis": "z"}},
+            "parameters.axis: expected one of ('x', 'y')",
+        ),
+        (
+            {"type": "Alignment", "parameters": {"target": "Crate", "axis": "xy"}},
+            "parameters.axis: expected one of ('x', 'y')",
+        ),
+        (
+            {"type": "Focus", "parameters": {"phi_th": 0.5}},
+            "parameters: expected one of 'target' and 'point'",
+        ),
+        (
+            {"type": "Focus", "parameters": {"target": "Crate", "point": [1, 1]}},
+            "parameters: expected one of 'target' and 'point'",
+        ),
+        (
+            {"type": "Focus", "parameters": {"point": [1, 1, 1]}},
+            "parameters.point: expected an array of 2 numbers",
+        ),
+        (
+            {"type": "MaxInstances", "parameters": {"count": 2.0}},
+            "parameters.count: expected an integer",
+        ),
+        (
+            {"type": "SetType", "parameters": {"type": "cave"}},
+            "parameters.type: expected one of ('enclosed', 'open')",
+        ),
+        (
+            {"type": "TopologicalFar", "parameters": {"other": "Crate"}},
+            "parameters: missing field(s) ['d_min']",
+        ),
+    ],
+)
+def test_a_constraint_row_is_read_against_its_kinds_parameters(constraint, message):
+    # a facility row of any kind is read against its kind's declaration; the
+    # tier rule is the validator's
+    where = "facilities[0].constraints[0]."
+    with pytest.raises(SchemaError, match=f"^{re.escape(where + message)}$"):
+        load_database(_crate_with(constraint))
+
+
+def test_a_topo_row_is_read_against_its_types_parameters():
+    key = {"name": "Key", "dimensions": {"width": 0.3, "length": 0.3, "height": 0.3}}
+    rows = [
+        ("TopologicalNear", {"other": "Key"}, ": missing field(s) ['d_max']"),
+        ("Precedes", {"other": "Key", "d_min": 2}, ": unknown field(s) ['d_min']"),
+        ("TopologicalFar", {"other": "Key", "d_min": 2.5}, ".d_min: expected an integer"),
+        ("Precedes", {"other": 1}, ".other: expected a name"),
+    ]
+    for kind, params, message in rows:
+        row = {"type": kind, "parameters": params}
+        source = doc(mechanics=[{**key, "topo_constraints": [row]}])
+        where = "mechanics[0].topo_constraints[0].parameters"
+        with pytest.raises(SchemaError, match=f"^{re.escape(where + message)}$"):
+            load_database(source)
+
+
+def test_parameters_are_kept_as_written():
+    # an int stays an int, so saving writes the bytes it read
+    near = {"type": "Near", "parameters": {"target": "Crate", "d_min": 3}}
+    db = load_database(_crate_with(near))
+    (spec,) = db.facility("Crate").constraints
+    assert spec.params == {"target": "Crate", "d_min": 3} and type(spec.params["d_min"]) is int
+    assert b'"d_min": 3,' in save_database(db)
+
+
+def test_a_non_finite_parameter_loads_and_trips_the_validator():
+    source = _crate_with({"type": "Focus", "parameters": {"point": [math.nan, 1.0]}})
+    assert validate_database(load_database(source)) == [
+        Violation("Crate", "parameter-finite", "Focus parameter point [nan, 1.0] is not finite")
+    ]
+
+
 def test_negative_width_yields_positivity_violation():
     db = load_database(
         doc(
@@ -436,6 +562,10 @@ def test_each_rule_trips_alone_with_its_message(minimal_db):
         (
             mechanic("KeyA", topo_constraints=(TopoRule("topo_near", "KeyB", threshold=math.nan),)),
             "KeyA", "threshold", "topo_near threshold nan is not finite",
+        ),
+        (
+            mechanic("KeyA", topo_constraints=(TopoRule("topo_near", "KeyB", threshold=2, strength=math.nan),)),
+            "KeyA", "parameter-finite", "topo_near strength nan is not finite",
         ),
     ]
     assert validate_database(minimal_db) == []

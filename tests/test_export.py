@@ -186,7 +186,8 @@ IN_UNKNOWN_ROOM = {
 def test_reference_to_an_unknown_room_is_rejected(kind, tmp_path, capsys):
     doc = json.loads(_rooms_doc([(1, 0, (0.0, 0.0), (10.0, 10.0))]))
     doc[kind] = [IN_UNKNOWN_ROOM[kind]]
-    with pytest.raises(SchemaError, match="room 9"):
+    message = rf"^{kind}\[0\]\.room: room 9, which the level does not have$"
+    with pytest.raises(SchemaError, match=message):
         import_level_json(json.dumps(doc))
     path = tmp_path / "level.json"
     path.write_text(json.dumps(doc))
@@ -194,6 +195,15 @@ def test_reference_to_an_unknown_room_is_rejected(kind, tmp_path, capsys):
     assert cli.main(["export-vmf", "--level", str(path), "--out", str(tmp_path / "l.vmf")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
+def test_a_constraint_row_of_a_level_document_is_read_against_its_kind():
+    doc = json.loads(_rooms_doc([(1, 0, (0.0, 0.0), (10.0, 10.0))]))
+    near = {"type": "Near", "parameters": {"target": "Crate", "d_max": 2.0}}
+    doc["facilities"] = [{**IN_UNKNOWN_ROOM["facilities"], "room": 1, "constraints": [near]}]
+    message = "facilities[0].constraints[0].parameters: unknown field(s) ['d_max']"
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        import_level_json(json.dumps(doc))
 
 
 _TOPO = {"kind": "topo_far", "other": "k2", "anchor_tau": None, "threshold": 3, "strength": 2.0}

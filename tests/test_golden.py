@@ -2,7 +2,7 @@
 one paper-scale level per group and of its rerun and simulation paths,
 reach set and VMF bytes, of small levels' VMF bytes at five scales, of
 both repair phases on seeded crowded levels and of how seeded mutated
-database documents read.
+database documents read; and a check that those documents generate soundly.
 
 A change that alters any pinned hash changes generated levels; it must say
 why and show the acceptance suite still passing before the pin moves.
@@ -11,6 +11,7 @@ why and show the acceptance suite still passing before the pin moves.
 import copy
 import hashlib
 import json
+import traceback
 from importlib import resources
 from random import Random
 
@@ -21,7 +22,7 @@ from levelforge.arrangement import LevelConfig
 from levelforge.constraints import ALL_KINDS
 from levelforge.database import load_database, save_database, validate_database
 from levelforge.errors import LevelforgeError
-from levelforge.export import export_vmf
+from levelforge.export import export_level_json, export_vmf, import_level_json, level_hash
 from levelforge.harness import GROUPS, ExperimentConfig, generate_level, level_seed, run_experiment
 from levelforge.layout import SAParams
 from levelforge.navsim import (
@@ -59,7 +60,7 @@ REPAIR_CASES = 150
 REPAIR_SHA256 = "1f35d9e84dd30f2bf907f6a0d668d27fede937cb093319a5b85bb9f78d15e4f7"
 
 DATABASE_CASES = 1500
-DATABASE_SHA256 = "a33fc8fb94716f8018b3fe6bf79cac41108e0b660d8a99bb9f576870d4008962"
+DATABASE_SHA256 = "6ef8c41e67df813619b13b5956bdb97c68647e708fb577993f8981cc3036134d"
 
 
 def test_small_experiment_records_csv_is_pinned(minimal_db, tmp_path, monkeypatch):
@@ -223,13 +224,17 @@ def mutated_database(rng: Random, base: dict) -> bytes:
     return json.dumps(doc).encode()
 
 
-def test_reading_of_mutated_databases_is_pinned():
-    # each document either loads, and its normalized bytes and violations
-    # are hashed, or fails, and its error class and message are hashed
-    bases = [
+def _sample_documents() -> list[dict]:
+    return [
         json.loads(resources.files("levelforge.data").joinpath(f"{name}.json").read_bytes())
         for name in SAMPLE_DATABASES
     ]
+
+
+def test_reading_of_mutated_databases_is_pinned():
+    # each document either loads, and its normalized bytes and violations
+    # are hashed, or fails, and its error class and message are hashed
+    bases = _sample_documents()
     digest = hashlib.sha256()
     for case in range(DATABASE_CASES):
         rng = Random(case)
@@ -242,3 +247,37 @@ def test_reading_of_mutated_databases_is_pinned():
             row = (save_database(db), validate_database(db))
         digest.update(repr(row).encode() + b"\n")
     assert digest.hexdigest() == DATABASE_SHA256
+
+
+# The generation corpus runs the pinned records config (24x24x6 m, 2 floors)
+# with SA cut from 120 iterations to 20, which halves its time; no case is cut.
+CORPUS_GROUPS = ("A-Baseline", "DB-Speedrun")
+CORPUS_CONFIG = LevelConfig(width=24, length=24, height=6, floors=2, sa=SAParams(iterations=20))
+
+
+def test_every_mutated_database_that_loads_generates_soundly(monkeypatch):
+    # each mutant that loads either makes generation raise a LevelforgeError
+    # or gives a level whose document re-imports to the same hash; any other
+    # exception is a fault
+    monkeypatch.setenv("LEVELFORGE_THREADS", "1")
+    bases = _sample_documents()
+    faults, generated = [], 0
+    for case in range(DATABASE_CASES):
+        try:
+            db = load_database(mutated_database(Random(case), bases[case % 2]))
+        except LevelforgeError:
+            continue
+        for group in CORPUS_GROUPS:
+            try:
+                level, record = generate_level(CORPUS_CONFIG, db, group, case)
+            except LevelforgeError:
+                continue
+            except Exception as exc:
+                faults.append((case, group, repr(exc), traceback.extract_tb(exc.__traceback__)[-1]))
+                continue
+            if level_hash(import_level_json(export_level_json(level))) != record.level_hash:
+                faults.append((case, group, "re-imported level hashes differently"))
+            generated += 1
+    assert faults == []
+    # most pairs of a mutant and a group give a level (1,442 of the 3,000)
+    assert generated > DATABASE_CASES // 2

@@ -439,6 +439,19 @@ def test_a_generated_level_that_cannot_exist_is_refused(minimal_db, monkeypatch,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_a_fixed_facility_short_of_positions_is_a_schema_error(minimal_db):
+    # the Vault's fixed Pillar counted twice with one authored position: the
+    # validator flags it and the database still loads
+    doc = json.loads(save_database(minimal_db))
+    vault = next(r for r in doc["rooms"] if r["name"] == "Vault")
+    vault["characteristic_facilities"][0]["count"] = 2
+    db = load_database(json.dumps(doc))
+    assert [v.rule for v in validate_database(db)] == ["fixed-positions"]
+    message = "room template 'Vault': fixed facility 'Pillar' has 1 position(s) for a count of 2"
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        generate_level(small_config(), db, "DB-Speedrun", 0)
+
+
 @pytest.mark.parametrize("shape", _BAD_SHAPES)
 def test_a_level_shape_that_cannot_be_built_is_a_config_error(minimal_db, shape):
     config = replace(small_config(), **shape)
