@@ -17,7 +17,7 @@ from random import Random
 from .constraints import WeightConfig, eval_room_penalty
 from .database import Database, RoomTemplate, _take
 from .errors import ArrangementFailed, ConfigError, DisconnectedFloor
-from .geometry import Dimensions, bfs, is_finite, is_integer, shared_segment
+from .geometry import Dimensions, bfs, is_finite, is_integer, shared_segment, summed
 from .layout import SAParams
 from .level import AdjacencyEdge, Door, Level, RoomInstance, Stair, overlaps_any
 from .strategies import build_floor_graph
@@ -182,12 +182,12 @@ def _new_room(template: RoomTemplate, floor: int, origin: tuple[float, float]) -
 
 
 def _room_penalty(candidate: RoomInstance, template: RoomTemplate, state: ArrangeState) -> float:
-    total = 0.0
     config = state.level.config
     dims = (config.width, config.length, 0.0)
-    for spec in template.room_constraints:
-        total += eval_room_penalty(spec, candidate, state.level.rooms, dims, config.weights)
-    return total
+    return summed(
+        eval_room_penalty(spec, candidate, state.level.rooms, dims, config.weights)
+        for spec in template.room_constraints
+    )
 
 
 def gen_candidate_room(

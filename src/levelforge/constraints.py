@@ -27,6 +27,7 @@ from .geometry import (
     point_outside_box_distance,
     segment_intersects_box,
     shared_segment,
+    summed,
 )
 
 # Shared epsilon for every inverse-distance term.
@@ -388,7 +389,7 @@ def compile_facility_penalty(
     def penalty(subject: Pose) -> float:
         poses = [subject, *rest]
         fps = _Footprints(poses)
-        return sum(term(poses, fps) for term in terms)
+        return summed(term(poses, fps) for term in terms)
 
     return penalty
 

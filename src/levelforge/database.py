@@ -5,7 +5,8 @@ missing fields are schema errors. One rule pass then checks the entities,
 and it has two modes. `load_database` enforces the reference rules (every
 name resolves) and raises on the first dangling name; `validate_database`
 lists every violation, value rules included (positive dims, unique names,
-...), so that callers can inspect a broken database instead of failing fast.
+fixed positions inside their rooms, the pacing keys the groups place, ...),
+so that callers can inspect a broken database instead of failing fast.
 
 All numeric parameters are SI: meters for distances, radians for angles.
 """
@@ -26,12 +27,29 @@ from .constraints import (
     ConstraintSpec,
 )
 from .errors import ParseError, SchemaError, UnresolvedReferenceError
-from .geometry import Dimensions, fits, is_finite, is_float, is_integer, is_number
+from .geometry import (
+    Dimensions,
+    Pose,
+    fits,
+    is_finite,
+    is_float,
+    is_integer,
+    is_number,
+    out_of_bounds_depth,
+)
 from .level import TopoRule
 
 SCHEMA_VERSION = 1
 
 POSITIONING = ("fixed", "adaptable")
+
+# Pacing strategy -> (key definition, keys per floor), for both the
+# algorithmic (A-) and database-driven (DB-) group families.
+PACING_KEYS = {
+    "baseline": ("FloorKey", 1),
+    "exploration": ("KeyFragment", 3),
+    "speedrun": ("FloorKey", 1),
+}
 
 # rule kind -> (its topological type, the parameter that holds its threshold)
 _TOPO_TYPE_BY_KIND = {kind: (name, key) for name, (kind, key, _) in TOPO_TYPES.items()}
@@ -507,7 +525,8 @@ def _violations(db: Database) -> Iterator[Violation]:
                 continue
             if cf.count < 1:
                 yield Violation(r.name, "facility-count", f"{cf.facility}: count {cf.count} < 1")
-            if not fits(fac.dims, r.dims):
+            fitting = fits(fac.dims, r.dims)
+            if not fitting:
                 yield Violation(
                     r.name, "facility-fits", f"{cf.facility} footprint does not fit inside the room"
                 )
@@ -520,12 +539,14 @@ def _violations(db: Database) -> Iterator[Violation]:
                         f"position(s), got {len(cf.positions)}",
                     )
                 for p in cf.positions:
+                    where = f"{cf.facility}: position ({p.x}, {p.y}, {p.yaw})"
                     if not all(map(is_finite, (p.x, p.y, p.yaw))):
-                        yield Violation(
-                            r.name,
-                            "fixed-positions",
-                            f"{cf.facility}: position ({p.x}, {p.y}, {p.yaw}) is not finite",
-                        )
+                        yield Violation(r.name, "fixed-positions", f"{where} is not finite")
+                        continue
+                    # the rule `Level.check` applies to the placed facility
+                    fp = Pose(p.x, p.y, 0.0, p.yaw, fac.dims).footprint()
+                    if fitting and out_of_bounds_depth(fp, r.dims.width, r.dims.length) > 1e-9:
+                        yield Violation(r.name, "fixed-position-inside", f"{where} leaves the room")
             elif cf.positions:
                 yield Violation(
                     r.name,
@@ -554,6 +575,12 @@ def _violations(db: Database) -> Iterator[Violation]:
                 yield Violation(
                     m.name, "parameter-finite", f"{tc.kind} strength {tc.strength} is not finite"
                 )
+
+    for key in dict.fromkeys(name for name, _ in PACING_KEYS.values()):
+        if key not in mechanics:
+            groups = " and ".join(s for s, (name, _) in PACING_KEYS.items() if name == key)
+            message = f"pacing key {key!r} of the {groups} groups is not a known mechanic"
+            yield Violation(key, "pacing-key", message)
 
 
 def load_database(data: bytes | str) -> Database:

@@ -1,7 +1,7 @@
 """Axis-aligned box geometry, the shared-wall segment of two rooms, the
 box-in-room rule (fit, clamp and pose sampling in a room's local frame),
-breadth-first hop counts and the number predicates, shared by every
-subsystem.
+breadth-first hop counts, the number predicates and the float totals,
+shared by every subsystem.
 
 All footprints are axis-aligned rectangles on the floor plane; yaw only
 matters in 90-degree steps (it swaps width/length) and in the angular
@@ -15,7 +15,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Sequence
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -48,6 +48,26 @@ def is_float(v) -> bool:
     """A number that a float holds finitely: `is_finite`, and no int beyond
     the float range."""
     return (type(v) is float or is_number(v)) and -_FLOAT_MAX <= v <= _FLOAT_MAX
+
+
+def summed(values: Iterable[float]) -> float:
+    """Left-to-right float sum from 0.0, the one order of every float total
+    on every Python (builtin `sum` compensates floats from 3.12 on)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def mean_std(values: Sequence[float], sample: bool) -> tuple[float, float]:
+    """Mean and standard deviation by `summed`: the variance divides by n - 1
+    for a `sample`, by n for a population. Each is 0 where too few values
+    leave it undefined."""
+    n = len(values)
+    mean = summed(values) / n if n else 0.0
+    if n < 2:
+        return mean, 0.0
+    return mean, math.sqrt(summed([(v - mean) ** 2 for v in values]) / (n - 1 if sample else n))
 
 
 @dataclass(frozen=True)

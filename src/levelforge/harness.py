@@ -24,14 +24,13 @@ from pathlib import Path
 from typing import Iterator
 
 from .arrangement import LevelConfig, arrange_rooms
-from .database import Database, load_database, save_database
+from .database import PACING_KEYS, Database, load_database, save_database
 from .errors import ConfigError, LevelforgeError, NoFreeSpace, SchemaError
 from .export import level_hash
-from .geometry import Dimensions, Pose
+from .geometry import Dimensions, Pose, mean_std
 from .layout import optimize_room_layout
 from .level import FacilityInstance, Level, MechanicPlacement
 from .mechanics import (
-    PACING_KEYS,
     MechanicInstance,
     assign_mechanics,
     db_group_mechanics,
@@ -350,17 +349,6 @@ class AggregateStats:
     total_cells: int
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
-    n = len(values)
-    if n == 0:
-        return 0.0, 0.0
-    mean = sum(values) / n
-    if n < 2:
-        return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, math.sqrt(var)
-
-
 def compute_stats(
     records: list[MetricsRecord], groups: tuple[str, ...], total_cells: int
 ) -> AggregateStats:
@@ -374,7 +362,7 @@ def compute_stats(
         per_metric = {}
         for name, _ in _TABLE_ROWS:
             values = [float(getattr(r, name)) for r in valid]
-            mean, std = _mean_std(values)
+            mean, std = mean_std(values, sample=True)
             half = 1.96 * std / math.sqrt(len(values)) if values else 0.0
             per_metric[name] = MetricStats(
                 mean=mean, std=std, ci_low=mean - half, ci_high=mean + half, n=len(values)

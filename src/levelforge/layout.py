@@ -17,8 +17,8 @@ k's pose (k's, those targeting k's definition, and every CanSee). Sparsity
 is the largest of min(k's column, the minimum of the other columns),
 memoised per k until another facility's move is accepted; a turn in place
 changes no column. Floating-point sums depend on their order, so every
-total is re-summed left to right over the flat lists: it is bit-identical
-to `objective()` of the same poses, whatever moves led there.
+total is re-summed left to right over the flat lists (`summed`): it is
+bit-identical to `objective()` of the same poses, whatever moves led there.
 
 A move is evaluated in stages, each cheaper than the next, and each offers
 `anneal` a lower bound on the candidate's total before the next one runs:
@@ -79,6 +79,7 @@ from .geometry import (
     out_of_bounds_depth,
     penetration_depth,
     random_pose,
+    summed,
     wrap_angle,
 )
 from .level import FacilityInstance, RoomInstance
@@ -195,14 +196,6 @@ def interior_grid_points(room: Dimensions) -> np.ndarray:
         return np.empty((0, 2))
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     return np.column_stack([gx.ravel(), gy.ravel()])
-
-
-def _summed(terms: list[float]) -> float:
-    """Left-to-right float sum: the one order every total is summed in."""
-    total = 0.0
-    for t in terms:
-        total += t
-    return total
 
 
 @dataclass(slots=True)
@@ -371,7 +364,7 @@ class _RoomEval:
         sparsity = 0.0
         if n and self._gx is not None:
             sparsity = math.sqrt(np.maximum.reduce(reduce(np.minimum, cols)))
-        return self._state(poses, fps, terms, cluster, cols, {}, _summed(cluster), sparsity)
+        return self._state(poses, fps, terms, cluster, cols, {}, summed(cluster), sparsity)
 
     def step(
         self, s: _Layout, k: int, pose: Pose, rejects: Callable[[float], bool]
@@ -405,12 +398,12 @@ class _RoomEval:
         poses[k] = pose
         fps[k] = self._set_own(k, pose, terms)
         self._set_pairs(k, self._pairs_of[k], poses, fps, terms, cluster)
-        clustered = _summed(cluster)
+        clustered = summed(cluster)
         readers = self.readers[k]
         if bounded:
             for i in readers:
                 terms[self._cons_at[i]] = self._no_cons[i]
-            if rejects(self._total(_summed(terms), clustered, sparsity)):
+            if rejects(self._total(summed(terms), clustered, sparsity)):
                 return None
         for i in readers:
             terms[self._cons_at[i]] = self._cons(i, poses, fps)
@@ -419,7 +412,7 @@ class _RoomEval:
         return self._state(poses, fps, terms, cluster, cols, memo, clustered, sparsity)
 
     def _state(self, poses, fps, terms, cluster, cols, rest, clustered, sparsity) -> _Layout:
-        placement = _summed(terms)
+        placement = summed(terms)
         total = self._total(placement, clustered, sparsity)
         return _Layout(
             poses, fps, terms, cluster, cols, rest, placement, clustered, sparsity, total

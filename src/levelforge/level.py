@@ -20,6 +20,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 LINK_KINDS = ("door", "open")
 
+# The border of a room that the nav grid keeps as wall: one 1 m cell wide.
+WALL_RING = 1.0
+
 
 @dataclass
 class RoomInstance:
@@ -145,9 +148,10 @@ class Level:
         floor overlapping with positive area. Each link, stair and placement
         names rooms of the level; a link joins two rooms that share a wall
         (a door lies on it) and has a known kind, a stair has a valid size
-        and stands inside its room, which is below the top floor, and each
-        facility and mechanic has a valid size and a footprint inside its
-        room."""
+        and stands inside its room, which is below the top floor, and lands
+        in a room on the floor above, its footprint clear of that room's
+        `WALL_RING`, and each facility and mechanic has a valid size and a
+        footprint inside its room."""
         config, eps = self.config, 1e-9
         if not self.rooms:
             raise SchemaError("level has no rooms")
@@ -213,6 +217,13 @@ class Level:
             x0, y0, x1, y1 = room.footprint()
             if not (x0 - eps <= stair.x <= x1 + eps and y0 - eps <= stair.y <= y1 + eps):
                 raise SchemaError(f"stairs[{i}].position: outside room {room.id}")
+            hx, hy = stair.dims.width / 2.0, stair.dims.length / 2.0
+            landing = (stair.x - hx, stair.y - hy, stair.x + hx, stair.y + hy)
+            if not any(_clear_of_wall_ring(landing, r) for r in on_floor.get(room.floor + 1, ())):
+                raise SchemaError(
+                    f"stairs[{i}].position: lands in no room on floor {room.floor + 1} "
+                    "clear of its wall ring"
+                )
         for section, kind, placed in (
             ("facilities", "facility", self.facilities),
             ("mechanics", "mechanic", self.mechanics),
@@ -249,6 +260,14 @@ class Level:
                     Pose(s.x - ox, s.y - oy, s.dims.height / 2.0, 0.0, s.dims)
                 )
         return out
+
+
+def _clear_of_wall_ring(fp: tuple[float, float, float, float], room: RoomInstance) -> bool:
+    """Whether the plan footprint `fp` lies inside the room, clear of its
+    `WALL_RING` (with 1e-9 slack)."""
+    x0, y0, x1, y1 = room.footprint()
+    ring = WALL_RING - 1e-9
+    return x0 + ring <= fp[0] and fp[2] <= x1 - ring and y0 + ring <= fp[1] and fp[3] <= y1 - ring
 
 
 def overlaps_any(

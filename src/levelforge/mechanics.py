@@ -19,7 +19,7 @@ from .constraints import (
     WeightConfig,
     compile_facility_penalty,
 )
-from .database import Database, MechanicDef
+from .database import PACING_KEYS, Database, MechanicDef
 from .errors import NoFreeSpace, NoRooms, UnboundMechanic, UnresolvedReferenceError
 from .geometry import HALF_PI, Dimensions, Pose, clamp_into_room, penetration_depth, random_pose
 from .layout import SAParams, anneal
@@ -33,14 +33,6 @@ PLACEMENT_YAWS = 4
 
 # Multiplier that turns a default topological-far rule into a "strong" one.
 STRONG_TOPO_FAR = 3.0
-
-# Pacing strategy -> (key definition, keys per floor), for both the
-# algorithmic (A-) and database-driven (DB-) group families.
-PACING_KEYS = {
-    "baseline": ("FloorKey", 1),
-    "exploration": ("KeyFragment", 3),
-    "speedrun": ("FloorKey", 1),
-}
 
 
 @dataclass

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from random import Random
 
-from .geometry import bfs
+from .geometry import bfs, mean_std, summed
 from .level import Level, RoomInstance
 
 # Monte Carlo dispersion: sampled points per claimed room, and the width of
@@ -87,14 +87,8 @@ def bfs_balanced_room(g: FloorGraph) -> int:
 def _neighbor_distance_spread(g: FloorGraph, room_id: int) -> float:
     """Population stddev of center distances to graph neighbors (0 if alone)."""
     cx, cy = g.rooms[room_id].center()
-    dists = []
-    for other in g.neighbors[room_id]:
-        ox, oy = g.rooms[other].center()
-        dists.append(math.hypot(cx - ox, cy - oy))
-    if len(dists) < 2:
-        return 0.0
-    mean = sum(dists) / len(dists)
-    return math.sqrt(sum((d - mean) ** 2 for d in dists) / len(dists))
+    centers = [g.rooms[other].center() for other in g.neighbors[room_id]]
+    return mean_std([math.hypot(cx - ox, cy - oy) for ox, oy in centers], sample=False)[1]
 
 
 def mc_dispersion_rooms(g: FloorGraph, n: int, rng: Random) -> list[int]:
@@ -122,7 +116,7 @@ def mc_dispersion_rooms(g: FloorGraph, n: int, rng: Random) -> list[int]:
             ox, oy = room.origin
             px = ox + rng.random() * room.dims.width
             py = oy + rng.random() * room.dims.length
-            density = sum(
+            density = summed(
                 math.exp(-((px - kx) ** 2 + (py - ky) ** 2) * inv_two_sigma2)
                 for kx, ky in keys
             )

@@ -34,7 +34,7 @@ builds its poses through `clamp_into_room`. The compiled terms and
 
 The per-call penalty compiles one spec's term for a single evaluation and
 returns that term's own value: a `-0.0` stays `-0.0`, which the sum in
-`compile_facility_penalty` (started at the int 0) would turn into `0.0`.
+`compile_facility_penalty` (`geometry.summed`, from 0.0) would turn into `0.0`.
 
 Two test-only helpers live here too: the facility-tier penalty sum of one
 placed facility, and the parser that reads `emit_table`'s CSV back.

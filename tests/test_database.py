@@ -22,7 +22,7 @@ from levelforge.database import (
     write_json,
 )
 from levelforge.errors import ParseError, SchemaError, UnresolvedReferenceError
-from levelforge.geometry import Dimensions
+from levelforge.geometry import HALF_PI, Dimensions
 from levelforge.level import TopoRule
 
 
@@ -32,10 +32,29 @@ def doc(facilities=(), rooms=(), mechanics=()):
     )
 
 
+# the mechanics every group places, so that a database of them lacks no pacing key
+PACING_MECHANICS = [
+    {"name": name, "dimensions": {"width": 0.3, "length": 0.3, "height": 0.3}}
+    for name in ("FloorKey", "KeyFragment")
+]
+
+
 def test_empty_sections_load_to_empty_database():
     db = load_database(doc())
     assert db.facilities == () and db.rooms == () and db.mechanics == ()
-    assert validate_database(db) == []
+    assert validate_database(db) == [
+        Violation(
+            "FloorKey",
+            "pacing-key",
+            "pacing key 'FloorKey' of the baseline and speedrun groups is not a known mechanic",
+        ),
+        Violation(
+            "KeyFragment",
+            "pacing-key",
+            "pacing key 'KeyFragment' of the exploration groups is not a known mechanic",
+        ),
+    ]
+    assert validate_database(load_database(doc(mechanics=PACING_MECHANICS))) == []
 
 
 def test_facility_round_trips_through_save_load():
@@ -154,14 +173,15 @@ def test_structural_room_constraints_fold_into_fields():
 
 
 def _crate_with(constraint: dict) -> str:
-    """A database of one facility, Crate, with one constraint row."""
+    """A database of one facility, Crate, with one constraint row, and the
+    pacing keys."""
     crate = {
         "name": "Crate",
         "dimensions": {"width": 1, "length": 1, "height": 1},
         "positioning": "adaptable",
         "constraints": [constraint],
     }
-    return doc(facilities=[crate])
+    return doc(facilities=[crate], mechanics=PACING_MECHANICS)
 
 
 _AXIS = "('centered_xy', 'on_floor', 'near_level_entrance')"
@@ -288,7 +308,8 @@ def test_negative_width_yields_positivity_violation():
                     "dimensions": {"width": -1, "length": 1, "height": 1},
                     "positioning": "fixed",
                 }
-            ]
+            ],
+            mechanics=PACING_MECHANICS,
         )
     )
     violations = validate_database(db)
@@ -303,7 +324,7 @@ def test_duplicate_facility_name_yields_uniqueness_violation():
         "dimensions": {"width": 1, "length": 1, "height": 2},
         "positioning": "adaptable",
     }
-    db = load_database(doc(facilities=[entry, dict(entry)]))
+    db = load_database(doc(facilities=[entry, dict(entry)], mechanics=PACING_MECHANICS))
     violations = validate_database(db)
     assert len(violations) == 1
     assert violations[0].rule == "name-unique"
@@ -382,7 +403,7 @@ def test_violations_are_ordered_by_entity():
         "dimensions": {"width": -1, "length": 1, "height": 1},
         "positioning": "adaptable",
     }
-    db = load_database(doc(facilities=[entry("Zeta"), entry("Alpha")]))
+    db = load_database(doc(facilities=[entry("Zeta"), entry("Alpha")], mechanics=PACING_MECHANICS))
     violations = validate_database(db)
     assert [v.entity for v in violations] == ["Alpha", "Zeta"]
 
@@ -450,6 +471,18 @@ def _replace(db: Database, section: str, entity: str, **changes) -> Database:
         for e in getattr(db, section)
     )
     return dataclasses.replace(db, **{section: rebuilt})
+
+
+@pytest.mark.parametrize("yaw, inside", [(0.0, False), (HALF_PI, True), (math.pi, False)])
+def test_a_fixed_position_is_checked_at_its_yaw(minimal_db, yaw, inside):
+    # a 4 x 1 m Pillar centred 1 m from the Vault's x = 0 wall sticks out
+    # unless it is turned a quarter
+    db = _replace(minimal_db, "facilities", "Pillar", dims=Dimensions(4.0, 1.0, 2.5))
+    pillar, crate = db.room("Vault").characteristic_facilities
+    positions = (dataclasses.replace(pillar.positions[0], x=1.0, yaw=yaw),)
+    vault = (dataclasses.replace(pillar, positions=positions), crate)
+    db = _replace(db, "rooms", "Vault", characteristic_facilities=vault)
+    assert [v.rule for v in validate_database(db)] == ([] if inside else ["fixed-position-inside"])
 
 
 def test_each_rule_trips_alone_with_its_message(minimal_db):
@@ -554,6 +587,18 @@ def test_each_rule_trips_alone_with_its_message(minimal_db):
         (
             room("Vault", characteristic_facilities=(pillar_at(yaw=-math.inf), vault_crate)),
             "Vault", "fixed-positions", "Pillar: position (3.0, 4.0, -inf) is not finite",
+        ),
+        (
+            room("Vault", characteristic_facilities=(pillar_at(x=100.0), vault_crate)),
+            "Vault", "fixed-position-inside",
+            "Pillar: position (100.0, 4.0, 0.0) leaves the room",
+        ),
+        (
+            dataclasses.replace(
+                minimal_db, mechanics=tuple(m for m in minimal_db.mechanics if m.name != "FloorKey")
+            ),
+            "FloorKey", "pacing-key",
+            "pacing key 'FloorKey' of the baseline and speedrun groups is not a known mechanic",
         ),
         (
             mechanic("KeyA", topo_constraints=(TopoRule("topo_near", "KeyB", threshold=-1),)),

@@ -278,30 +278,49 @@ def test_placement_with_no_size_is_rejected(speedrun_doc, kind, dims, tmp_path, 
 
 
 @pytest.mark.parametrize(
-    "position, message",
+    "room, position, message",
     [
-        ([100.0, 100.0], r"stairs\[0\]\.position: outside room \d+"),
-        ([-5.0, -5.0], r"stairs\[0\]\.position: outside room \d+"),
-        (None, r"stairs\[0\]\.room: room \d+ is on the top floor, with no floor above"),
+        (None, [100.0, 100.0], r"stairs\[0\]\.position: outside room \d+"),
+        (None, [-5.0, -5.0], r"stairs\[0\]\.position: outside room \d+"),
+        ("top", None, r"stairs\[0\]\.room: room \d+ is on the top floor, with no floor above"),
+        # no floor-1 room lies over (3, 3) in room 1; such a stair used to
+        # import and then end rerun in `UnreachableRoom: no path to room 17`
+        (1, [3.0, 3.0],
+         r"stairs\[0\]\.position: lands in no room on floor 1 clear of its wall ring"),
     ],
 )
-def test_stair_outside_its_room_or_on_the_top_floor_is_rejected(
-    speedrun_doc, position, message, tmp_path, capsys
+def test_stair_outside_its_room_on_the_top_floor_or_landing_nowhere_is_rejected(
+    speedrun_doc, room, position, message, tmp_path, capsys
 ):
     doc = copy.deepcopy(speedrun_doc)
     stair = doc["stairs"][0]
-    if position is None:  # moved into a top-floor room, at that room's centre
+    if room == "top":  # moved into a top-floor room, at that room's centre
         top = next(r for r in doc["rooms"] if r["floor"] == doc["config"]["floors"] - 1)
         stair["room"] = top["id"]
         stair["position"] = [top["origin"][i] + top["dims"][i] / 2.0 for i in (0, 1)]
     else:
-        stair["position"] = position
+        stair.update(room=stair["room"] if room is None else room, position=position)
     _refused_in_one_line(doc, tmp_path / "level.json", capsys, message)
 
 
-def _linked_rooms_doc(doors=(), adjacency=()):
+@pytest.mark.parametrize(
+    "x, lands", [(9.0, True), (8.0, True), (10.0, True), (7.5, False), (10.5, False)]
+)
+def test_stair_lands_clear_of_the_wall_ring_of_the_room_above(x, lands):
+    # rooms 2 (floor 0) and 4 (floor 1) both span x 6-12 and y 0-6, so a 2 m
+    # stair at y 3 clears room 4's 1 m wall ring for x in [8, 10]
+    doc = _linked_rooms_doc(stairs=[(2, x, 3.0)])
+    if lands:
+        assert len(import_level_json(doc).stairs) == 1
+    else:
+        with pytest.raises(SchemaError, match=r"^stairs\[0\]\.position: lands in no room"):
+            import_level_json(doc)
+
+
+def _linked_rooms_doc(doors=(), adjacency=(), stairs=()):
     """Rooms 1 and 2 share the wall x=6 on floor 0; room 3 touches neither;
-    room 4 lies on floor 1 where room 2 lies on floor 0."""
+    room 4 lies on floor 1 where room 2 lies on floor 0. Each stair is 2 x 2
+    x 3 m."""
     rooms = [(1, 0, (0.0, 0.0)), (2, 0, (6.0, 0.0)), (3, 0, (0.0, 12.0)), (4, 1, (6.0, 0.0))]
     return json.dumps(
         {
@@ -322,7 +341,9 @@ def _linked_rooms_doc(doors=(), adjacency=()):
             "facilities": [],
             "mechanics": [],
             "doors": [{"room_a": a, "room_b": b, "position": [x, y]} for a, b, x, y in doors],
-            "stairs": [],
+            "stairs": [
+                {"room": r, "position": [x, y], "dims": [2.0, 2.0, 3.0]} for r, x, y in stairs
+            ],
             "adjacency": [{"room_a": a, "room_b": b, "kind": k} for a, b, k in adjacency],
         }
     )
@@ -592,6 +613,8 @@ PATH_RULES = {
     "room-size": r"^rooms\[\d+\]\.dims: expected sizes > 0$",
     "stair-size": r"^stairs\[\d+\]\.dims: expected sizes > 0$",
     "stair-position": r"^stairs\[\d+\]\.position: outside room \d+$",
+    "stair-landing":
+        r"^stairs\[\d+\]\.position: lands in no room on floor \d+ clear of its wall ring$",
     "pose-size": r"^(facilities|mechanics)\[\d+\]\.pose\.dims: expected sizes > 0$",
     "arch-type": r"^rooms\[\d+\]\.arch_type: expected one of \('enclosed', 'open'\)$",
     "link-kind": r"^adjacency\[\d+\]\.kind: expected one of \('door', 'open'\)$",

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from levelforge import constraints, harness, strategies
+from levelforge.constraints import ConstraintSpec, compile_facility_penalty
 from levelforge.geometry import (
     DOOR_WIDTH,
     HALF_PI,
@@ -15,9 +17,15 @@ from levelforge.geometry import (
     is_finite,
     is_integer,
     is_number,
+    mean_std,
     random_pose,
     shared_segment,
+    summed,
 )
+from levelforge.navsim import MetricsRecord
+from levelforge.strategies import FloorGraph
+
+from conftest import make_room
 
 
 @pytest.mark.parametrize(
@@ -103,3 +111,69 @@ def test_clamp_puts_the_footprint_inside_the_room_whenever_it_fits(
 def test_fits_exactly_when_random_pose_finds_a_pose(w, l, room_w, room_l, seed):
     dims, room = Dimensions(w, l, 1.0), Dimensions(room_w, room_l, 1.0)
     assert fits(dims, room) == (random_pose(dims, room, Random(seed)) is not None)
+
+
+# -- float totals ----------------------------------------------------------------
+
+
+def test_summed_adds_left_to_right_from_zero():
+    assert summed([0.1] * 10) == 0.9999999999999999  # math.fsum gives 1.0
+    assert summed([]) == 0.0 and type(summed([])) is float
+    assert summed(iter([1e16, 1.0, 1.0])) == 1e16  # each 1.0 is rounded away
+    assert math.copysign(1.0, summed([-0.0])) == 1.0  # 0.0 + -0.0, as builtin sum
+
+
+def test_mean_std_divides_by_n_minus_one_for_a_sample_and_by_n_for_a_population():
+    assert mean_std([], sample=True) == mean_std([], sample=False) == (0.0, 0.0)
+    assert mean_std([2.5], sample=True) == mean_std([2.5], sample=False) == (2.5, 0.0)
+    assert mean_std([1.0, 3.0], sample=True) == (2.0, math.sqrt(2.0))
+    assert mean_std([1.0, 3.0], sample=False) == (2.0, 1.0)
+
+
+def _left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _compensated_sum(values):
+    """Builtin `sum` over floats as Python 3.12 and later run it (Neumaier)."""
+    total, c = 0.0, 0.0
+    for v in values:
+        t = total + v
+        c += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + c
+
+
+def test_float_totals_do_not_depend_on_the_builtin_sum(monkeypatch):
+    # the compensated sum stands in for a newer Python's builtin; every float
+    # total must keep its left-to-right value
+    assert _compensated_sum([0.1] * 10) != _left_to_right([0.1] * 10)
+    for module in (harness, strategies, constraints):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+
+    records = [
+        MetricsRecord(f"L{i}", "A-Baseline", i, "valid", repair_time=0.1) for i in range(10)
+    ]
+    stats = harness.compute_stats(records, ("A-Baseline",), total_cells=100)
+    mean = _left_to_right([0.1] * 10) / 10
+    std = math.sqrt(_left_to_right([(0.1 - mean) ** 2] * 10) / 9)
+    repair = stats.metrics["A-Baseline"]["repair_time"]
+    assert (repair.mean, repair.std) == (mean, std)
+
+    # ten neighbours 1.1 m from room 0's centre
+    rooms = {i: make_room(i, (1.1 if i else 0.0, 0.0), 4, 4) for i in range(11)}
+    graph = FloorGraph(0, tuple(rooms), {0: tuple(range(1, 11))}, rooms, 0, 10)
+    d = math.hypot(2.0 - (1.1 + 2.0), 0.0)
+    mean = _left_to_right([d] * 10) / 10
+    spread = math.sqrt(_left_to_right([(d - mean) ** 2] * 10) / 10)
+    assert spread > 0.0
+    assert strategies._neighbor_distance_spread(graph, 0) == spread
+
+    # ten Near rows, each 1 m beyond its d_min at weight 0.1: ten terms of 0.1
+    near = ConstraintSpec("Near", {"target": "T", "d_min": 2.0}, weight=0.1)
+    target = Pose(4.0, 1.0, 0.5, 0.0, Dimensions(1.0, 1.0, 1.0))
+    penalty = compile_facility_penalty([near] * 10, Dimensions(6.0, 6.0, 3.0), [("T", target)])
+    assert penalty(target.moved(1.0, 1.0)) == _left_to_right([0.1] * 10)

@@ -60,7 +60,7 @@ REPAIR_CASES = 150
 REPAIR_SHA256 = "1f35d9e84dd30f2bf907f6a0d668d27fede937cb093319a5b85bb9f78d15e4f7"
 
 DATABASE_CASES = 1500
-DATABASE_SHA256 = "6ef8c41e67df813619b13b5956bdb97c68647e708fb577993f8981cc3036134d"
+DATABASE_SHA256 = "5f068de902fec9e326fb771f0e074ffb7e21a70f925e09b33112374354003226"
 
 
 def test_small_experiment_records_csv_is_pinned(minimal_db, tmp_path, monkeypatch):

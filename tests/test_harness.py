@@ -418,12 +418,12 @@ def test_a_floor_lower_than_the_tallest_template_is_refused_at_entry(
 
 def test_a_generated_level_that_cannot_exist_is_refused(minimal_db, monkeypatch, tmp_path, capsys):
     # the Vault's fixed Pillar authored at x = 100 m in a 6 m wide room; the
-    # database validates clean
+    # validator flags it and the database still loads
     doc = json.loads(save_database(minimal_db))
     vault = next(r for r in doc["rooms"] if r["name"] == "Vault")
     vault["characteristic_facilities"][0]["positions"][0]["x"] = 100.0
     db = load_database(json.dumps(doc))
-    assert validate_database(db) == []
+    assert [v.rule for v in validate_database(db)] == ["fixed-position-inside"]
     message = "facility 'r25.Pillar.0' does not fit inside room 25"
     for seed in range(4):
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
