@@ -2,12 +2,13 @@
 
 A level runs through: room arrangement, per-room facility annealing,
 group-specific key placement, two-phase repair, rerun validation and the
-objective simulation. Work fans out over worker processes at two levels:
-`generate_level` anneals a level's rooms in parallel, and the experiment
-runner generates its levels in parallel (its workers then lay their rooms
-out one after another, so pools never nest). Each room and each level draws
-from its own pre-derived seed, so results are byte-identical regardless of
-worker count.
+objective simulation. Work fans out over worker processes through one
+in-order map, `_fan_out`: `generate_level` anneals a level's rooms with it,
+and the experiment runner generates its levels with it (a worker then lays
+its rooms out in-process, so pools never nest). Each room and each level
+draws from its own pre-derived seed, and an experiment generates from the
+database's document form at any worker count, so results are byte-identical
+regardless of worker count.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .arrangement import LevelConfig, arrange_rooms
 from .database import PACING_KEYS, Database, load_database, save_database
 from .errors import ConfigError, LevelforgeError, NoFreeSpace, SchemaError
 from .export import level_hash
-from .geometry import Dimensions, Pose, mean_std
+from .geometry import Dimensions, Pose, is_integer, mean_std
 from .layout import optimize_room_layout
 from .level import FacilityInstance, Level, MechanicPlacement
 from .mechanics import (
@@ -77,6 +78,17 @@ class ExperimentConfig:
     base_seed: int = 42
     level: LevelConfig = field(default_factory=LevelConfig)
     output_dir: Path | None = None
+
+    def check(self) -> None:
+        """Raise ConfigError unless the level passes `LevelConfig.check`,
+        `levels_per_group` is an integer >= 1 and `base_seed` an integer."""
+        self.level.check()
+        if not is_integer(self.levels_per_group) or self.levels_per_group < 1:
+            raise ConfigError(
+                f"levels_per_group must be an integer >= 1, got {self.levels_per_group!r}"
+            )
+        if not is_integer(self.base_seed):
+            raise ConfigError(f"base_seed must be an integer, got {self.base_seed!r}")
 
 
 def level_seed(base_seed: int, group: str, index: int) -> int:
@@ -219,29 +231,54 @@ def _place_mechanics(
     level.mechanics = placed
 
 
-def _layout_room(job: tuple) -> dict[str, Pose]:
+def _layout_room(weights, sa, seed: int, job: tuple) -> dict[str, Pose]:
     """Anneal one room's facilities from the room's own seed; their poses by id."""
-    room, facilities, weights, sa, seed, obstacles = job
-    layout = optimize_room_layout(
-        room,
-        facilities,
-        weights,
-        sa,
-        derive_rng(seed, "layout", room.id),
-        obstacles=obstacles,
-    )
-    return layout.placements
+    room, facilities, obstacles = job
+    rng = derive_rng(seed, "layout", room.id)
+    return optimize_room_layout(room, facilities, weights, sa, rng, obstacles=obstacles).placements
 
 
-def _layout_rooms(jobs: list[tuple]) -> list[dict[str, Pose]]:
-    """`_layout_room` over `jobs` in order: in a pool of up to
-    `worker_count()` processes opened for this call, or in this process when
-    one worker is available or this process is itself a worker."""
-    workers = min(worker_count(), len(jobs))
+def worker_count() -> int:
+    """`LEVELFORGE_THREADS` when set, else the CPUs this process may run on."""
+    env = os.environ.get("LEVELFORGE_THREADS")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"LEVELFORGE_THREADS must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The function and shared arguments that `_fan_out` hands a pool worker.
+_WORKER_CALL: tuple = ()
+
+
+def _init_worker(fn: Callable, shared: tuple) -> None:
+    global _WORKER_CALL
+    _WORKER_CALL = fn, shared
+
+
+def _run_task(item):
+    fn, shared = _WORKER_CALL
+    return fn(*shared, item)
+
+
+def _fan_out(fn: Callable, shared: tuple, items: list) -> Iterator:
+    """`fn(*shared, item)` for each of `items`, yielded in the items' order:
+    from a pool of `min(worker_count(), len(items))` processes opened for
+    this call, each handed `fn` and `shared` once; or in this process when
+    that is one or this process is itself a worker, so pools never nest."""
+    workers = min(worker_count(), len(items))
     if workers <= 1 or multiprocessing.parent_process() is not None:
-        return list(map(_layout_room, jobs))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_layout_room, jobs, chunksize=1))
+        for item in items:
+            yield fn(*shared, item)
+        return
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(fn, shared)
+    ) as pool:
+        yield from pool.map(_run_task, items, chunksize=1)
 
 
 def generate_level(
@@ -268,11 +305,12 @@ def generate_level(
 
     facilities = [_instantiate_room_facilities(db, room) for room in level.rooms]
     jobs = [
-        (room, fs, config.weights, config.sa, seed, level.stair_obstacles(room.id))
+        (room, fs, level.stair_obstacles(room.id))
         for room, fs in zip(level.rooms, facilities)
         if fs
     ]
-    for (_, fs, *_), placements in zip(jobs, _layout_rooms(jobs)):
+    shared = (config.weights, config.sa, seed)
+    for (_, fs, _), placements in zip(jobs, _fan_out(_layout_room, shared, jobs)):
         for inst in fs:
             inst.pose = placements[inst.id]
     for fs in facilities:
@@ -373,62 +411,14 @@ def compute_stats(
     )
 
 
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(db_bytes: bytes, config: LevelConfig) -> None:
-    _WORKER_STATE["db"] = load_database(db_bytes)
-    _WORKER_STATE["config"] = config
-
-
-def _run_task(task: tuple[str, int, int]) -> MetricsRecord:
-    return _generate_record(_WORKER_STATE["config"], _WORKER_STATE["db"], *task)
-
-
-def _generate_record(
-    config: LevelConfig, db: Database, group: str, index: int, seed: int
-) -> MetricsRecord:
+def _generate_record(config: LevelConfig, db: Database, task: tuple) -> MetricsRecord:
+    group, index, seed = task
+    level_id = f"{group}-{index:04d}"
     try:
-        _, record = generate_level(
-            config, db, group, seed, level_id=f"{group}-{index:04d}"
-        )
-        return record
+        return generate_level(config, db, group, seed, level_id=level_id)[1]
     except LevelforgeError:
         # one level that cannot be built must not end the batch
-        return MetricsRecord(
-            level_id=f"{group}-{index:04d}", group=group, seed=seed, status="failed"
-        )
-
-
-def worker_count() -> int:
-    """`LEVELFORGE_THREADS` when set, else the CPUs this process may run on."""
-    env = os.environ.get("LEVELFORGE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"LEVELFORGE_THREADS must be an integer, got {env!r}") from None
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _generate_records(
-    exp: ExperimentConfig, db: Database, tasks: list[tuple[str, int, int]]
-) -> Iterator[MetricsRecord]:
-    """Records of `tasks` in task order, from worker processes when more
-    than one worker is available."""
-    workers = min(worker_count(), len(tasks)) if tasks else 1
-    if workers == 1:
-        for task in tasks:
-            yield _generate_record(exp.level, db, *task)
-        return
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_worker,
-        initargs=(save_database(db), exp.level),
-    ) as pool:
-        yield from pool.map(_run_task, tasks, chunksize=1)
+        return MetricsRecord(level_id=level_id, group=group, seed=seed, status="failed")
 
 
 def run_experiment(
@@ -437,19 +427,22 @@ def run_experiment(
     """Generate every (group, index) level and aggregate the metrics.
 
     Writes records.csv, stats.md and stats.csv when an output directory is
-    configured. Ordering and content are independent of the worker count.
-    A bad config or group raises ConfigError before any level starts; a
-    level that raises another LevelforgeError is recorded as failed.
+    configured. Every level is generated from the database's document form
+    (`load_database(save_database(db))`), so ordering and content are
+    independent of the worker count. A bad config or group raises
+    ConfigError before any level starts; a level that raises another
+    LevelforgeError is recorded as failed.
     """
-    exp.level.check()
+    exp.check()
     exp = replace(exp, groups=tuple(map(canonical_group, exp.groups)))
     tasks = [
         (group, index, level_seed(exp.base_seed, group, index))
         for group in exp.groups
         for index in range(exp.levels_per_group)
     ]
+    shared = (exp.level, load_database(save_database(db)))
     records = []
-    for record in _generate_records(exp, db, tasks):
+    for record in _fan_out(_generate_record, shared, tasks):
         log.info("level %s seed=%d status=%s", record.level_id, record.seed, record.status)
         records.append(record)
     total_cells = math.prod(exp.level.grid_shape())

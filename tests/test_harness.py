@@ -8,6 +8,7 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from importlib import resources
+from multiprocessing import get_context
 
 import pytest
 
@@ -15,6 +16,7 @@ from levelforge import cli, harness
 from levelforge.arrangement import LevelConfig
 from levelforge.database import load_database, save_database, validate_database
 from levelforge.export import export_level_json, level_hash
+from levelforge.geometry import Dimensions
 from levelforge.harness import (
     AggregateStats,
     ExperimentConfig,
@@ -186,6 +188,67 @@ def test_records_csv_is_worker_count_independent(minimal_db, tmp_path):
     assert csv_serial == csv_parallel
 
 
+def _int_dims_db(db):
+    """`db` as built in code: every room template's dims written as ints."""
+    def ints(d):
+        return Dimensions(int(d.width), int(d.length), int(d.height))
+
+    return replace(db, rooms=tuple(replace(t, dims=ints(t.dims)) for t in db.rooms))
+
+
+def test_a_database_built_in_code_gives_the_same_records_at_any_worker_count(
+    minimal_db, monkeypatch, tmp_path
+):
+    db = _int_dims_db(minimal_db)
+    assert db.room("Hall").dims == Dimensions(8, 6, 3)
+    assert type(db.room("Hall").dims.width) is int
+    texts = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LEVELFORGE_THREADS", threads)
+        out = tmp_path / threads
+        run_experiment(small_experiment(("A-Baseline", "DB-Speedrun"), out=out), db)
+        texts.append((out / "records.csv").read_bytes())
+    assert texts[0] == texts[1]
+
+
+_BAD_EXPERIMENTS = [
+    ("levels_per_group", 0, "levels_per_group must be an integer >= 1, got 0"),
+    ("levels_per_group", -2, "levels_per_group must be an integer >= 1, got -2"),
+    ("levels_per_group", 1.5, "levels_per_group must be an integer >= 1, got 1.5"),
+    ("levels_per_group", True, "levels_per_group must be an integer >= 1, got True"),
+    ("levels_per_group", "2", "levels_per_group must be an integer >= 1, got '2'"),
+    ("base_seed", 1.5, "base_seed must be an integer, got 1.5"),
+    ("base_seed", "7", "base_seed must be an integer, got '7'"),
+    ("base_seed", None, "base_seed must be an integer, got None"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", _BAD_EXPERIMENTS)
+def test_an_experiment_without_a_level_count_or_seed_is_refused_before_any_level_starts(
+    minimal_db, monkeypatch, name, value, message
+):
+    def no_level(*args):
+        raise AssertionError("a level started")
+
+    monkeypatch.setattr(harness, "arrange_rooms", no_level)
+    exp = replace(small_experiment(("A-Baseline",)), **{name: value})
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        exp.check()
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run_experiment(exp, minimal_db)
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_cli_experiment_refuses_a_level_count_below_one(tmp_path, capsys, count):
+    out = tmp_path / "out"
+    args = ["experiment", "--db", str(_db_path(tmp_path)), "--levels-per-group", count]
+    assert cli.main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: levels_per_group must be an integer >= 1, got {count}\n"
+    )
+    assert not out.exists()
+
+
 # -- room-layout workers ----------------------------------------------------------
 
 
@@ -250,6 +313,29 @@ def test_an_error_in_a_room_worker_reaches_the_caller(monkeypatch, pool_widths):
     with pytest.raises(InfeasibleRoom, match="Beacon"):
         generate_level(small_config(), db, "A-Baseline", 0)
     assert pool_widths == [2]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_every_start_method_gives_the_same_levels(minimal_db, monkeypatch, method):
+    opened = []
+
+    class ContextPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, mp_context=get_context(method), **kwargs)
+
+    def hashes():
+        records, _ = run_experiment(small_experiment(("A-Baseline", "DB-Speedrun")), minimal_db)
+        _, record = generate_level(small_config(), minimal_db, "DB-Exploration", 9)
+        return [r.level_hash for r in records], record.level_hash
+
+    monkeypatch.setenv("LEVELFORGE_THREADS", "1")
+    in_process = hashes()
+    monkeypatch.setenv("LEVELFORGE_THREADS", "2")
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", ContextPool)
+    assert hashes() == in_process
+    assert opened == [2, 2]  # the experiment's levels, then the level's rooms
     assert multiprocessing.active_children() == []
 
 
@@ -407,7 +493,7 @@ def test_a_floor_lower_than_the_tallest_template_is_refused_at_entry(
         "the floor height 0.3333333333333333 (height / floors) is below the "
         "tallest selected template's 3.0"
     )
-    monkeypatch.setattr(harness, "_layout_rooms", lambda jobs: pytest.fail("a room was laid out"))
+    monkeypatch.setattr(harness, "_layout_room", lambda *args: pytest.fail("a room was laid out"))
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         generate_level(LevelConfig(height=1, floors=3), hospital_db, "A-Baseline", 0)
     db = str(resources.files("levelforge.data").joinpath("sh_hospital.json"))
